@@ -20,9 +20,13 @@ TRIAL_BOUND = 10**6
 RHO_WORK_BOUND = 10**6
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def primes_up_to(n: int) -> tuple[int, ...]:
-    """All primes <= n, ascending. Cached; n is expected to repeat a lot."""
+    """All primes <= n, ascending.
+
+    Cached, since a few bounds repeat a lot; bounded, since each entry
+    holds a whole prime list.
+    """
     if n < 2:
         return ()
     sieve = np.ones(n + 1, dtype=bool)
@@ -31,11 +35,6 @@ def primes_up_to(n: int) -> tuple[int, ...]:
         if sieve[p]:
             sieve[p * p :: p] = False
     return tuple(int(p) for p in np.flatnonzero(sieve))
-
-
-def prime_array_up_to(n: int) -> np.ndarray:
-    """Same as primes_up_to but as an int64 array (no caching copy cost)."""
-    return np.asarray(primes_up_to(n), dtype=np.int64)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -207,7 +206,7 @@ def squarefree_kernel(n: int) -> int:
 
 
 def is_kfree(n: int, k: int) -> bool:
-    """True when no prime appears in n with exponent >= k (k >= 2... or 1)."""
+    """True when no prime appears in n with exponent >= k."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if n == 1:

@@ -52,24 +52,6 @@ def _subsets(indices):
         yield from combinations(indices, size)
 
 
-def inclusion_exclusion(x_I) -> Fraction:
-    """prod_i (1 - x_i), cross-checked against the signed subset sum."""
-    xs = tuple(Fraction(x) for x in x_I)
-    value = Fraction(1)
-    for x in xs:
-        value *= 1 - x
-    if len(xs) <= 16:
-        signed = Fraction(0)
-        for sub in _subsets(range(len(xs))):
-            term = Fraction((-1) ** len(sub))
-            for j in sub:
-                term *= xs[j]
-            signed += term
-        if signed != value:
-            raise ArithmeticError("inclusion-exclusion routes disagree")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # corner degrees and local factors
 

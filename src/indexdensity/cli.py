@@ -1,9 +1,10 @@
 """Command-line harness: config in, deterministic result files out.
 
-Config is JSON (inline flags override file values, unknown keys are
-rejected), rationals serialize as "num/den" strings so nothing is lost to
-floating point, and every command writes the same payload it printed when
---output is given. Exit codes: 0 success, 2 bad config, 3 refused or
+Config is JSON (inline flags override file values, and each command
+rejects every key it does not read), rationals serialize as "num/den"
+strings so nothing is lost to floating point, and every command writes the
+same payload it printed when an output path is given (--output or the
+config's "output" key). Exit codes: 0 success, 2 bad config, 3 refused or
 inconclusive scope, 4 compare found an inconsistency.
 """
 
@@ -18,7 +19,6 @@ from .artin import euler_product, local_factor, prob_model_oracle
 from .density import (
     DensityReport,
     LevelMap,
-    correction_ratio,
     hooley_series,
     singleton_sum,
     valuation_density,
@@ -79,37 +79,39 @@ def report_payload(report: DensityReport) -> dict:
 # config handling
 
 
-_COMMON_KEYS = {
+# The keys each runner reads, plus "output", which main reads for all.
+_DENSITY_KEYS = {
     "groups",
     "set",
     "congruence",
     "mode",
-    "seed",
-    "threads",
-    "output",
     "cache_dir",
+    "method",
+    "truncation",
+    "cutoff",
+    "bound",
+    "smooth",
+    "level_map",
 }
+_SURVEY_KEYS = {"groups", "set", "congruence", "sieve_bound", "log_path"}
 
 _COMMAND_KEYS = {
-    "degree": _COMMON_KEYS | {"modulus", "levels", "prime_bound", "deficiency"},
-    "artin": _COMMON_KEYS | {"map", "cutoff"},
-    "artin-oracle": _COMMON_KEYS | {"ell", "v", "method", "samples"},
-    "density": _COMMON_KEYS
-    | {"method", "truncation", "cutoff", "bound", "smooth", "level_map"},
-    "survey": _COMMON_KEYS | {"sieve_bound", "log_path"},
-    "compare": _COMMON_KEYS
-    | {
-        "method",
-        "truncation",
-        "cutoff",
-        "bound",
-        "smooth",
-        "level_map",
-        "sieve_bound",
-        "log_path",
+    "degree": {
+        "groups",
+        "mode",
+        "cache_dir",
+        "modulus",
+        "levels",
+        "prime_bound",
+        "deficiency",
     },
-    "classify": _COMMON_KEYS,
-    "paper-examples": _COMMON_KEYS | {"sieve_bound"},
+    "artin": {"groups", "set", "map", "cutoff"},
+    "artin-oracle": {"groups", "ell", "v", "method", "samples", "seed"},
+    "density": _DENSITY_KEYS,
+    "survey": _SURVEY_KEYS,
+    "compare": _DENSITY_KEYS | _SURVEY_KEYS,
+    "classify": {"groups", "set"},
+    "paper-examples": {"sieve_bound"},
 }
 
 
@@ -133,12 +135,14 @@ def load_config(command: str, args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    allowed = _COMMAND_KEYS[command]
+    allowed = _COMMAND_KEYS[command] | {"output"}
     unknown = sorted(set(cfg) - allowed)
     if unknown:
         raise ConfigError(
             f"unknown config keys for {command}: {', '.join(unknown)}"
         )
+    if not isinstance(cfg.get("output", ""), str):
+        raise ConfigError("'output' must be a file path")
     return cfg
 
 
@@ -616,9 +620,13 @@ def main(argv=None) -> int:
         {"command": args.command, "result": payload}, indent=2, sort_keys=True
     )
     print(text)
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    if cfg.get("output"):
+        try:
+            with open(cfg["output"], "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"config error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     return code
 
 

@@ -50,9 +50,6 @@ class DensityReport:
     ledger: tuple[tuple[str, Fraction], ...] = ()
     notes: tuple[str, ...] = ()
 
-    def midpoint_float(self) -> float:
-        return float(self.value.midpoint)
-
 
 # ---------------------------------------------------------------------------
 # level maps: which cyclotomic-Kummer level the n-th series term probes
@@ -324,26 +321,15 @@ def singleton_sum(
     base = euler_product(zero_map, profile, cutoff, overrides=overrides)
 
     members = index_set.members(bound, smooth)
-    total = Fraction(0)
-    ledger = []
-    for h in members:
-        m_h = _tuple_correction(h, profile, scope, deg_of)
-        total += m_h
-        if len(ledger) < LEDGER_ROW_LIMIT:
-            ledger.append((f"h={h}", m_h))
+    corrections = [(h, _tuple_correction(h, profile, scope, deg_of)) for h in members]
+    total = sum((m_h for _, m_h in corrections), Fraction(0))
+    ledger = [(f"h={h}", m_h) for h, m_h in corrections[:LEDGER_ROW_LIMIT]]
 
     # truncation lattice: partial correction sums at geometric sub-bounds
     sub = bound
     lattice = []
     while sub >= 1:
-        s = sum(
-            (
-                _tuple_correction(h, profile, scope, deg_of)
-                for h in members
-                if max(h) <= sub
-            ),
-            Fraction(0),
-        )
+        s = sum((m_h for h, m_h in corrections if max(h) <= sub), Fraction(0))
         lattice.append((f"sum(max h <= {sub})", s))
         if sub == 1:
             break

@@ -12,6 +12,7 @@ scans reusable across queries.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import is_prime, prime_array_up_to, valuation
+from .arith import factorize, is_prime, primes_up_to, valuation
 from .errors import ConfigError
 from .groups import GroupFamily
 from .index_sets import IndexSet
@@ -137,9 +138,7 @@ def index_tuple(p: int, family: GroupFamily, spf: np.ndarray | None = None):
     if p in family.support:
         return None
     pm1_factors = (
-        factor_from_spf(p - 1, spf)
-        if spf is not None
-        else [(q, e) for q, e in _factor_small(p - 1)]
+        factor_from_spf(p - 1, spf) if spf is not None else factorize(p - 1).items()
     )
     psi = []
     for group in family.groups:
@@ -149,20 +148,6 @@ def index_tuple(p: int, family: GroupFamily, spf: np.ndarray | None = None):
         order = _group_order(residues, p, pm1_factors)
         psi.append((p - 1) // order)
     return tuple(psi)
-
-
-def _factor_small(m: int):
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            yield d, e
-        d += 1 if d == 2 else 2
-    if m > 1:
-        yield m, 1
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +221,8 @@ def observations(
             return
 
     spf = spf_table(srange.high)
-    primes = prime_array_up_to(srange.high)
-    start = int(np.searchsorted(primes, resume_from, side="left"))
+    primes = primes_up_to(srange.high)
+    start = bisect.bisect_left(primes, resume_from)
     support = set(family.support)
 
     sink = None
@@ -246,7 +231,7 @@ def observations(
         if write_header:
             sink.write(log.header())
     try:
-        for p in primes[start:].tolist():
+        for p in primes[start:]:
             if p in support:
                 continue
             psi = index_tuple(p, family, spf)

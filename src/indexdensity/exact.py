@@ -45,25 +45,10 @@ class Interval:
         f = Fraction(x)
         return cls(f, f)
 
-    def squeeze(self) -> "Interval":
-        """Round endpoints outward to the dyadic grid."""
-        return Interval(round_down(self.low), round_up(self.high))
-
-    def times(self, other: "Interval") -> "Interval":
-        # all quantities in this package are >= 0, so corner analysis is trivial
-        return Interval(
-            round_down(self.low * other.low), round_up(self.high * other.high)
-        )
-
     def times_exact(self, x: Fraction) -> "Interval":
         if x < 0:
             raise ValueError("negative scaling unsupported")
         return Interval(round_down(self.low * x), round_up(self.high * x))
-
-    def plus(self, other: "Interval") -> "Interval":
-        return Interval(
-            round_down(self.low + other.low), round_up(self.high + other.high)
-        )
 
     def widen(self, slack: Fraction) -> "Interval":
         """Extend both endpoints outward by slack >= 0 (floor at zero)."""
@@ -99,16 +84,6 @@ def _render(scaled: int, places: int) -> str:
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
     return f"{sign}{scaled // 10**places}.{scaled % 10**places:0{places}d}"
-
-
-def product(intervals) -> Interval:
-    """Product of intervals (or exact Fractions), rounded outward as it goes."""
-    acc = Interval.exactly(1)
-    for item in intervals:
-        if not isinstance(item, Interval):
-            item = Interval.exactly(item)
-        acc = acc.times(item)
-    return acc
 
 
 def series_sum(terms) -> tuple[Fraction, Fraction]:

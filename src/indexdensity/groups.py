@@ -250,18 +250,6 @@ class RankProfile:
         """True when ranks add across the family (no multiplicative relations)."""
         return self.total == sum(self.group_ranks)
 
-    def validate(self) -> None:
-        """Matroid sanity: empty-set zero, monotone, submodular. O(4^n)."""
-        r = self.ranks
-        assert r[frozenset()] == 0
-        subsets = list(r)
-        for a in subsets:
-            for b in subsets:
-                if a <= b and r[a] > r[b]:
-                    raise AssertionError(f"monotonicity fails at {set(a)}<={set(b)}")
-                if r[a | b] + r[a & b] > r[a] + r[b]:
-                    raise AssertionError(f"submodularity fails at {set(a)},{set(b)}")
-
 
 def rank_profile(family: GroupFamily) -> RankProfile:
     n = len(family)
@@ -279,13 +267,9 @@ def rank_profile(family: GroupFamily) -> RankProfile:
 
 
 @lru_cache(maxsize=256)
-def _profile_cached(family: GroupFamily) -> RankProfile:
-    return rank_profile(family)
-
-
 def profile_of(family: GroupFamily) -> RankProfile:
     """Cached rank_profile; families are small immutable values."""
-    return _profile_cached(family)
+    return rank_profile(family)
 
 
 def is_separated(family: GroupFamily) -> bool:

@@ -1,9 +1,9 @@
 """Target sets of index tuples and their valuation structure.
 
 The density machinery never sees raw sets of tuples; it sees descriptors
-that know three things about themselves: direct membership, membership in
-the valuation-relaxed supersets H_Q, and (when it exists) a per-prime
-valuation constraint system that the Euler-product route can consume.
+that know two things about themselves: direct membership and (when it
+exists) a per-prime valuation constraint system that the Euler-product
+route can consume.
 
 Descriptors also classify themselves into the taxonomy used to route
 queries: cut by valuations / almost cut (with a witness modulus) /
@@ -17,7 +17,14 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .arith import factorize, is_prime, primes_up_to, squarefree_kernel, valuation
+from .arith import (
+    factorize,
+    is_kfree,
+    is_prime,
+    primes_up_to,
+    squarefree_kernel,
+    valuation,
+)
 from .errors import SizeLimitError, UnsupportedScopeError
 
 IndexTuple = tuple[int, ...]  # entries >= 1
@@ -68,23 +75,12 @@ class SquarefreeModulus:
             raise ValueError(f"{q} is not squarefree")
         return cls(tuple(sorted(fac)))
 
-    @classmethod
-    def up_to(cls, x: int) -> "SquarefreeModulus":
-        """Q_x: the product of all primes <= x."""
-        ps = primes_up_to(x)
-        if not ps:
-            raise ValueError("no primes <= x")
-        return cls(tuple(ps))
-
     @property
     def value(self) -> int:
         out = 1
         for p in self.primes:
             out *= p
         return out
-
-    def divides(self, other: "SquarefreeModulus") -> bool:
-        return set(self.primes) <= set(other.primes)
 
     def is_smooth(self, m: int) -> bool:
         """True when every prime factor of m lies in this modulus."""
@@ -243,9 +239,6 @@ class Classification:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown classification {self.kind!r}")
 
-    def implies_determined(self) -> bool:
-        return self.kind in ("cut", "almost-cut", "determined")
-
 
 # ---------------------------------------------------------------------------
 # descriptors
@@ -264,12 +257,6 @@ class IndexSet(ABC):
 
     @abstractmethod
     def label(self) -> str: ...
-
-    def hq_member(self, h: IndexTuple, q: SquarefreeModulus) -> bool:
-        """Membership in H_Q: only the valuations at primes dividing Q count."""
-        raise UnsupportedScopeError(
-            f"{self.label()} is membership-only; H_Q structure unavailable"
-        )
 
     def valuation_map(self) -> ValuationMap:
         raise UnsupportedScopeError(
@@ -321,11 +308,6 @@ class Equals(IndexSet):
     def classification(self):
         return Classification("almost-cut", witness=_support_witness(self.t))
 
-    def hq_member(self, h, q):
-        return all(
-            valuations_at(h, ell) == valuations_at(self.t, ell) for ell in q.primes
-        )
-
     def valuation_map(self):
         at = {
             ell: (valuations_at(self.t, ell),)
@@ -361,15 +343,6 @@ class Divides(IndexSet):
 
     def classification(self):
         return Classification("almost-cut", witness=_support_witness(self.t))
-
-    def hq_member(self, h, q):
-        return all(
-            all(
-                a <= b
-                for a, b in zip(valuations_at(h, ell), valuations_at(self.t, ell))
-            )
-            for ell in q.primes
-        )
 
     def valuation_map(self):
         at = {}
@@ -407,18 +380,10 @@ class KFree(IndexSet):
         return len(self.k)
 
     def contains(self, h):
-        return all(
-            all(e < k for e in factorize(x).values()) for x, k in zip(h, self.k)
-        )
+        return all(is_kfree(x, k) for x, k in zip(h, self.k))
 
     def classification(self):
         return Classification("cut")
-
-    def hq_member(self, h, q):
-        return all(
-            all(v < k for v, k in zip(valuations_at(h, ell), self.k))
-            for ell in q.primes
-        )
 
     def valuation_map(self):
         return ValuationMap.build(
@@ -427,10 +392,7 @@ class KFree(IndexSet):
 
     def coordinate_candidates(self, bound, smooth):
         base = super().coordinate_candidates(bound, smooth)
-        return [
-            [x for x in cand if all(e < k for e in factorize(x).values())]
-            for cand, k in zip(base, self.k)
-        ]
+        return [[x for x in cand if is_kfree(x, k)] for cand, k in zip(base, self.k)]
 
     def label(self):
         return f"kfree{self.k}"
@@ -448,21 +410,13 @@ class ValuationConstraint(IndexSet):
 
     def contains(self, h):
         h = check_index_tuple(h, self.n)
-        support = set()
-        for x in h:
-            support.update(factorize(x))
-        support.update(self.vmap.listed)
+        support = set(_tuple_support(h)) | set(self.vmap.listed)
         return all(
             self.vmap.allows(ell, valuations_at(h, ell)) for ell in sorted(support)
         )
 
     def classification(self):
         return Classification("cut")
-
-    def hq_member(self, h, q):
-        return all(
-            self.vmap.allows(ell, valuations_at(h, ell)) for ell in q.primes
-        )
 
     def valuation_map(self):
         return self.vmap
@@ -499,12 +453,6 @@ class FiniteSet(IndexSet):
         for t in self.tuples:
             support = math.lcm(support, joint_modulus(t))
         return Classification("almost-cut", witness=max(2, squarefree_kernel(support)))
-
-    def hq_member(self, h, q):
-        image = {
-            tuple(valuations_at(t, ell) for ell in q.primes) for t in self.tuples
-        }
-        return tuple(valuations_at(h, ell) for ell in q.primes) in image
 
     def valuation_map(self):
         if len(self.tuples) == 1:
@@ -548,13 +496,6 @@ class PrimesSet(IndexSet):
     def classification(self):
         return Classification("determined")
 
-    def hq_member(self, h, q):
-        # v_Q(primes) = {0} union {unit vector at ell : ell | Q}: the Q-part
-        # of h must be trivial or a single listed prime to the first power
-        vq = [valuation(h[0], ell) for ell in q.primes]
-        nonzero = [v for v in vq if v]
-        return not nonzero or nonzero == [1]
-
     def coordinate_candidates(self, bound, smooth):
         ps = list(primes_up_to(bound))
         if smooth is not None:
@@ -569,8 +510,8 @@ class PrimesSet(IndexSet):
 class PredicateSet(IndexSet):
     """Membership-only descriptor: an opaque predicate on tuples.
 
-    classify() answers unknown; analytic machinery refuses these, and the
-    empirical survey is the supported route.
+    classification() answers unknown; analytic machinery refuses these,
+    and the empirical survey is the supported route.
     """
 
     name: str
@@ -633,8 +574,3 @@ def named_predicate(name: str) -> PredicateSet:
         )
     n, fn = NAMED_PREDICATES[name]
     return PredicateSet(name, n, fn)
-
-
-def classify(s: IndexSet) -> Classification:
-    """Module-level spelling of the classification query."""
-    return s.classification()

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import euler_phi, prime_array_up_to, valuation
+from .arith import euler_phi, factorize, primes_up_to, valuation
 from .errors import InconclusiveError, UnsupportedScopeError
 from .groups import GroupFamily, RankProfile, entanglement_primes, profile_of
 
@@ -226,7 +226,7 @@ class KummerModel:
                 f"{self.reliability_cap}; raise the cap or the prime bound"
             )
 
-        primes = prime_array_up_to(self.prime_bound)
+        primes = np.asarray(primes_up_to(self.prime_bound), dtype=np.int64)
         skip = set(self.family.support)
         total = int(primes.size) - sum(1 for p in skip if p <= self.prime_bound)
         if total // bound < self.min_expected:
@@ -363,7 +363,7 @@ class KummerModel:
         radical_primes = set()
         for x in levels:
             if x > 1:
-                radical_primes.update(_prime_support(x))
+                radical_primes.update(factorize(x))
         out = euler_phi(modulus)
         for ell in sorted(radical_primes):
             e = tuple(valuation(x, ell) for x in levels)
@@ -379,20 +379,6 @@ class KummerModel:
         if all(x == 0 for x in w):
             return 1
         return self.degree(ell ** max(w), tuple(ell**x for x in w), mode)
-
-
-def _prime_support(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # Module-level spellings for one-off use (tests, CLI); a fresh model per

@@ -218,7 +218,7 @@ def test_criterion_04_closed_forms():
             for v in range(1, 4):
                 tup = (v,) * prof.n
                 assert local_factor(ell, tup, prof) == _closed_constant(ell, v, prof), (
-                    fam.fingerprint(),
+                    fam.fingerprint,
                     ell,
                     v,
                 )

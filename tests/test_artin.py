@@ -1,6 +1,5 @@
 """Local factors, local series, Euler products, and the splitting oracle."""
 
-import random
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -9,7 +8,6 @@ import pytest
 from indexdensity.artin import (
     corner_degree,
     euler_product,
-    inclusion_exclusion,
     local_factor,
     local_series,
     prob_model_oracle,
@@ -25,25 +23,6 @@ FAM1R2 = GroupFamily.from_strings(["2", "3"])
 FAM_IND = GroupFamily.from_strings(["2"], ["3"])
 FAM_SAME = GroupFamily.from_strings(["2"], ["2"])
 FAM_DEP = GroupFamily.from_strings(["2", "3"], ["3", "5"])
-
-
-def test_inclusion_exclusion_basics():
-    assert inclusion_exclusion(()) == 1
-    assert inclusion_exclusion((Fraction(1, 2),)) == Fraction(1, 2)
-    assert inclusion_exclusion((Fraction(1, 2), Fraction(1, 3))) == Fraction(1, 3)
-    rng = random.Random(1)
-    for _ in range(50):
-        xs = tuple(Fraction(rng.randint(0, 5), 6) for _ in range(rng.randint(0, 4)))
-        signed = Fraction(0)
-        for mask in range(1 << len(xs)):
-            term = Fraction(1)
-            bits = 0
-            for i, x in enumerate(xs):
-                if mask >> i & 1:
-                    term *= x
-                    bits += 1
-            signed += (-1) ** bits * term
-        assert inclusion_exclusion(xs) == signed
 
 
 def test_corner_degrees():

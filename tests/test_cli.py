@@ -82,6 +82,42 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "sieve_bound" in err
 
 
+def test_keys_the_command_does_not_read_exit_2(tmp_path, capsys):
+    out = tmp_path / "never.json"
+    cfg = _write_config(
+        tmp_path,
+        "survey_extra.json",
+        {
+            "groups": [["2"]],
+            "set": {"kind": "equals", "tuple": [1]},
+            "sieve_bound": 1000,
+            "output": str(out),
+            "threads": 4,
+            "seed": 1,
+            "mode": "corrected",
+            "cache_dir": str(tmp_path / "cache"),
+        },
+    )
+    code, payload, err = _run(capsys, "survey", "--config", cfg)
+    assert code == 2
+    assert payload is None
+    assert "cache_dir, mode, seed, threads" in err
+    assert not out.exists()
+
+
+def test_bad_output_path_exits_2(tmp_path, capsys):
+    base = {
+        "groups": [["2"]],
+        "set": {"kind": "equals", "tuple": [1]},
+        "sieve_bound": 100,
+    }
+    for output in (5, str(tmp_path / "missing" / "out.json")):
+        cfg = _write_config(tmp_path, "out.json", base | {"output": output})
+        code, _, err = _run(capsys, "survey", "--config", cfg)
+        assert code == 2
+        assert "config error" in err
+
+
 def test_malformed_set_exits_2(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
@@ -264,6 +300,23 @@ def test_survey_output_roundtrip(tmp_path, capsys):
     assert on_disk == payload
     assert on_disk["result"]["skipped"] == 2
     assert on_disk["result"]["hits"] <= on_disk["result"]["total"]
+
+    # the config file's own output key writes the same payload
+    out2 = str(tmp_path / "from_config.json")
+    cfg2 = _write_config(
+        tmp_path,
+        "survey_out.json",
+        {
+            "groups": [["6"]],
+            "set": {"kind": "divides", "tuple": [4]},
+            "sieve_bound": 2000,
+            "output": out2,
+        },
+    )
+    code, payload2, _ = _run(capsys, "survey", "--config", cfg2)
+    assert code == 0
+    with open(out2, encoding="utf-8") as fh:
+        assert json.load(fh) == payload2 == payload
 
 
 def test_bundled_examples_smoke(tmp_path, capsys):

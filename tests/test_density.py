@@ -184,4 +184,4 @@ def test_report_metadata():
     rep = hooley_series(G2, LevelMap.identity(), 500)
     assert any(n.startswith("truncation=") for n in rep.notes)
     assert any(n.startswith("tail-estimate=") for n in rep.notes)
-    assert 0 <= rep.midpoint_float() <= 1
+    assert 0 <= rep.value.midpoint <= 1

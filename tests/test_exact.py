@@ -5,7 +5,6 @@ import pytest
 
 from indexdensity.exact import (
     Interval,
-    product,
     round_down,
     round_up,
     series_sum,
@@ -35,7 +34,9 @@ def test_product_contains_exact_value():
     exact = Fraction(1)
     for f in fracs:
         exact *= f
-    iv = product(fracs)
+    iv = Interval.exactly(1)
+    for f in fracs:
+        iv = iv.times_exact(f)
     assert iv.low <= exact <= iv.high
     assert iv.width < Fraction(1, 10**20)
 

@@ -17,7 +17,6 @@ from indexdensity.index_sets import (
     ValuationConstraint,
     ValuationMap,
     ValuationPattern,
-    classify,
     named_predicate,
     valuations_at,
 )
@@ -65,17 +64,25 @@ def test_classification_witness_is_squarefree_support():
 
 
 def test_stronger_kinds_imply_determined():
+    # a cut or almost-cut set with a per-prime product structure is
+    # determined by valuations: its membership is the conjunction of its
+    # valuation map over the primes that divide h or are listed
+    checked = 0
     for s in _zoo():
-        c = s.classification()
-        if c.kind in ("cut", "almost-cut", "determined"):
-            assert c.implies_determined()
-        else:
-            assert not c.implies_determined()
-
-
-def test_classify_is_the_method_in_disguise():
-    for s in _zoo():
-        assert classify(s) == s.classification()
+        if s.classification().kind not in ("cut", "almost-cut"):
+            continue
+        try:
+            vmap = s.valuation_map()
+        except UnsupportedScopeError:
+            continue
+        for h in iproduct(range(1, 40), repeat=s.n):
+            primes = {p for x in h for p in factorize(x)} | set(vmap.listed)
+            by_valuations = all(
+                vmap.allows(ell, valuations_at(h, ell)) for ell in primes
+            )
+            assert s.contains(h) == by_valuations, (s.label(), h)
+        checked += 1
+    assert checked == 6
 
 
 def test_members_agree_with_contains():
@@ -172,24 +179,16 @@ def test_kfree_is_per_coordinate():
         assert s.contains((a, b)) == expect
 
 
-def test_primes_set_and_hq_membership():
+def test_primes_set_membership():
     s = PrimesSet()
     for h in range(1, 300):
         assert s.contains((h,)) == is_prime(h)
-    q = SquarefreeModulus.from_int(6)
-    # projection keeps only the 2- and 3-parts; primes project to prime
-    # powers or to 1, so both stay members at the projected level
-    assert s.hq_member((3,), q)
-    assert s.hq_member((5,), q)  # projects to 1
-    assert s.hq_member((12,), q) is False
 
 
 def test_predicate_sets_refuse_analytic_projections():
     s = named_predicate("even-omega")
     assert s.contains((6,)) and not s.contains((2,))
     assert s.contains((1,))  # zero prime divisors is even
-    with pytest.raises(UnsupportedScopeError):
-        s.hq_member((6,), SquarefreeModulus.from_int(6))
     with pytest.raises(UnsupportedScopeError):
         s.valuation_map()
 
