@@ -11,7 +11,6 @@ then reuses the measured deficiency everywhere in its class.
 from indexdensity import (
     GroupFamily,
     KummerModel,
-    degree_estimate,
     entanglement_primes,
     valuation_density,
     Equals,
@@ -36,7 +35,7 @@ show(GroupFamily.from_strings(["2"]), "W = <2>")
 show(GroupFamily.from_strings(["8"]), "W = <8>")
 show(GroupFamily.from_strings(["4"]), "W = <4>")
 
-est = degree_estimate(GroupFamily.from_strings(["2"]), 8, (8,))
+est = KummerModel(GroupFamily.from_strings(["2"])).degree_estimate(8, (8,))
 print(
     f"\nsampling run for (zeta_8, 2^(1/8)): {est.hits} splits in "
     f"{est.total} primes -> degree {est.value} (generic bound {est.generic_bound})"

@@ -267,7 +267,6 @@ def euler_product(
     cutoff: int = 10**5,
     *,
     overrides=None,
-    degree_of=None,
 ) -> EulerProduct:
     """prod over ell of the local series, with a certified tail bound.
 
@@ -298,7 +297,7 @@ def euler_product(
             if not 0 <= a <= 1:
                 raise ValueError(f"override at {ell} outside [0,1]")
         else:
-            a = local_series(ell, vmap.spec_at(ell), profile, degree_of=degree_of).value
+            a = local_series(ell, vmap.spec_at(ell), profile).value
         factors.append((ell, a))
         if a == 0 and zero_at is None:
             zero_at = ell

@@ -15,6 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
+from .arith import is_prime
 from .artin import euler_product, local_factor, prob_model_oracle
 from .density import (
     DensityReport,
@@ -39,7 +40,7 @@ from .index_sets import (
     ValuationPattern,
     named_predicate,
 )
-from .kummer import KummerModel, difference_tuple
+from .kummer import DIRECT_BOUND, KummerModel, difference_tuple
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,7 +86,6 @@ _DENSITY_KEYS = {
     "set",
     "congruence",
     "mode",
-    "cache_dir",
     "method",
     "truncation",
     "cutoff",
@@ -99,7 +99,6 @@ _COMMAND_KEYS = {
     "degree": {
         "groups",
         "mode",
-        "cache_dir",
         "modulus",
         "levels",
         "prime_bound",
@@ -127,7 +126,7 @@ def load_config(command: str, args) -> dict:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
-    for key in ("mode", "output", "cache_dir", "log_path"):
+    for key in ("mode", "output", "log_path"):
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             cfg[key] = value
@@ -271,12 +270,16 @@ def build_level_map(cfg: dict) -> LevelMap:
 
 
 def _model(family: GroupFamily, cfg: dict) -> KummerModel:
-    kwargs = {}
-    if cfg.get("cache_dir"):
-        kwargs["cache_dir"] = cfg["cache_dir"]
     if cfg.get("prime_bound"):
-        kwargs["prime_bound"] = int(cfg["prime_bound"])
-    return KummerModel(family, **kwargs)
+        return KummerModel(family, prime_bound=int(cfg["prime_bound"]))
+    return KummerModel(family)
+
+
+def _prime_ell(value, command: str) -> int:
+    ell = int(value)
+    if not is_prime(ell):
+        raise ConfigError(f"{command} needs a prime 'ell'")
+    return ell
 
 
 def _require_trivial_congruence(congruence: Congruence):
@@ -300,7 +303,7 @@ def run_degree(cfg: dict) -> dict:
         d = cfg["deficiency"]
         if not isinstance(d, dict) or set(d) != {"ell", "e"}:
             raise ConfigError("deficiency request is {'ell': l, 'e': [...]}")
-        ell = int(d["ell"])
+        ell = _prime_ell(d["ell"], "a deficiency request")
         e = tuple(sorted((int(x) for x in d["e"]), reverse=True))
         klass = difference_tuple(e, model.gap_cap())
         c = model.deficiency(ell, klass)
@@ -321,7 +324,7 @@ def run_degree(cfg: dict) -> dict:
         "mode": mode,
         "degree": value,
     }
-    if mode == "corrected" and modulus <= model.direct_bound:
+    if mode == "corrected" and modulus <= DIRECT_BOUND:
         try:
             est = model.degree_estimate(modulus, levels)
             payload["sampling"] = {
@@ -358,9 +361,7 @@ def run_artin(cfg: dict) -> dict:
 def run_artin_oracle(cfg: dict) -> dict:
     family = build_family(cfg)
     profile = profile_of(family)
-    ell = int(cfg.get("ell", 0))
-    if ell < 2:
-        raise ConfigError("artin-oracle needs a prime 'ell'")
+    ell = _prime_ell(cfg.get("ell", 0), "artin-oracle")
     v = tuple(int(x) for x in cfg.get("v", ()))
     if len(v) != profile.n:
         raise ConfigError(f"'v' must have {profile.n} coordinates")
@@ -575,7 +576,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--output", help="write the result payload as JSON")
-        p.add_argument("--cache-dir", dest="cache_dir")
         p.add_argument("--mode", choices=["generic", "corrected"])
         p.add_argument("--seed", type=int)
         p.add_argument("--cutoff", type=int)

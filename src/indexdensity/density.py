@@ -20,7 +20,7 @@ from math import lcm
 
 from .arith import factorize, moebius_sieve, valuation
 from .errors import UnsupportedScopeError
-from .exact import Interval, series_sum
+from .exact import Interval, round_down, round_up, series_sum
 from .groups import GroupFamily, MultGroup, is_separated, profile_of, rank
 from .index_sets import (
     IndexSet,
@@ -177,8 +177,8 @@ def hooley_series(
             ledger.append((f"n={n} level={f_n}", term))
 
     lo, hi = series_sum(terms)
-    hi = max(Fraction(0), hi + tail_estimate)
-    lo = min(max(Fraction(0), lo - tail_estimate), hi)
+    hi = max(Fraction(0), round_up(hi + tail_estimate))
+    lo = min(max(Fraction(0), round_down(lo - tail_estimate)), hi)
     value = Interval(lo, hi)
     notes = (
         f"f(n)={level_map.label()}",
@@ -192,10 +192,6 @@ def hooley_series(
 
 # ---------------------------------------------------------------------------
 # Euler route for sets cut by valuations
-
-
-def _corrected_degree_of(model: KummerModel):
-    return lambda ell, w: model.local_degree(ell, w, "corrected")
 
 
 def valuation_density(
@@ -232,11 +228,10 @@ def valuation_density(
     overrides = {}
     ledger = []
     if corrected:
-        deg_of = _corrected_degree_of(model)
         for ell in model.deficiency_scope():
             spec = vmap.spec_at(ell)
             generic = local_series(ell, spec, profile).value
-            fixed = local_series(ell, spec, profile, degree_of=deg_of).value
+            fixed = local_series(ell, spec, profile, degree_of=model.local_degree).value
             overrides[ell] = fixed
             ledger.append((f"ell={ell} generic", generic))
             ledger.append((f"ell={ell} corrected", fixed))
@@ -307,7 +302,7 @@ def singleton_sum(
     profile = profile_of(family)
     model = model or KummerModel(family)
     scope = set(model.deficiency_scope()) if corrected else set()
-    deg_of = _corrected_degree_of(model) if corrected else None
+    deg_of = model.local_degree if corrected else None
 
     zero_map = ValuationMap.build(
         profile.n, {}, ValuationPattern.exact_zero(profile.n)
@@ -379,7 +374,7 @@ def correction_ratio(
     h = check_index_tuple(h, profile.n)
     model = model or KummerModel(family)
     scope = set(model.deficiency_scope()) if corrected else set()
-    deg_of = _corrected_degree_of(model) if corrected else None
+    deg_of = model.local_degree if corrected else None
     support = sorted(factorize(lcm(*h)))
     tag = "estimated" if any(ell in scope for ell in support) else "generic"
     value = _tuple_correction(h, profile, scope, deg_of)

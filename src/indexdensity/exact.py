@@ -54,7 +54,7 @@ class Interval:
         """Extend both endpoints outward by slack >= 0 (floor at zero)."""
         if slack < 0:
             raise ValueError("slack must be nonnegative")
-        lo = self.low - slack
+        lo = round_down(self.low - slack)
         return Interval(lo if lo > 0 else Fraction(0), round_up(self.high + slack))
 
     @property

@@ -8,20 +8,23 @@ rank increments. At small primes the true degree can drop by a bounded
 it: count split primes up to a bound (Chebotarev sampling), snap the
 inverse frequency to a divisor of the generic bound, and read the
 deficiency off the measured value. Deficiencies are constant on
-difference-tuple classes, so one measurement per class suffices.
+difference-tuple classes, so one measurement per class suffices; each
+KummerModel keeps its measurements in memory.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .arith import euler_phi, factorize, primes_up_to, valuation
 from .errors import InconclusiveError, UnsupportedScopeError
 from .groups import GroupFamily, RankProfile, entanglement_primes, profile_of
+
+RELIABILITY_CAP = 512  # largest generic degree bound the sampler resolves
+MIN_EXPECTED = 400  # split primes a sampling run must expect
+DIRECT_BOUND = 120  # corrected degrees are sampled outright up to this modulus
 
 
 @dataclass(frozen=True)
@@ -107,13 +110,6 @@ def generic_exponent(xs: tuple[int, ...], profile: RankProfile) -> int:
     return total
 
 
-def generic_valuation(e: tuple[int, ...], profile: RankProfile) -> int:
-    """Same form, but the input must already be non-increasing."""
-    if any(e[i] < e[i + 1] for i in range(len(e) - 1)):
-        raise ValueError("expected a non-increasing tuple")
-    return generic_exponent(e, profile)
-
-
 @dataclass(frozen=True)
 class DegreeEstimate:
     """Outcome of one Chebotarev sampling run, raw counts included."""
@@ -126,75 +122,30 @@ class DegreeEstimate:
     levels: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
-def _divisors(n: int) -> tuple[int, ...]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return tuple(out)
-
-
 class KummerModel:
     """Degree oracle for one group family: sampling, deficiencies, assembly.
 
-    Holds the family's rank profile, a cache of sampling runs, and the
-    measured deficiency table (optionally persisted as a TSV under
-    cache_dir, keyed by family fingerprint / prime / class key).
+    Holds the family's rank profile and in-memory memos of its sampling
+    runs and measured deficiencies (keyed by prime and class key).
     """
 
-    def __init__(
-        self,
-        family: GroupFamily,
-        *,
-        prime_bound: int = 10**6,
-        reliability_cap: int = 512,
-        min_expected: int = 400,
-        direct_bound: int = 120,
-        cache_dir: str | None = None,
-    ):
+    def __init__(self, family: GroupFamily, *, prime_bound: int = 10**6):
         self.family = family
         self.profile = profile_of(family)
         self.prime_bound = prime_bound
-        self.reliability_cap = reliability_cap
-        self.min_expected = min_expected
-        self.direct_bound = direct_bound
-        self.cache_dir = cache_dir or os.environ.get("INDEXDENSITY_CACHE")
         self._estimates: dict[tuple[int, tuple[int, ...]], DegreeEstimate] = {}
         self._deficiencies: dict[tuple[int, str], int] = {}
         self._gap_cap: int | None = None
-        self._load_cache()
 
-    # -- persistence --------------------------------------------------
-
-    def _cache_path(self) -> str | None:
-        if not self.cache_dir:
-            return None
-        return os.path.join(self.cache_dir, "deficiencies.tsv")
-
-    def _load_cache(self):
-        path = self._cache_path()
-        if not path or not os.path.exists(path):
-            return
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                fp, ell, key, c = line.split("\t")[:4]
-                if fp == self.family.fingerprint:
-                    self._deficiencies[(int(ell), key)] = int(c)
-
-    def _append_cache(self, ell: int, key: str, c: int, est: DegreeEstimate):
-        path = self._cache_path()
-        if not path:
-            return
-        os.makedirs(self.cache_dir, exist_ok=True)
-        fresh = not os.path.exists(path)
-        with open(path, "a", encoding="utf-8") as fh:
-            if fresh:
-                fh.write("# fingerprint\tell\tclass\tdeficiency\thits\ttotal\tdegree\n")
-            fh.write(
-                f"{self.family.fingerprint}\t{ell}\t{key}\t{c}"
-                f"\t{est.hits}\t{est.total}\t{est.value}\n"
-            )
+    def _check_levels(self, modulus: int, levels) -> tuple[int, ...]:
+        levels = tuple(int(x) for x in levels)
+        if len(levels) != len(self.family):
+            raise ValueError("one radical level per group")
+        if modulus < 1 or any(x < 1 for x in levels):
+            raise ValueError("the modulus and the levels are positive")
+        if any(modulus % x for x in levels):
+            raise ValueError("every radical level must divide the modulus")
+        return levels
 
     # -- sampling -----------------------------------------------------
 
@@ -206,13 +157,7 @@ class KummerModel:
         frequency is snapped to the nearest divisor (in log space) of the
         generic degree bound phi(m) * prod n_i^{r_i}.
         """
-        levels = tuple(int(x) for x in levels)
-        if len(levels) != len(self.family):
-            raise ValueError("one radical level per group")
-        if any(x < 1 for x in levels):
-            raise ValueError("levels are positive")
-        if any(modulus % x for x in levels):
-            raise ValueError("every radical level must divide the modulus")
+        levels = self._check_levels(modulus, levels)
         key = (modulus, levels)
         if key in self._estimates:
             return self._estimates[key]
@@ -220,19 +165,19 @@ class KummerModel:
         bound = euler_phi(modulus)
         for n_i, r_i in zip(levels, self.profile.group_ranks):
             bound *= n_i**r_i
-        if bound > self.reliability_cap:
+        if bound > RELIABILITY_CAP:
             raise UnsupportedScopeError(
-                f"generic degree bound {bound} exceeds the reliability cap "
-                f"{self.reliability_cap}; raise the cap or the prime bound"
+                f"generic degree bound {bound} exceeds the sampler's reliability "
+                f"cap {RELIABILITY_CAP}; a larger prime bound does not lift it"
             )
 
         primes = np.asarray(primes_up_to(self.prime_bound), dtype=np.int64)
         skip = set(self.family.support)
         total = int(primes.size) - sum(1 for p in skip if p <= self.prime_bound)
-        if total // bound < self.min_expected:
+        if total // bound < MIN_EXPECTED:
             raise InconclusiveError(
                 f"expected {total // bound} split primes < required "
-                f"{self.min_expected}; raise the prime bound",
+                f"{MIN_EXPECTED}; raise the prime bound",
                 hits=0,
                 total=total,
             )
@@ -263,7 +208,8 @@ class KummerModel:
                 total=total,
             )
         target = np.log(total / hits)
-        value = min(_divisors(bound), key=lambda d: abs(np.log(d) - target))
+        divisors = (d for d in range(1, bound + 1) if bound % d == 0)
+        value = min(divisors, key=lambda d: abs(np.log(d) - target))
         est = DegreeEstimate(value, hits, total, bound, modulus, levels)
         self._estimates[key] = est
         return est
@@ -303,7 +249,7 @@ class KummerModel:
         levels = tuple(ell**x for x in rep)
         est = self.degree_estimate(modulus, levels)
         observed = valuation(est.value, ell) - valuation(euler_phi(modulus), ell)
-        c = generic_valuation(rep, self.profile) - observed
+        c = generic_exponent(rep, self.profile) - observed
         if c < 0:
             raise InconclusiveError(
                 f"sampling produced a negative deficiency ({c}) at {ell}; "
@@ -312,7 +258,6 @@ class KummerModel:
                 total=est.total,
             )
         self._deficiencies[ckey] = c
-        self._append_cache(ell, klass.key(), c, est)
         return c
 
     def gap_cap(self) -> int:
@@ -348,13 +293,9 @@ class KummerModel:
         """
         if mode not in ("generic", "corrected"):
             raise ValueError("mode is 'generic' or 'corrected'")
-        levels = tuple(int(x) for x in levels)
-        if len(levels) != len(self.family):
-            raise ValueError("one radical level per group")
-        if any(modulus % x for x in levels):
-            raise ValueError("every radical level must divide the modulus")
+        levels = self._check_levels(modulus, levels)
 
-        if mode == "corrected" and modulus <= self.direct_bound:
+        if mode == "corrected" and modulus <= DIRECT_BOUND:
             try:
                 return self.degree_estimate(modulus, levels).value
             except (InconclusiveError, UnsupportedScopeError):
@@ -374,52 +315,8 @@ class KummerModel:
             out *= ell**exp
         return out
 
-    def local_degree(self, ell: int, w: tuple[int, ...], mode: str = "generic") -> int:
-        """Degree at one prime: modulus ell^max(w), levels ell^w_i."""
+    def local_degree(self, ell: int, w: tuple[int, ...]) -> int:
+        """Corrected degree at one prime: modulus ell^max(w), levels ell^w_i."""
         if all(x == 0 for x in w):
             return 1
-        return self.degree(ell ** max(w), tuple(ell**x for x in w), mode)
-
-
-# Module-level spellings for one-off use (tests, CLI); a fresh model per
-# family would re-sample, so these share a small cache.
-
-
-@lru_cache(maxsize=32)
-def _default_model(family: GroupFamily, prime_bound: int) -> KummerModel:
-    return KummerModel(family, prime_bound=prime_bound)
-
-
-def degree_estimate(
-    family: GroupFamily,
-    modulus: int,
-    levels: tuple[int, ...],
-    *,
-    prime_bound: int = 10**6,
-) -> DegreeEstimate:
-    return _default_model(family, prime_bound).degree_estimate(modulus, tuple(levels))
-
-
-def estimate_deficiency(
-    family: GroupFamily,
-    ell: int,
-    e: tuple[int, ...],
-    *,
-    gap_cap: int | None = None,
-    prime_bound: int = 10**6,
-) -> int:
-    """Deficiency for the class of the non-increasing tuple e at ell."""
-    model = _default_model(family, prime_bound)
-    cap = model.gap_cap() if gap_cap is None else gap_cap
-    return model.deficiency(ell, difference_tuple(e, cap))
-
-
-def degree(
-    family: GroupFamily,
-    modulus: int,
-    levels: tuple[int, ...],
-    mode: str = "generic",
-    *,
-    prime_bound: int = 10**6,
-) -> int:
-    return _default_model(family, prime_bound).degree(modulus, tuple(levels), mode)
+        return self.degree(ell ** max(w), tuple(ell**x for x in w), "corrected")

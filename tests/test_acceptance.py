@@ -40,7 +40,7 @@ from indexdensity.index_sets import (
     ValuationPattern,
     named_predicate,
 )
-from indexdensity.kummer import degree_estimate, estimate_deficiency
+from indexdensity.kummer import KummerModel, difference_tuple
 
 SCAN_BOUND = 10**7
 FAM2 = GroupFamily.from_strings(["2"])
@@ -279,10 +279,12 @@ def test_criterion_05_oracle_equivalence():
 
 
 def test_criterion_06_degree_oracle():
-    got5 = degree_estimate(FAM2, 5, (5,))
-    got8 = degree_estimate(FAM2, 8, (8,))
-    cyclo = {m: degree_estimate(FAM2, m, (1,)).value for m in (3, 4, 5, 8, 12)}
-    defs = {ell: estimate_deficiency(FAM2, ell, (1,)) for ell in (2, 3, 5)}
+    model = KummerModel(FAM2)
+    got5 = model.degree_estimate(5, (5,))
+    got8 = model.degree_estimate(8, (8,))
+    cyclo = {m: model.degree_estimate(m, (1,)).value for m in (3, 4, 5, 8, 12)}
+    constant = difference_tuple((1,), model.gap_cap())
+    defs = {ell: model.deficiency(ell, constant) for ell in (2, 3, 5)}
     ok = (
         got5.value == 20
         and got8.value == 16

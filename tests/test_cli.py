@@ -1,8 +1,12 @@
 """End-to-end runs of the command-line harness with temp configs."""
 
 import json
+from fractions import Fraction
+
+import pytest
 
 from indexdensity.cli import main
+from test_acceptance import ARTIN
 
 
 def _write_config(tmp_path, name, payload):
@@ -68,6 +72,38 @@ def test_density_series_vs_euler_payloads(tmp_path, capsys):
     e_lo, e_hi = bounds(euler)
     s_lo, s_hi = bounds(series)
     assert e_lo <= s_hi and s_lo <= e_hi
+
+
+def test_generic_series_at_default_truncation_is_rounded(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path,
+        "series.json",
+        {"groups": [["2"]], "method": "series", "mode": "generic"},
+    )
+    code, payload, _ = _run(capsys, "density", "--config", cfg)
+    assert code == 0
+    value = payload["result"]["value"]
+    low = Fraction(value["low"])
+    high = Fraction(value["high"])
+    assert (1 << 128) % low.denominator == 0
+    assert (1 << 128) % high.denominator == 0
+    assert low <= ARTIN <= high
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("degree", {"modulus": 8, "levels": [0]}),
+        ("artin-oracle", {"ell": 4, "v": [1]}),
+        ("degree", {"deficiency": {"ell": 4, "e": [1]}}),
+    ],
+)
+def test_hostile_degree_and_oracle_configs_exit_2(tmp_path, capsys, command, extra):
+    cfg = _write_config(tmp_path, "hostile.json", {"groups": [["2"]], **extra})
+    code, payload, err = _run(capsys, command, "--config", cfg)
+    assert code == 2
+    assert payload is None
+    assert err.startswith("config error:")
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -195,7 +231,6 @@ def test_degree_command_generic_and_corrected(tmp_path, capsys):
             "modulus": 8,
             "levels": [8],
             "mode": "corrected",
-            "cache_dir": str(tmp_path / "cache"),
         },
     )
     code, payload, _ = _run(capsys, "degree", "--config", cfg2)
@@ -211,7 +246,6 @@ def test_degree_deficiency_request(tmp_path, capsys):
         {
             "groups": [["2"]],
             "deficiency": {"ell": 2, "e": [1]},
-            "cache_dir": str(tmp_path / "cache"),
         },
     )
     code, payload, _ = _run(capsys, "degree", "--config", cfg)

@@ -8,17 +8,12 @@ import pytest
 from indexdensity.arith import euler_phi
 from indexdensity.errors import InconclusiveError
 from indexdensity.groups import GroupFamily, profile_of
-from indexdensity.kummer import (
-    KummerModel,
-    degree,
-    degree_estimate,
-    difference_tuple,
-    estimate_deficiency,
-    generic_exponent,
-    generic_valuation,
-)
+from indexdensity.kummer import KummerModel, difference_tuple, generic_exponent
 
 FAM2 = GroupFamily.from_strings(["2"])
+# one model per family, so the tests share its sampling runs
+MODEL2 = KummerModel(FAM2)
+MODEL4 = KummerModel(GroupFamily.from_strings(["4"]))
 
 
 def test_difference_tuple_partition_rule():
@@ -108,7 +103,7 @@ def test_increment_law_on_partition_intervals():
                     bumped = tuple(
                         x + 1 if lo <= i + 1 <= hi else x for i, x in enumerate(e)
                     )
-                    left = generic_valuation(bumped, prof) - generic_valuation(e, prof)
+                    left = generic_exponent(bumped, prof) - generic_exponent(e, prof)
                     head = frozenset(range(1, hi + 1))
                     tail = frozenset(range(1, lo))
                     assert left == prof.of(head) - prof.of(tail), (fam, e, cap, lo, hi)
@@ -122,28 +117,26 @@ def test_generic_exponent_monotone_in_each_coordinate():
         for _ in range(40):
             e = tuple(rng.randint(0, 4) for _ in range(n))
             base = generic_exponent(e, prof)
-            if all(e[i] >= e[i + 1] for i in range(n - 1)):
-                assert generic_valuation(e, prof) == base
             for i in range(n):
                 bumped = tuple(x + (j == i) for j, x in enumerate(e))
                 assert generic_exponent(bumped, prof) >= base
 
 
 def test_degree_estimate_known_values():
-    assert degree_estimate(FAM2, 5, (5,)).value == 20
-    assert degree_estimate(FAM2, 8, (8,)).value == 16
+    assert MODEL2.degree_estimate(5, (5,)).value == 20
+    assert MODEL2.degree_estimate(8, (8,)).value == 16
 
 
 def test_degree_estimate_pure_cyclotomic_is_phi():
     for m in (3, 4, 5, 8, 12):
-        est = degree_estimate(FAM2, m, (1,))
+        est = MODEL2.degree_estimate(m, (1,))
         assert est.value == euler_phi(m), m
 
 
 def test_degree_estimate_divides_generic_bound():
     cases = [(5, (5,)), (8, (8,)), (12, (4,)), (15, (3,)), (7, (7,))]
     for m, levels in cases:
-        est = degree_estimate(FAM2, m, levels)
+        est = MODEL2.degree_estimate(m, levels)
         assert est.generic_bound % est.value == 0
         assert est.value % euler_phi(m) == 0
         assert est.hits > 0 and est.total >= est.hits
@@ -151,13 +144,17 @@ def test_degree_estimate_divides_generic_bound():
 
 def test_degree_estimate_needs_enough_expected_splits():
     with pytest.raises(InconclusiveError):
-        degree_estimate(FAM2, 5, (5,), prime_bound=2000)
+        KummerModel(FAM2, prime_bound=2000).degree_estimate(5, (5,))
+
+
+def _deficiency(model, ell, e):
+    return model.deficiency(ell, difference_tuple(e, model.gap_cap()))
 
 
 def test_deficiency_values_for_two():
-    assert estimate_deficiency(FAM2, 2, (1,)) == 1
-    assert estimate_deficiency(FAM2, 3, (1,)) == 0
-    assert estimate_deficiency(FAM2, 5, (1,)) == 0
+    assert _deficiency(MODEL2, 2, (1,)) == 1
+    assert _deficiency(MODEL2, 3, (1,)) == 0
+    assert _deficiency(MODEL2, 5, (1,)) == 0
 
 
 def test_deficiency_sees_perfect_powers():
@@ -166,44 +163,34 @@ def test_deficiency_sees_perfect_powers():
     assert 3 in model.deficiency_scope()
     k = difference_tuple((1,), model.gap_cap())
     assert model.deficiency(3, k) == 1
-    fam4 = _fam(["4"])
-    assert estimate_deficiency(fam4, 2, (1,)) == 1
+    assert _deficiency(MODEL4, 2, (1,)) == 1
 
 
 def test_gap_cap_single_group():
-    assert KummerModel(FAM2).gap_cap() == 2
+    assert MODEL2.gap_cap() == 2
 
 
 def test_corrected_degree_direct_and_assembled():
     # inside the direct window the sampler is authoritative
-    assert degree(FAM2, 8, (8,), "corrected") == 16
+    assert MODEL2.degree(8, (8,), "corrected") == 16
     # beyond it the phi(m) * l-parts assembly carries the deficiency
-    assert degree(FAM2, 128, (128,), "generic") == 8192
-    assert degree(FAM2, 128, (128,), "corrected") == 4096
+    assert MODEL2.degree(128, (128,), "generic") == 8192
+    assert MODEL2.degree(128, (128,), "corrected") == 4096
 
 
 def test_local_degree_zero_tuple():
-    model = KummerModel(FAM2)
-    assert model.local_degree(2, (0,)) == 1
-    assert model.local_degree(2, (3,), "generic") == 32
-    assert model.local_degree(2, (3,), "corrected") == 16
+    assert MODEL2.local_degree(2, (0,)) == 1
+    assert MODEL2.degree(8, (8,), "generic") == 32
+    assert MODEL2.local_degree(2, (3,)) == 16
 
 
 def test_degree_validates_levels():
     with pytest.raises(ValueError):
-        degree(FAM2, 4, (8,))
+        MODEL2.degree(4, (8,))
     with pytest.raises(ValueError):
-        degree(FAM2, 8, (8, 8))
+        MODEL2.degree(8, (8, 8))
     with pytest.raises(ValueError):
-        degree(FAM2, 8, (8,), "fancy")
-
-
-def test_deficiency_cache_roundtrip(tmp_path):
-    cache = str(tmp_path)
-    m1 = KummerModel(FAM2, cache_dir=cache)
-    k = difference_tuple((1,), m1.gap_cap())
-    first = m1.deficiency(2, k)
-    files = list(tmp_path.iterdir())
-    assert files, "expected a persisted cache file"
-    m2 = KummerModel(FAM2, cache_dir=cache)
-    assert m2.deficiency(2, k) == first
+        MODEL2.degree(8, (8,), "fancy")
+    for check in (MODEL2.degree, MODEL2.degree_estimate):
+        with pytest.raises(ValueError):
+            check(8, (0,))
