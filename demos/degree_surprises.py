@@ -4,8 +4,8 @@
 [Q(zeta_m, W^{1/n}) : Q] is phi(m) * n^rank for most inputs, but
 radicals can collide with roots of unity (sqrt(2) inside zeta_8) or
 with each other (8 = 2^3 is already a cube up to rationals). The model
-measures the gap by counting split primes and snapping to a divisor,
-then reuses the measured deficiency everywhere in its class.
+computes the exact degree from one Hermite form over the exponent
+vectors; counting split primes is shown as an independent check.
 """
 
 from indexdensity import (
@@ -24,7 +24,7 @@ def show(family, label):
     for modulus, levels in ((8, (8,)), (9, (9,)), (25, (5,))):
         generic = model.degree(modulus, levels, "generic")
         corrected = model.degree(modulus, levels, "corrected")
-        flag = "  <- deficiency" if generic != corrected else ""
+        flag = "  <- below generic" if generic != corrected else ""
         print(
             f"  Q(zeta_{modulus}, W^(1/{levels[0]})): generic {generic:>5},"
             f" corrected {corrected:>5}{flag}"
@@ -38,7 +38,7 @@ show(GroupFamily.from_strings(["4"]), "W = <4>")
 est = KummerModel(GroupFamily.from_strings(["2"])).degree_estimate(8, (8,))
 print(
     f"\nsampling run for (zeta_8, 2^(1/8)): {est.hits} splits in "
-    f"{est.total} primes -> degree {est.value} (generic bound {est.generic_bound})"
+    f"{est.total} primes -> degree {est.value} (bound {est.generic_bound})"
 )
 
 # a wrong degree is not cosmetic: it shifts densities

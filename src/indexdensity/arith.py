@@ -1,6 +1,6 @@
 """Integer arithmetic plumbing: sieves, primality, factorization.
 
-Everything downstream (group parsing, degree sampling, empirical scans)
+Everything downstream (group parsing, degree computation, empirical scans)
 funnels through these helpers, so they are deliberately boring: numpy for
 bulk sieving, pure-integer Miller-Rabin and Brent-Pollard rho for the
 occasional large cofactor. Factorization refuses rather than guess when

@@ -60,7 +60,7 @@ def corner_degree(ell: int, w: tuple[int, ...], profile: RankProfile) -> int:
     """Generic degree of the corner field with radical levels ell^w_i."""
     if all(x == 0 for x in w):
         return 1
-    return euler_phi(ell ** max(w)) * ell ** generic_exponent(w, profile)
+    return (ell - 1) * ell ** (max(w) - 1 + generic_exponent(w, profile))
 
 
 def _check_tuple(v_I, n: int) -> tuple[int, ...]:
@@ -79,44 +79,57 @@ def _bump(v: tuple[int, ...], sub) -> tuple[int, ...]:
     return tuple(w)
 
 
-def local_factor(
-    ell: int,
-    v_I,
-    profile: RankProfile,
-    *,
-    degree_of=None,
-) -> Fraction:
+def corner_terms(spec: VSpec, n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(c, w) pairs such that the spec's local series is sum c / D(w).
+
+    D(w) is the degree of the corner field with radical levels ell^w_i.
+    A pattern telescopes to the corners of its box (coordinates at their
+    bound or zero); a tuple list expands every tuple v into its one-step
+    bumps v + delta_J with sign (-1)^|J|. Equal corners are merged, so
+    cancelling pairs drop out.
+    """
+    if isinstance(spec, ValuationPattern):
+        bounded = tuple(i for i, b in enumerate(spec.bounds) if b is not None)
+        pairs = (
+            (sub, tuple(spec.bounds[i] if i in sub else 0 for i in range(n)))
+            for sub in _subsets(bounded)
+        )
+    else:
+        pairs = ((sub, _bump(v, sub)) for v in spec for sub in _subsets(range(n)))
+    merged: dict[tuple[int, ...], int] = {}
+    for sub, w in pairs:
+        merged[w] = merged.get(w, 0) + (-1) ** len(sub)
+    return [(c, w) for w, c in merged.items() if c]
+
+
+def _corner_sum(ell: int, spec: VSpec, profile: RankProfile) -> Fraction:
+    terms = corner_terms(spec, profile.n)
+    return sum(
+        (Fraction(c, corner_degree(ell, w, profile)) for c, w in terms), Fraction(0)
+    )
+
+
+def local_factor(ell: int, v_I, profile: RankProfile) -> Fraction:
     """Density of primes whose index has valuations exactly v_I at ell.
 
-    degree_of(ell, w) overrides the generic corner degree (used for
-    deficiency-corrected small primes). In the generic case the value is
-    cross-checked against both displayed closed forms.
+    Generic corner degrees throughout; the value is cross-checked against
+    both displayed closed forms.
     """
     v = _check_tuple(v_I, profile.n)
-    if degree_of is None:
-        degree_of = lambda l, w: corner_degree(l, w, profile)  # noqa: E731
-        check_forms = True
+    value = _corner_sum(ell, (v,), profile)
+    if all(x == 0 for x in v):
+        other = _zero_form(ell, profile)
     else:
-        check_forms = False
-
-    value = Fraction(0)
-    for sub in _subsets(range(profile.n)):
-        value += Fraction((-1) ** len(sub), degree_of(ell, _bump(v, sub)))
-
-    if check_forms:
-        if all(x == 0 for x in v):
-            other = _zero_form(ell, profile)
-        else:
-            other = _general_prefactor_form(ell, v, profile)
-            rewritten = _general_rewritten_form(ell, v, profile)
-            if other != rewritten:
-                raise ArithmeticError(
-                    f"the two displayed forms disagree at ell={ell}, v={v}"
-                )
-        if value != other:
+        other = _general_prefactor_form(ell, v, profile)
+        rewritten = _general_rewritten_form(ell, v, profile)
+        if other != rewritten:
             raise ArithmeticError(
-                f"corner sum and closed form disagree at ell={ell}, v={v}"
+                f"the two displayed forms disagree at ell={ell}, v={v}"
             )
+    if value != other:
+        raise ArithmeticError(
+            f"corner sum and closed form disagree at ell={ell}, v={v}"
+        )
     if not 0 <= value <= 1:
         raise ArithmeticError(f"local factor {value} outside [0,1]")
     return value
@@ -156,7 +169,7 @@ def _general_prefactor_form(ell, v, profile) -> Fraction:
         everything += term
         if not i_prime & set(sub):
             avoiding += term
-    prefactor = Fraction(1, euler_phi(ell**vmax) * ell**f_v)
+    prefactor = Fraction(1, (ell - 1) * ell ** (vmax - 1 + f_v))
     return prefactor * (
         Fraction(ell - 1, ell) * avoiding + Fraction(1, ell) * everything
     )
@@ -191,13 +204,7 @@ class LocalSeries:
     truncation: int | None = None
 
 
-def local_series(
-    ell: int,
-    spec: VSpec,
-    profile: RankProfile,
-    *,
-    degree_of=None,
-) -> LocalSeries:
+def local_series(ell: int, spec: VSpec, profile: RankProfile) -> LocalSeries:
     """Sum F(v) over a finite tuple list or a product-form pattern.
 
     Patterns telescope: summing the alternating corner sum over a box
@@ -205,28 +212,14 @@ def local_series(
     the corner evaluations at bound-or-zero tuples, so cofinite patterns
     get exact values with no truncation at all.
     """
-    if degree_of is None:
-        deg = lambda l, w: corner_degree(l, w, profile)  # noqa: E731
-    else:
-        deg = degree_of
-
     if isinstance(spec, ValuationPattern):
         if spec.n != profile.n:
             raise ValueError("pattern arity mismatch")
-        bounded = tuple(i for i, b in enumerate(spec.bounds) if b is not None)
-        value = Fraction(0)
-        for sub in _subsets(bounded):
-            w = tuple(
-                spec.bounds[i] if i in sub else 0 for i in range(profile.n)
-            )
-            value += Fraction((-1) ** len(sub), deg(ell, w))
+        value = _corner_sum(ell, spec, profile)
         if spec.is_finite():
             size = math.prod(spec.bounds)
             if size <= CROSSCHECK_BOX_LIMIT:
-                explicit = sum(
-                    local_factor(ell, t, profile, degree_of=degree_of)
-                    for t in spec.tuples()
-                )
+                explicit = sum(local_factor(ell, t, profile) for t in spec.tuples())
                 if explicit != value:
                     raise ArithmeticError(
                         f"telescoped box differs from the explicit sum at {ell}"
@@ -234,10 +227,7 @@ def local_series(
         return LocalSeries(value, ell, spec)
 
     tuples = tuple(spec)
-    value = sum(
-        (local_factor(ell, t, profile, degree_of=degree_of) for t in tuples),
-        Fraction(0),
-    )
+    value = sum((local_factor(ell, t, profile) for t in tuples), Fraction(0))
     if value > 1:
         raise ArithmeticError("tuple list double-counts a valuation tuple")
     return LocalSeries(value, ell, tuples)
@@ -265,8 +255,6 @@ def euler_product(
     vmap: ValuationMap,
     profile: RankProfile,
     cutoff: int = 10**5,
-    *,
-    overrides=None,
 ) -> EulerProduct:
     """prod over ell of the local series, with a certified tail bound.
 
@@ -275,8 +263,7 @@ def euler_product(
     1 - 2^n/(ell^2 - ell); the product of those lower bounds beyond L
     telescopes to at least 1 - 2^n/L. When the default pattern is the
     trivial one, unlisted primes contribute exactly 1 and no tail widening
-    happens at all. overrides maps a prime to a replacement factor
-    (deficiency-corrected small-prime values).
+    happens at all.
     """
     if vmap.n != profile.n:
         raise ValueError("valuation map arity does not match the profile")
@@ -286,18 +273,12 @@ def euler_product(
         raise ValueError("cutoff too small for a meaningful tail bound")
     if max(vmap.listed, default=0) > cutoff:
         raise ValueError("every listed prime must lie at or below the cutoff")
-    overrides = dict(overrides or {})
 
     acc = Interval.exactly(1)
     factors = []
     zero_at = None
     for ell in primes_up_to(cutoff):
-        if ell in overrides:
-            a = Fraction(overrides[ell])
-            if not 0 <= a <= 1:
-                raise ValueError(f"override at {ell} outside [0,1]")
-        else:
-            a = local_series(ell, vmap.spec_at(ell), profile).value
+        a = local_series(ell, vmap.spec_at(ell), profile).value
         factors.append((ell, a))
         if a == 0 and zero_at is None:
             zero_at = ell

@@ -25,7 +25,7 @@ from .density import (
     valuation_density,
 )
 from .empirical import Congruence, SieveRange, survey, survey_many
-from .errors import ConfigError, InconclusiveError, UnsupportedScopeError
+from .errors import ConfigError, UnsupportedScopeError
 from .exact import Interval
 from .groups import GroupFamily, profile_of
 from .index_sets import (
@@ -40,7 +40,7 @@ from .index_sets import (
     ValuationPattern,
     named_predicate,
 )
-from .kummer import DIRECT_BOUND, KummerModel, difference_tuple
+from .kummer import KummerModel
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -96,14 +96,7 @@ _DENSITY_KEYS = {
 _SURVEY_KEYS = {"groups", "set", "congruence", "sieve_bound", "log_path"}
 
 _COMMAND_KEYS = {
-    "degree": {
-        "groups",
-        "mode",
-        "modulus",
-        "levels",
-        "prime_bound",
-        "deficiency",
-    },
+    "degree": {"groups", "mode", "modulus", "levels"},
     "artin": {"groups", "set", "map", "cutoff"},
     "artin-oracle": {"groups", "ell", "v", "method", "samples", "seed"},
     "density": _DENSITY_KEYS,
@@ -142,7 +135,16 @@ def load_config(command: str, args) -> dict:
         )
     if not isinstance(cfg.get("output", ""), str):
         raise ConfigError("'output' must be a file path")
+    if cfg.get("mode", "generic") not in ("generic", "corrected"):
+        raise ConfigError("'mode' is 'generic' or 'corrected'")
     return cfg
+
+
+def _int(cfg: dict, key: str, default: int) -> int:
+    try:
+        return int(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'{key}' must be an integer") from exc
 
 
 def build_family(cfg: dict) -> GroupFamily:
@@ -155,28 +157,38 @@ def build_family(cfg: dict) -> GroupFamily:
         raise ConfigError("'groups' must be a list of lists of rationals")
     try:
         return GroupFamily.from_strings(*groups)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad generator in 'groups': {exc}") from exc
 
 
 def _parse_pattern(obj, n: int) -> ValuationPattern:
     if not isinstance(obj, dict) or set(obj) != {"bounds"}:
         raise ConfigError("a pattern is {'bounds': [int-or-null, ...]}")
     bounds = obj["bounds"]
+    if not isinstance(bounds, list):
+        raise ConfigError("pattern bounds are a list")
     if len(bounds) != n:
         raise ConfigError(f"pattern arity {len(bounds)} != {n}")
-    return ValuationPattern(tuple(None if b is None else int(b) for b in bounds))
+    try:
+        return ValuationPattern(tuple(None if b is None else int(b) for b in bounds))
+    except TypeError as exc:
+        raise ConfigError(f"bad pattern bound: {exc}") from exc
 
 
 def _parse_vspec(obj, n: int):
     if isinstance(obj, dict):
         return _parse_pattern(obj, n)
     if isinstance(obj, list):
-        return tuple(tuple(int(x) for x in t) for t in obj)
+        try:
+            return tuple(tuple(int(x) for x in t) for t in obj)
+        except TypeError as exc:
+            raise ConfigError(f"bad valuation tuple list: {exc}") from exc
     raise ConfigError("a valuation spec is a pattern object or a tuple list")
 
 
 def build_valuation_map(obj: dict, n: int) -> ValuationMap:
+    if not isinstance(obj, dict) or not isinstance(obj.get("at") or {}, dict):
+        raise ConfigError("a valuation map is {'at': {ell: spec}, 'default': pattern}")
     keys = set(obj) - {"at", "default"}
     if keys:
         raise ConfigError(f"unknown valuation map keys: {sorted(keys)}")
@@ -227,8 +239,8 @@ def build_index_set(cfg: dict, n: int):
             return named_predicate(desc["name"])
     except KeyError as exc:
         raise ConfigError(f"set descriptor missing {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad set descriptor: {exc}") from exc
     raise ConfigError(f"unknown set kind {kind!r}")
 
 
@@ -240,8 +252,8 @@ def build_congruence(cfg: dict) -> Congruence:
         raise ConfigError("congruence is {'modulus': m, 'residues': [...]}")
     try:
         return Congruence(int(obj["modulus"]), frozenset(map(int, obj["residues"])))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad congruence: {exc}") from exc
 
 
 def build_level_map(cfg: dict) -> LevelMap:
@@ -261,18 +273,15 @@ def build_level_map(cfg: dict) -> LevelMap:
         if kind == "power":
             return LevelMap.power(int(obj["k"]))
         if kind == "prime-powers":
-            return LevelMap.prime_powers(
-                {int(ell): int(k) for ell, k in obj["table"].items()}
-            )
+            table = obj["table"]
+            if not isinstance(table, dict):
+                raise ConfigError("a prime-powers table maps primes to exponents")
+            return LevelMap.prime_powers({int(ell): int(k) for ell, k in table.items()})
     except KeyError as exc:
         raise ConfigError(f"level map missing {exc}") from exc
+    except TypeError as exc:
+        raise ConfigError(f"bad level map: {exc}") from exc
     raise ConfigError(f"unknown level map kind {kind!r}")
-
-
-def _model(family: GroupFamily, cfg: dict) -> KummerModel:
-    if cfg.get("prime_bound"):
-        return KummerModel(family, prime_bound=int(cfg["prime_bound"]))
-    return KummerModel(family)
 
 
 def _prime_ell(value, command: str) -> int:
@@ -297,50 +306,22 @@ def _require_trivial_congruence(congruence: Congruence):
 
 def run_degree(cfg: dict) -> dict:
     family = build_family(cfg)
-    model = _model(family, cfg)
     mode = cfg.get("mode", "generic")
-    if "deficiency" in cfg:
-        d = cfg["deficiency"]
-        if not isinstance(d, dict) or set(d) != {"ell", "e"}:
-            raise ConfigError("deficiency request is {'ell': l, 'e': [...]}")
-        ell = _prime_ell(d["ell"], "a deficiency request")
-        e = tuple(sorted((int(x) for x in d["e"]), reverse=True))
-        klass = difference_tuple(e, model.gap_cap())
-        c = model.deficiency(ell, klass)
-        return {
-            "deficiency": c,
-            "ell": ell,
-            "class": klass.key(),
-            "gap_cap": model.gap_cap(),
-        }
-    modulus = int(cfg.get("modulus", 0))
-    levels = tuple(int(x) for x in cfg.get("levels", ()))
+    modulus = _int(cfg, "modulus", 0)
+    try:
+        levels = tuple(int(x) for x in cfg.get("levels", ()))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("'levels' is a list of integers") from exc
     if modulus < 1 or not levels:
         raise ConfigError("degree needs 'modulus' and 'levels'")
-    value = model.degree(modulus, levels, mode)
-    payload = {
-        "modulus": modulus,
-        "levels": list(levels),
-        "mode": mode,
-        "degree": value,
-    }
-    if mode == "corrected" and modulus <= DIRECT_BOUND:
-        try:
-            est = model.degree_estimate(modulus, levels)
-            payload["sampling"] = {
-                "hits": est.hits,
-                "total": est.total,
-                "generic_bound": est.generic_bound,
-            }
-        except (InconclusiveError, UnsupportedScopeError):
-            payload["sampling"] = None
-    return payload
+    value = KummerModel(family).degree(modulus, levels, mode)
+    return {"modulus": modulus, "levels": list(levels), "mode": mode, "degree": value}
 
 
 def run_artin(cfg: dict) -> dict:
     family = build_family(cfg)
     profile = profile_of(family)
-    cutoff = int(cfg.get("cutoff", 10**5))
+    cutoff = _int(cfg, "cutoff", 10**5)
     if "map" in cfg and "set" in cfg:
         raise ConfigError("give either 'map' or 'set', not both")
     if "map" in cfg:
@@ -361,8 +342,11 @@ def run_artin(cfg: dict) -> dict:
 def run_artin_oracle(cfg: dict) -> dict:
     family = build_family(cfg)
     profile = profile_of(family)
-    ell = _prime_ell(cfg.get("ell", 0), "artin-oracle")
-    v = tuple(int(x) for x in cfg.get("v", ()))
+    ell = _prime_ell(_int(cfg, "ell", 0), "artin-oracle")
+    try:
+        v = tuple(int(x) for x in cfg.get("v", ()))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("'v' is a list of integers") from exc
     if len(v) != profile.n:
         raise ConfigError(f"'v' must have {profile.n} coordinates")
     method = cfg.get("method", "exact")
@@ -378,8 +362,8 @@ def run_artin_oracle(cfg: dict) -> dict:
             v,
             family,
             "monte-carlo",
-            samples=int(cfg.get("samples", 10**6)),
-            seed=int(cfg.get("seed", 0)),
+            samples=_int(cfg, "samples", 10**6),
+            seed=_int(cfg, "seed", 0),
         )
         payload["oracle"] = est.value
         payload["sigma"] = est.sigma
@@ -392,7 +376,6 @@ def run_density(cfg: dict) -> dict:
     family = build_family(cfg)
     _require_trivial_congruence(build_congruence(cfg))
     method = cfg.get("method", "euler")
-    model = _model(family, cfg)
     mode = cfg.get("mode", "generic")
     if method == "series":
         if len(family) != 1:
@@ -400,29 +383,26 @@ def run_density(cfg: dict) -> dict:
         report = hooley_series(
             family.groups[0],
             build_level_map(cfg),
-            int(cfg.get("truncation", 10**4)),
+            _int(cfg, "truncation", 10**4),
             mode,
-            model=model,
         )
     elif method == "euler":
         index_set = build_index_set(cfg, len(family))
         report = valuation_density(
             family,
             index_set,
-            cutoff=int(cfg.get("cutoff", 10**5)),
-            model=model,
+            cutoff=_int(cfg, "cutoff", 10**5),
             corrected=(mode == "corrected"),
         )
     elif method == "singletons":
         index_set = build_index_set(cfg, len(family))
-        smooth = cfg.get("smooth")
+        smooth = _int(cfg, "smooth", 0) if cfg.get("smooth") else 0
         report = singleton_sum(
             family,
             index_set,
-            bound=int(cfg.get("bound", 10**3)),
-            smooth=SquarefreeModulus.from_int(int(smooth)) if smooth else None,
-            cutoff=int(cfg.get("cutoff", 10**5)),
-            model=model,
+            bound=_int(cfg, "bound", 10**3),
+            smooth=SquarefreeModulus.from_int(smooth) if smooth else None,
+            cutoff=_int(cfg, "cutoff", 10**5),
             corrected=(mode == "corrected"),
         )
     else:
@@ -432,7 +412,7 @@ def run_density(cfg: dict) -> dict:
 
 def run_survey(cfg: dict) -> dict:
     family = build_family(cfg)
-    srange = SieveRange.up_to(int(cfg.get("sieve_bound", 10**6)))
+    srange = SieveRange.up_to(_int(cfg, "sieve_bound", 10**6))
     index_set = build_index_set(cfg, len(family))
     congruence = build_congruence(cfg)
     rep = survey(
@@ -496,7 +476,7 @@ def run_classify(cfg: dict) -> dict:
 
 def run_paper_examples(cfg: dict) -> dict:
     """The bundled worked examples, analytic next to empirical."""
-    bound = int(cfg.get("sieve_bound", 10**5))
+    bound = _int(cfg, "sieve_bound", 10**5)
     rows = []
 
     fam2 = GroupFamily.from_strings(["2"])
@@ -563,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     specs = {
-        "degree": "cyclotomic-Kummer degrees, generic or measured",
+        "degree": "cyclotomic-Kummer degrees, generic or exact",
         "artin": "Euler product over local valuation series",
         "artin-oracle": "probabilistic model vs the closed form",
         "density": "analytic density by series, euler, or singletons",
@@ -609,7 +589,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (UnsupportedScopeError, InconclusiveError) as exc:
+    except UnsupportedScopeError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except ValueError as exc:

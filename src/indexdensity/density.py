@@ -7,8 +7,11 @@ local valuation series for sets cut by valuations, a singleton sum of
 per-tuple densities for enumerable sets, and multiplicative correction
 ratios relating any tuple's density to the index-one constant.
 
-Small primes get deficiency-corrected local values from the kummer model;
-all other primes use the generic closed forms. Non-separated families are
+In corrected mode the finitely many primes where Kummer degrees can fall
+short of the generic ones (2, the support and the lattice primes) enter
+through one joint factor built from exact composite degrees, so
+entanglement between primes (sqrt(5) inside Q(zeta_5)) is seen; all
+other primes use the generic closed forms. Non-separated families are
 refused wherever a generic per-tuple value would be unsound.
 """
 
@@ -16,10 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from itertools import combinations, product
+from math import lcm, prod
 
-from .arith import factorize, moebius_sieve, valuation
-from .errors import UnsupportedScopeError
+from .arith import euler_phi, factorize, moebius_sieve, primes_up_to, valuation
+from .errors import SizeLimitError, UnsupportedScopeError
 from .exact import Interval, round_down, round_up, series_sum
 from .groups import GroupFamily, MultGroup, is_separated, profile_of, rank
 from .index_sets import (
@@ -27,13 +32,16 @@ from .index_sets import (
     SquarefreeModulus,
     ValuationMap,
     ValuationPattern,
+    VSpec,
     check_index_tuple,
     valuations_at,
 )
-from .artin import euler_product, local_factor, local_series
+from .artin import corner_terms, euler_product, local_factor, local_series
 from .kummer import KummerModel
 
 LEDGER_ROW_LIMIT = 64
+MAX_TRUNCATION = 10**7  # moebius_sieve holds about 9 bytes per n
+JOINT_TERM_LIMIT = 2**17  # composite degrees one joint factor may need
 
 
 @dataclass(frozen=True)
@@ -135,59 +143,154 @@ class LevelMap:
         return "prod l^k(l) over l|n"
 
 
+# ---------------------------------------------------------------------------
+# Moebius series with a proved tail
+
+
+@lru_cache(maxsize=1)
+def _kappa_bound() -> Fraction:
+    """An upper bound on zeta(2)zeta(3)/zeta(6) = prod_p (1 + 1/(p(p-1))).
+
+    The primes above L = 10^4 contribute at most exp(1/L) <= L/(L-1).
+    """
+    top = 10**4
+    out = Fraction(top, top - 1)
+    for p in primes_up_to(top):
+        out = round_up(out * (1 + Fraction(1, p * (p - 1))))
+    return out
+
+
+def _reciprocal_tail(truncation: int) -> Fraction:
+    """An upper bound on T(N) = sum_{n > N} 1/(n phi(n)) for N = truncation.
+
+    By 1/phi(n) = (1/n) sum_{d | n} mu^2(d)/phi(d), T(N) is
+    sum_d mu^2(d)/(d^2 phi(d)) * sum_{m > N/d} 1/m^2. For d <= N the inner
+    sum is at most d/N + d^2/N^2; for d > N it is below 2 < 2d/N. So
+    T(N) <= kappa/N + P(N)/N^2 + 2 T(N)/N, with kappa = zeta(2)zeta(3)/zeta(6)
+    and P(N) = sum_{d <= N} mu^2(d)/phi(d) <= prod_{p <= N} p/(p-1). The
+    primes above L = 10^4 are covered by prod_{L < m <= N} m/(m-1) = N/L.
+    """
+    kappa = _kappa_bound()
+    if truncation < 3:
+        return kappa  # T(N) <= T(0) = kappa
+    top = min(truncation, 10**4)
+    mertens = Fraction(truncation, top)
+    for p in primes_up_to(top):
+        mertens = round_up(mertens * Fraction(p, p - 1))
+    n = truncation
+    return round_up((kappa / n + mertens / n**2) / (1 - Fraction(2, n)))
+
+
+def _tail_constant(model: KummerModel, level_map: LevelMap, mode: str) -> Fraction:
+    """c = max f(s) phi(f(s)) / D(f(s)) over squarefree s dividing prod S.
+
+    Off S (the model's scope) the degree of a rank-one group is generic,
+    so m phi(m) / D(m) depends only on the S-part of m. Write n = s*t with
+    s made of primes of S and t prime to S: f(n) has the same S-part as
+    f(s), so f(n) phi(f(n)) / D(f(n)) <= c. As n divides f(n) for every
+    level map, 1/D(f(n)) <= c / (f(n) phi(f(n))) <= c / (n phi(n)).
+    """
+    best = Fraction(0)
+    scope = model.deficiency_scope()
+    for size in range(len(scope) + 1):
+        for primes in combinations(scope, size):
+            f_s = level_map(prod(primes))
+            ratio = Fraction(f_s * euler_phi(f_s), model.degree(f_s, (f_s,), mode))
+            best = max(best, ratio)
+    return best
+
+
 def hooley_series(
     group: MultGroup,
     level_map: LevelMap,
     truncation: int = 10**4,
     mode: str = "generic",
-    *,
-    model: KummerModel | None = None,
 ) -> DensityReport:
     """Sum mu(n)/[Q(zeta_f(n), W^{1/f(n)}):Q] for n up to the truncation.
 
-    The tail is estimated empirically from the last decade of terms
-    (their absolute sum decays like the true remainder times roughly a
-    factor of nine, so widening by it is safely conservative), and the
-    reported interval is the partial sum widened by that estimate.
+    Corrected mode uses exact degrees, generic mode the generic ones. The
+    reported interval is the partial sum widened by a proved tail bound,
+    |sum_{n>N} mu(n)/D(f(n))| <= c * sum_{n>N} 1/(n phi(n))
+    <= c * (zeta(2)zeta(3)/zeta(6) + eps) / N,
+    where c (1 for <2>, and 1 in generic mode) bounds how far an exact
+    degree falls below f(n) phi(f(n)).
     """
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
+    if not 1 <= truncation <= MAX_TRUNCATION:
+        raise ValueError(f"truncation must be between 1 and {MAX_TRUNCATION}")
     if rank(group) != 1:
         raise UnsupportedScopeError(
             "the series route is for rank-1 groups; higher ranks go through "
             "valuation_density or singleton_sum"
         )
-    model = model or KummerModel(GroupFamily((group,)))
+    model = KummerModel(GroupFamily((group,)))
+    tail = _tail_constant(model, level_map, mode) * _reciprocal_tail(truncation)
     mu = moebius_sieve(truncation)
 
     terms = []
-    tail_estimate = Fraction(0)
-    decade_start = max(1, truncation // 10)
     ledger = []
     for n in range(1, truncation + 1):
         if mu[n] == 0:
             continue
         f_n = level_map(n)
-        deg = model.degree(f_n, (f_n,), mode)
-        term = Fraction(int(mu[n]), deg)
+        term = Fraction(int(mu[n]), model.degree(f_n, (f_n,), mode))
         terms.append(term)
-        if n > decade_start:
-            tail_estimate += abs(term)
         if len(ledger) < LEDGER_ROW_LIMIT:
             ledger.append((f"n={n} level={f_n}", term))
 
     lo, hi = series_sum(terms)
-    hi = max(Fraction(0), round_up(hi + tail_estimate))
-    lo = min(max(Fraction(0), round_down(lo - tail_estimate)), hi)
-    value = Interval(lo, hi)
+    hi = max(Fraction(0), round_up(hi + tail))
+    lo = min(max(Fraction(0), round_down(lo - tail)), hi)
     notes = (
         f"f(n)={level_map.label()}",
         f"truncation={truncation}",
         f"mode={mode}",
         f"terms={len(terms)}",
-        f"tail-estimate={float(tail_estimate):.3e}",
+        f"tail-bound={float(tail):.3e}",
     )
-    return DensityReport(value, "series", tuple(ledger), notes)
+    return DensityReport(Interval(lo, hi), "series", tuple(ledger), notes)
+
+
+# ---------------------------------------------------------------------------
+# the joint factor at the primes where degrees can entangle
+
+
+def _joint_factor(model: KummerModel, specs: dict[int, VSpec]) -> Fraction:
+    """Density of primes whose index valuations at each listed ell lie in its spec.
+
+    Multiplies out the signed corner terms of every prime's spec and
+    divides each product by the exact degree of the composite field, so
+    entanglement between the primes (sqrt(5) in Q(zeta_5)) is counted;
+    this is the character-sum correction of Lenstra, Moree and
+    Stevenhagen (2014) in inclusion-exclusion form.
+    """
+    n = len(model.family)
+    primes = sorted(specs)
+    terms = [corner_terms(specs[ell], n) for ell in primes]
+    if prod(map(len, terms)) > JOINT_TERM_LIMIT:
+        raise SizeLimitError(
+            f"the joint factor over {primes} needs more than "
+            f"{JOINT_TERM_LIMIT} composite degrees"
+        )
+    total = Fraction(0)
+    for corners in product(*terms):
+        coeff = 1
+        levels = (1,) * n
+        for ell, (c, w) in zip(primes, corners):
+            coeff *= c
+            levels = tuple(x * ell**e for x, e in zip(levels, w))
+        total += Fraction(coeff, model.degree(lcm(*levels), levels, "corrected"))
+    return total
+
+
+def _free_at(vmap: ValuationMap, scope, cutoff: int) -> ValuationMap:
+    """vmap with the scope primes up to the cutoff unconstrained (factor 1).
+
+    Scope primes above the cutoff stay in the Euler tail, whose bound
+    still holds for the product over the primes outside the scope.
+    """
+    anything = ValuationPattern.anything(vmap.n)
+    at = dict(vmap.at) | {ell: anything for ell in scope if ell <= cutoff}
+    return ValuationMap.build(vmap.n, at, vmap.default)
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +302,16 @@ def valuation_density(
     index_set: IndexSet,
     *,
     cutoff: int = 10**5,
-    model: KummerModel | None = None,
     corrected: bool = True,
 ) -> DensityReport:
     """Euler product of local valuation series for a cut/almost-cut set.
 
-    Small primes (the family's support and 2) are evaluated with
-    deficiency-corrected corner degrees when corrected=True; the ledger
-    records both the generic and the corrected value at each such prime
-    so the rational multiple relating them is visible.
+    With corrected=True the primes of KummerModel.deficiency_scope() (2,
+    the support and the lattice primes) enter through one joint factor
+    with exact composite degrees, and every other prime keeps its generic
+    local series. The ledger records the generic local series at each
+    scope prime next to the joint factor, so the rational multiple
+    relating them is visible.
     """
     profile = profile_of(family)
     klass = index_set.classification()
@@ -224,54 +328,80 @@ def valuation_density(
     if vmap.n != len(family):
         raise ValueError("index set arity does not match the family")
 
-    model = model or KummerModel(family)
-    overrides = {}
+    scope: tuple[int, ...] = ()
+    joint = Fraction(1)
     ledger = []
     if corrected:
-        for ell in model.deficiency_scope():
-            spec = vmap.spec_at(ell)
+        model = KummerModel(family)
+        scope = model.deficiency_scope()
+        specs = {ell: vmap.spec_at(ell) for ell in scope}
+        for ell, spec in specs.items():
             generic = local_series(ell, spec, profile).value
-            fixed = local_series(ell, spec, profile, degree_of=model.local_degree).value
-            overrides[ell] = fixed
             ledger.append((f"ell={ell} generic", generic))
-            ledger.append((f"ell={ell} corrected", fixed))
+        joint = _joint_factor(model, specs)
+        ledger.append((f"ell={','.join(map(str, scope))} corrected", joint))
+        vmap = _free_at(vmap, scope, cutoff)
 
-    ep = euler_product(vmap, profile, cutoff, overrides=overrides)
+    ep = euler_product(vmap, profile, cutoff)
     for ell, a in ep.factors:
         if len(ledger) >= LEDGER_ROW_LIMIT:
             break
-        if ell not in overrides:
+        if ell not in scope:
             ledger.append((f"ell={ell}", a))
     notes = [
         f"set={index_set.label()}",
         f"cutoff={cutoff}",
         f"corrected={corrected}",
-        f"zero-at={ep.zero_at}",
+        f"zero-at={ep.zero_at if joint else scope}",
     ]
     if not is_separated(family):
         notes.append("separated=False (product can deviate; check with a survey)")
-    return DensityReport(ep.interval, "euler-product", tuple(ledger), tuple(notes))
+    value = ep.interval.times_exact(joint)
+    return DensityReport(value, "euler-product", tuple(ledger), tuple(notes))
 
 
 # ---------------------------------------------------------------------------
 # singleton route for enumerable sets
 
 
-def _tuple_correction(h, profile, scope, deg_of) -> Fraction:
-    """prod over ell | h of F(v_ell(h)) / F(0), corrected inside scope."""
-    out = Fraction(1)
+def _scope_joint(family: GroupFamily, corrected: bool):
+    """The corrected scope S (empty in generic mode) and a memoized joint factor.
+
+    joint(vs) is the density of primes whose index valuations at the i-th
+    prime of S are exactly vs[i].
+    """
+    model = KummerModel(family)
+    scope = model.deficiency_scope() if corrected else ()
+
+    @lru_cache(maxsize=None)
+    def joint(vs):
+        return _joint_factor(model, {ell: (v,) for ell, v in zip(scope, vs)})
+
+    return scope, joint
+
+
+def _tuple_correction(h, profile, scope, joint) -> Fraction:
+    """m(h) = dens({h}) / dens({1}).
+
+    A generic ratio F(v_ell(h)) / F(0) at each prime of h outside the
+    scope, times one joint ratio over the scope when h meets it.
+    """
     zero = (0,) * profile.n
-    for ell in sorted(factorize(lcm(*h))):
-        v = valuations_at(h, ell)
-        use = deg_of if ell in scope else None
-        top = local_factor(ell, v, profile, degree_of=use)
-        bottom = local_factor(ell, zero, profile, degree_of=use)
-        if bottom == 0:
-            raise ArithmeticError(
-                f"zero base factor at ell={ell}; correction undefined"
-            )
-        out *= top / bottom
-    return out
+    primes = sorted(factorize(lcm(*h)))
+    ratios = []
+    for ell in primes:
+        if ell not in scope:
+            top = local_factor(ell, valuations_at(h, ell), profile)
+            ratios.append((top, local_factor(ell, zero, profile)))
+    if any(ell in scope for ell in primes):
+        vs = tuple(valuations_at(h, ell) for ell in scope)
+        ratios.append((joint(vs), joint((zero,) * len(scope))))
+    if any(bottom == 0 for _, bottom in ratios):
+        raise UnsupportedScopeError(
+            f"index one has density zero at the primes of {h}, so correction "
+            "ratios relative to it are undefined"
+        )
+    return prod((top / bottom for top, bottom in ratios), start=Fraction(1))
 
 
 def singleton_sum(
@@ -281,17 +411,17 @@ def singleton_sum(
     bound: int = 10**3,
     smooth: SquarefreeModulus | None = None,
     cutoff: int = 10**5,
-    model: KummerModel | None = None,
     corrected: bool = True,
 ) -> DensityReport:
     """Sum of per-tuple densities over the set's members up to a bound.
 
     Each tuple contributes the index-one constant times its multiplicative
-    correction. Monotone in both the enumeration bound and the smoothness
-    modulus, which is the observable shape of the truncation lattice the
-    ledger reports. Refuses non-separated families: for those, per-tuple
-    densities are not products of local factors and a generic value here
-    would be silently wrong.
+    correction; in corrected mode both use the joint factor over the
+    Kummer model's scope. Monotone in both the enumeration bound and the
+    smoothness modulus, which is the observable shape of the truncation
+    lattice the ledger reports. Refuses non-separated families: for those,
+    per-tuple densities are not products of local factors and a generic
+    value here would be silently wrong.
     """
     if not is_separated(family):
         raise UnsupportedScopeError(
@@ -300,23 +430,16 @@ def singleton_sum(
             "so the singleton route refuses; use the empirical survey"
         )
     profile = profile_of(family)
-    model = model or KummerModel(family)
-    scope = set(model.deficiency_scope()) if corrected else set()
-    deg_of = model.local_degree if corrected else None
+    scope, joint = _scope_joint(family, corrected)
 
     zero_map = ValuationMap.build(
         profile.n, {}, ValuationPattern.exact_zero(profile.n)
     )
-    overrides = {}
-    if corrected:
-        for ell in sorted(scope):
-            overrides[ell] = local_series(
-                ell, zero_map.spec_at(ell), profile, degree_of=deg_of
-            ).value
-    base = euler_product(zero_map, profile, cutoff, overrides=overrides)
+    base = euler_product(_free_at(zero_map, scope, cutoff), profile, cutoff)
+    base_value = base.interval.times_exact(joint(((0,) * profile.n,) * len(scope)))
 
     members = index_set.members(bound, smooth)
-    corrections = [(h, _tuple_correction(h, profile, scope, deg_of)) for h in members]
+    corrections = [(h, _tuple_correction(h, profile, scope, joint)) for h in members]
     total = sum((m_h for _, m_h in corrections), Fraction(0))
     ledger = [(f"h={h}", m_h) for h, m_h in corrections[:LEDGER_ROW_LIMIT]]
 
@@ -331,7 +454,7 @@ def singleton_sum(
         sub //= 4
     ledger.extend(reversed(lattice))
 
-    value = base.interval.times_exact(total)
+    value = base_value.times_exact(total)
     notes = (
         f"set={index_set.label()}",
         f"bound={bound}",
@@ -350,21 +473,21 @@ def singleton_sum(
 @dataclass(frozen=True)
 class CorrectionRatio:
     value: Fraction
-    tag: str  # "generic" when no small prime divides h, else "estimated"
+    tag: str  # "corrected" when a prime of the corrected scope divides h
 
 
 def correction_ratio(
     h,
     family: GroupFamily,
     *,
-    model: KummerModel | None = None,
     corrected: bool = True,
 ) -> CorrectionRatio:
     """Multiplicative correction m(h) relating dens({h}) to the constant.
 
-    Generic whenever every prime dividing h is outside the deficiency
-    scope; otherwise the small primes are corrected from measurements and
-    the result is tagged "estimated".
+    Exact either way. Tagged "generic" when no prime dividing h is in the
+    corrected scope, so the generic local ratios alone give the value;
+    otherwise tagged "corrected", as the scope primes enter through the
+    joint factor with exact degrees.
     """
     if not is_separated(family):
         raise UnsupportedScopeError(
@@ -372,10 +495,7 @@ def correction_ratio(
         )
     profile = profile_of(family)
     h = check_index_tuple(h, profile.n)
-    model = model or KummerModel(family)
-    scope = set(model.deficiency_scope()) if corrected else set()
-    deg_of = model.local_degree if corrected else None
-    support = sorted(factorize(lcm(*h)))
-    tag = "estimated" if any(ell in scope for ell in support) else "generic"
-    value = _tuple_correction(h, profile, scope, deg_of)
-    return CorrectionRatio(value, tag)
+    scope, joint = _scope_joint(family, corrected)
+    support = factorize(lcm(*h))
+    tag = "corrected" if any(ell in support for ell in scope) else "generic"
+    return CorrectionRatio(_tuple_correction(h, profile, scope, joint), tag)

@@ -17,7 +17,7 @@ class UnsupportedScopeError(ValueError):
 class InconclusiveError(RuntimeError):
     """A sampling run did not collect enough evidence to commit to a value.
 
-    Carries the raw counts so the caller can rerun with a larger bound.
+    Raised only by the Chebotarev sampling oracle; carries its raw counts.
     """
 
     def __init__(self, message, *, hits=None, total=None):
@@ -31,4 +31,4 @@ class ConfigError(ValueError):
 
 
 class SizeLimitError(ValueError):
-    """An exact subset computation was asked for more than 2^12 subsets."""
+    """An exact computation was asked for more terms than its budget."""

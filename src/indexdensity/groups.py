@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import prod
 
 from .arith import factorize
 from .errors import SizeLimitError
@@ -93,35 +93,39 @@ def parse_rational(text) -> FactoredRational:
     return FactoredRational(sign, items)
 
 
-def _rank_of_vectors(rows: list[tuple[int, ...]]) -> int:
-    """Exact rank over Q via fraction-free (cross-multiplying) elimination."""
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return 0
-    cols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(row, len(m)):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
+def hermite_form(rows) -> list[list[int]]:
+    """Row Hermite normal form of an integer matrix, zero rows dropped.
+
+    The rows span the same lattice as the input. They are in echelon form
+    with positive pivots, and each entry above a pivot is reduced modulo
+    it. The number of rows is the rank over Q; for a full-rank square
+    result, the product of the pivots is the lattice's index in Z^n.
+    """
+    work = [list(r) for r in rows if any(r)]
+    form: list[list[int]] = []
+    width = len(work[0]) if work else 0
+    for col in range(width):
+        live = [r for r in work if r[col]]
+        while len(live) > 1:  # Euclid on the column, one row at a time
+            pivot = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not pivot:
+                    q = r[col] // pivot[col]
+                    for j in range(col, width):
+                        r[j] -= q * pivot[j]
+            live = [r for r in live if r[col]]
+        if not live:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        for r in range(row + 1, len(m)):
-            if m[r][col] == 0:
-                continue
-            lead = m[r][col]
-            for c in range(col, cols):
-                m[r][c] = m[r][c] * pv - m[row][c] * lead
-        rank += 1
-        row += 1
-        if row == len(m):
-            break
-    return rank
+        pivot = live[0]
+        work = [r for r in work if r is not pivot and any(r)]
+        if pivot[col] < 0:
+            pivot = [-x for x in pivot]
+        for r in form:
+            q = r[col] // pivot[col]
+            for j in range(col, width):
+                r[j] -= q * pivot[j]
+        form.append(pivot)
+    return form
 
 
 @dataclass(frozen=True)
@@ -159,8 +163,7 @@ class MultGroup:
 
 def rank(group: MultGroup) -> int:
     """Rank of the free part: dimension of the exponent span over Q."""
-    primes = group.support
-    return _rank_of_vectors(group.exponent_rows(primes))
+    return len(hermite_form(group.exponent_rows(group.support)))
 
 
 def in_divisible_hull(x: FactoredRational, group: MultGroup) -> bool:
@@ -171,8 +174,8 @@ def in_divisible_hull(x: FactoredRational, group: MultGroup) -> bool:
     """
     primes = tuple(sorted(set(group.support) | set(x.support)))
     rows = group.exponent_rows(primes)
-    base = _rank_of_vectors(rows)
-    return _rank_of_vectors(rows + [x.exponent_vector(primes)]) == base
+    base = len(hermite_form(rows))
+    return len(hermite_form(rows + [x.exponent_vector(primes)])) == base
 
 
 @dataclass(frozen=True)
@@ -212,7 +215,7 @@ class GroupFamily:
 
     @property
     def fingerprint(self) -> str:
-        """Stable hex id used to key sampling caches."""
+        """Stable hex id that keys observation logs."""
         canon = ";".join(
             ",".join(f"{g.sign}:{g.exponents}" for g in grp.generators)
             for grp in self.groups
@@ -262,7 +265,7 @@ def rank_profile(family: GroupFamily) -> RankProfile:
             rows: list[tuple[int, ...]] = []
             for j in js:
                 rows.extend(rows_by_group[j - 1])
-            table.append((frozenset(js), _rank_of_vectors(rows)))
+            table.append((frozenset(js), len(hermite_form(rows))))
     return RankProfile(n, tuple(table))
 
 
@@ -284,47 +287,18 @@ def is_separated(family: GroupFamily) -> bool:
     return all(prof.of(full - {i}) < total for i in full)
 
 
-def _det_bareiss(m: list[list[int]]) -> int:
-    """Integer determinant by fraction-free elimination (exact division)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
 def lattice_invariant_primes(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
     """Primes at which the row lattice is a proper sublattice of its saturation.
 
     The lattice loses rank mod p exactly when p divides every maximal minor,
-    so the answer is the set of prime divisors of the gcd of those minors
-    (that gcd is the product of the invariant factors).
+    so the answer is the set of prime divisors of the gcd of those minors.
+    Row operations keep that gcd, and for the Hermite form (full row rank
+    r) it is the index in Z^r of the lattice its columns span: the product
+    of the pivots of the transpose's Hermite form.
     """
-    rows = [r for r in rows if any(r)]
-    r = _rank_of_vectors(rows)
-    if r == 0:
-        return ()
-    g = 0
-    for rsel in combinations(range(len(rows)), r):
-        for csel in combinations(range(len(rows[0])), r):
-            minor = _det_bareiss([[rows[i][j] for j in csel] for i in rsel])
-            g = gcd(g, minor)
-            if g == 1:
-                return ()
-    return tuple(sorted(factorize(g)))
+    form = hermite_form(rows)
+    columns = hermite_form(zip(*form))
+    return tuple(sorted(factorize(prod(r[i] for i, r in enumerate(columns)))))
 
 
 def entanglement_primes(family: GroupFamily) -> tuple[int, ...]:

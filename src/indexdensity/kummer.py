@@ -1,90 +1,38 @@
-"""Degrees of cyclotomic-Kummer extensions Q(zeta_m, W_i^{1/n_i}).
+"""Degrees of cyclotomic-Kummer extensions Q(zeta_M, W_1^{1/N_1}, ..., W_n^{1/N_n}).
 
-Two regimes matter. Generically (large primes, no multiplicative
-entanglement) the degree is phi(m) times a product of prime powers whose
-exponents are an explicit linear form in the radical levels, weighted by
-rank increments. At small primes the true degree can drop by a bounded
-"deficiency"; we do not classify entanglement in closed form but measure
-it: count split primes up to a bound (Chebotarev sampling), snap the
-inverse frequency to a divisor of the generic bound, and read the
-deficiency off the measured value. Deficiencies are constant on
-difference-tuple classes, so one measurement per class suffices; each
-KummerModel keeps its measurements in memory.
+Two modes. The generic degree is phi(M) times, for each prime ell of the
+radical levels, ell to an explicit linear form in the levels' ell-adic
+valuations, weighted by rank increments; it is right away from a finite
+set of primes. The corrected degree is exact, from explicit Kummer theory
+over Q (Perucca-Sgobba-Tronto, IJNT 2020): one Hermite form over the
+exponent vectors decides it, including entanglement such as sqrt(5)
+lying in Q(zeta_5) or sqrt(2) in Q(zeta_8).
+
+Chebotarev sampling (KummerModel.degree_estimate) stays as an independent
+oracle for the exact degree; no density route calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import prod
 
 import numpy as np
 
 from .arith import euler_phi, factorize, primes_up_to, valuation
 from .errors import InconclusiveError, UnsupportedScopeError
-from .groups import GroupFamily, RankProfile, entanglement_primes, profile_of
+from .groups import (
+    GroupFamily,
+    RankProfile,
+    entanglement_primes,
+    hermite_form,
+    profile_of,
+)
 
-RELIABILITY_CAP = 512  # largest generic degree bound the sampler resolves
+RELIABILITY_CAP = 512  # largest degree bound the sampler resolves
 MIN_EXPECTED = 400  # split primes a sampling run must expect
-DIRECT_BOUND = 120  # corrected degrees are sampled outright up to this modulus
-
-
-@dataclass(frozen=True)
-class DifferenceTuple:
-    """Interval partition of positions 1..n plus per-interval gap tuples.
-
-    A new interval starts wherever consecutive entries of a non-increasing
-    tuple drop by more than the gap cap C; within an interval the exact
-    consecutive differences (all <= C) are recorded. Two tuples with the
-    same partition and the same gaps share their degree deficiencies.
-    """
-
-    intervals: tuple[tuple[int, int], ...]  # 1-based inclusive [start, end]
-    gaps: tuple[tuple[int, ...], ...]
-    gap_cap: int
-
-    @property
-    def n(self) -> int:
-        return self.intervals[-1][1]
-
-    def key(self) -> str:
-        parts = []
-        for (a, b), g in zip(self.intervals, self.gaps):
-            parts.append(f"{b - a + 1}:{','.join(map(str, g))}")
-        return f"C{self.gap_cap}|" + "|".join(parts)
-
-    def lex_smallest(self) -> tuple[int, ...]:
-        """The pointwise-minimal non-increasing tuple in this class."""
-        e = [0] * self.n
-        for (a, b), g in zip(reversed(self.intervals), reversed(self.gaps)):
-            if b < self.n:
-                e[b - 1] = e[b] + self.gap_cap + 1
-            for pos in range(b - 1, a - 1, -1):
-                e[pos - 1] = e[pos] + g[pos - a]
-        return tuple(e)
-
-
-def difference_tuple(e: tuple[int, ...], gap_cap: int) -> DifferenceTuple:
-    if gap_cap < 0:
-        raise ValueError("gap cap must be >= 0")
-    if any(x < 0 for x in e):
-        raise ValueError("exponent tuples are nonnegative")
-    if any(e[i] < e[i + 1] for i in range(len(e) - 1)):
-        raise ValueError("difference tuples are defined for non-increasing input")
-    intervals = []
-    gaps = []
-    start = 1
-    current: list[int] = []
-    for i in range(1, len(e)):
-        drop = e[i - 1] - e[i]
-        if drop > gap_cap:
-            intervals.append((start, i))
-            gaps.append(tuple(current))
-            start = i + 1
-            current = []
-        else:
-            current.append(drop)
-    intervals.append((start, len(e)))
-    gaps.append(tuple(current))
-    return DifferenceTuple(tuple(intervals), tuple(gaps), gap_cap)
+SAMPLE_BOUND = 10**6  # the sampler counts split primes up to this bound
 
 
 def generic_exponent(xs: tuple[int, ...], profile: RankProfile) -> int:
@@ -122,20 +70,46 @@ class DegreeEstimate:
     levels: tuple[int, ...]
 
 
-class KummerModel:
-    """Degree oracle for one group family: sampling, deficiencies, assembly.
+def _quadratic_discriminant(z: int) -> int:
+    """Discriminant of Q(sqrt z) for a squarefree z > 0 (1 for z = 1)."""
+    return z if z % 4 == 1 else 4 * z
 
-    Holds the family's rank profile and in-memory memos of its sampling
-    runs and measured deficiencies (keyed by prime and class key).
+
+def _in_span(v: list[int], form: list[list[int]]) -> bool:
+    """Is v in the row lattice of a square Hermite form?"""
+    for i, row in enumerate(form):
+        q, r = divmod(v[i], row[i])
+        if r:
+            return False
+        if q:
+            for j in range(i + 1, len(v)):
+                v[j] -= q * row[j]
+    return True
+
+
+class KummerModel:
+    """Degree oracle for one group family: exact, generic and sampled.
+
+    Holds the family's rank profile and an in-memory memo of its sampling
+    runs, keyed by modulus and levels.
     """
 
-    def __init__(self, family: GroupFamily, *, prime_bound: int = 10**6):
+    def __init__(self, family: GroupFamily):
         self.family = family
         self.profile = profile_of(family)
-        self.prime_bound = prime_bound
+        support = family.support
+        # sign bit and exponent vector of every generator, group by group
+        self._vectors = tuple(
+            tuple([g.sign < 0, *g.exponent_vector(support)] for g in group.generators)
+            for group in family.groups
+        )
+        # (disc Q(sqrt z), exponent vector of z) for squarefree z > 0 over the support
+        self._quadratics = tuple(
+            (_quadratic_discriminant(prod(ps)), [int(p in ps) for p in support])
+            for size in range(len(support) + 1)
+            for ps in combinations(support, size)
+        )
         self._estimates: dict[tuple[int, tuple[int, ...]], DegreeEstimate] = {}
-        self._deficiencies: dict[tuple[int, str], int] = {}
-        self._gap_cap: int | None = None
 
     def _check_levels(self, modulus: int, levels) -> tuple[int, ...]:
         levels = tuple(int(x) for x in levels)
@@ -147,15 +121,82 @@ class KummerModel:
             raise ValueError("every radical level must divide the modulus")
         return levels
 
+    def deficiency_scope(self) -> tuple[int, ...]:
+        """The primes S where the exact degree can fall short of the generic one.
+
+        The support and 2 cover ramified and sign interactions (roots of
+        unity, quadratic subfields of cyclotomic fields); the primes where
+        an exponent lattice is unsaturated (perfect powers, shared roots
+        between groups) cover the rest. Off S, degrees split into generic
+        prime-by-prime factors.
+        """
+        return tuple(
+            sorted(
+                set(self.family.support) | {2} | set(entanglement_primes(self.family))
+            )
+        )
+
+    def degree(self, modulus: int, levels: tuple[int, ...], mode: str = "generic") -> int:
+        """[Q(zeta_M, W_i^{1/N_i}) : Q] for M = modulus and N_i = levels[i].
+
+        Generic mode is phi(M) * prod_l l^(generic exponent). Corrected mode
+        is the exact degree phi(M) * |G| / |G & H|, where G is the image in
+        Q*/Q*^M of <w^(M/N_i) : w a generator of W_i> and H is the group
+        of rationals that are M-th powers in Q(zeta_M). H is trivial for
+        odd M; for even M it holds the classes +z^(M/2) with disc Q(sqrt z)
+        dividing M and -z^(M/2) with disc Q(sqrt z) dividing 2M but not M
+        (z > 0 squarefree), so -4 = (1+i)^4 counts at M = 4; only z over
+        the support can meet G. |G| is read off one Hermite form whose rows
+        are the sign bit and exponent vector of every generator of G plus
+        the diagonal (2 if M is even else 1, M, ..., M) that spans Q*^M;
+        the same form decides which classes of H lie in G.
+        """
+        if mode not in ("generic", "corrected"):
+            raise ValueError("mode is 'generic' or 'corrected'")
+        levels = self._check_levels(modulus, levels)
+        if mode == "generic":
+            radical_primes = set()
+            for x in levels:
+                radical_primes.update(factorize(x))
+            out = euler_phi(modulus)
+            for ell in sorted(radical_primes):
+                e = tuple(valuation(x, ell) for x in levels)
+                out *= ell ** generic_exponent(e, self.profile)
+            return out
+
+        width = len(self.family.support) + 1
+        rows = [
+            [modulus // n_i * x for x in v]
+            for n_i, vectors in zip(levels, self._vectors)
+            for v in vectors
+        ]
+        for i in range(width):  # the diagonal that spans Q*^M
+            rows.append([0] * width)
+            rows[-1][i] = modulus if i else 2 - modulus % 2
+        form = hermite_form(rows)  # square, since the diagonal has full rank
+        index = prod(r[i] for i, r in enumerate(form))
+        size = (2 - modulus % 2) * modulus ** (width - 1) // index
+        meet = 1
+        if modulus % 2 == 0:
+            half = modulus // 2
+            meet = sum(
+                _in_span([int(modulus % disc != 0)] + [half * b for b in z], form)
+                for disc, z in self._quadratics
+                if 2 * modulus % disc == 0
+            )
+        return euler_phi(modulus) * size // meet
+
     # -- sampling -----------------------------------------------------
 
     def degree_estimate(self, modulus: int, levels: tuple[int, ...]) -> DegreeEstimate:
         """[Q(zeta_m, W_i^{1/n_i}) : Q] by counting completely split primes.
 
-        A prime splits completely exactly when p = 1 mod m and every
-        generator of W_i is an n_i-th power residue. The inverse hit
-        frequency is snapped to the nearest divisor (in log space) of the
-        generic degree bound phi(m) * prod n_i^{r_i}.
+        An independent oracle for degree(..., "corrected"). A prime splits
+        completely exactly when p = 1 mod m and every generator of W_i is
+        an n_i-th power residue. The inverse hit frequency is snapped to
+        the nearest divisor (in log space) of phi(m) * prod n_i^(g_i), with
+        g_i the number of generators of W_i: torsion generators such as -1
+        raise the degree without raising the rank.
         """
         levels = self._check_levels(modulus, levels)
         key = (modulus, levels)
@@ -163,21 +204,20 @@ class KummerModel:
             return self._estimates[key]
 
         bound = euler_phi(modulus)
-        for n_i, r_i in zip(levels, self.profile.group_ranks):
-            bound *= n_i**r_i
+        for n_i, group in zip(levels, self.family.groups):
+            bound *= n_i ** len(group.generators)
         if bound > RELIABILITY_CAP:
             raise UnsupportedScopeError(
-                f"generic degree bound {bound} exceeds the sampler's reliability "
-                f"cap {RELIABILITY_CAP}; a larger prime bound does not lift it"
+                f"degree bound {bound} exceeds the sampler's reliability "
+                f"cap {RELIABILITY_CAP}"
             )
 
-        primes = np.asarray(primes_up_to(self.prime_bound), dtype=np.int64)
+        primes = np.asarray(primes_up_to(SAMPLE_BOUND), dtype=np.int64)
         skip = set(self.family.support)
-        total = int(primes.size) - sum(1 for p in skip if p <= self.prime_bound)
+        total = int(primes.size) - sum(1 for p in skip if p <= SAMPLE_BOUND)
         if total // bound < MIN_EXPECTED:
             raise InconclusiveError(
-                f"expected {total // bound} split primes < required "
-                f"{MIN_EXPECTED}; raise the prime bound",
+                f"expected {total // bound} split primes < required {MIN_EXPECTED}",
                 hits=0,
                 total=total,
             )
@@ -213,110 +253,3 @@ class KummerModel:
         est = DegreeEstimate(value, hits, total, bound, modulus, levels)
         self._estimates[key] = est
         return est
-
-    # -- deficiencies ---------------------------------------------------
-
-    def deficiency_scope(self) -> tuple[int, ...]:
-        """Primes where a nonzero deficiency is possible over Q.
-
-        The support and 2 cover ramified and sign interactions; primes
-        where an exponent lattice is unsaturated (perfect powers, shared
-        roots between groups) are measured too rather than assumed generic.
-        """
-        return tuple(
-            sorted(
-                set(self.family.support) | {2} | set(entanglement_primes(self.family))
-            )
-        )
-
-    def deficiency(self, ell: int, klass: DifferenceTuple) -> int:
-        """Measured deficiency c >= 0 for one prime and one class.
-
-        Zero without measurement outside deficiency_scope().
-        The measurement happens at the class's minimal representative,
-        shifted up by one so every radical is active, with extra
-        cyclotomic buffer levels (two for ell = 2, one otherwise) so the
-        entangling roots of unity are already in the base field.
-        """
-        if ell not in self.deficiency_scope():
-            return 0
-        ckey = (ell, klass.key())
-        if ckey in self._deficiencies:
-            return self._deficiencies[ckey]
-        rep = tuple(x + 1 for x in klass.lex_smallest())
-        buffer = 2 if ell == 2 else 1
-        modulus = ell ** (max(rep) + buffer)
-        levels = tuple(ell**x for x in rep)
-        est = self.degree_estimate(modulus, levels)
-        observed = valuation(est.value, ell) - valuation(euler_phi(modulus), ell)
-        c = generic_exponent(rep, self.profile) - observed
-        if c < 0:
-            raise InconclusiveError(
-                f"sampling produced a negative deficiency ({c}) at {ell}; "
-                "the snap-to-divisor step likely lacked resolution",
-                hits=est.hits,
-                total=est.total,
-            )
-        self._deficiencies[ckey] = c
-        return c
-
-    def gap_cap(self) -> int:
-        """Default C for difference tuples: 1 + the largest constant-class
-        deficiency over the family's small primes (constant classes do not
-        themselves depend on C, so there is no circularity)."""
-        if self._gap_cap is None:
-            n = len(self.family)
-            constant = difference_tuple((0,) * n, 1)
-            worst = 0
-            for ell in self.deficiency_scope():
-                try:
-                    worst = max(worst, self.deficiency(ell, constant))
-                except (InconclusiveError, UnsupportedScopeError):
-                    pass  # class too big to measure; C stays conservative
-            self._gap_cap = worst + 1
-        return self._gap_cap
-
-    def class_of(self, e_sorted: tuple[int, ...]) -> DifferenceTuple:
-        return difference_tuple(e_sorted, self.gap_cap())
-
-    # -- assembled degrees ---------------------------------------------
-
-    def degree(self, modulus: int, levels: tuple[int, ...], mode: str = "generic") -> int:
-        """Full degree [Q(zeta_m, W_i^{1/n_i}) : Q], generic or corrected.
-
-        Corrected mode re-samples the degree outright when the modulus is
-        small enough (authoritative, catches cross-prime entanglement);
-        beyond that it assembles phi(m) * prod_l l^(generic - deficiency).
-        The assembled number is the saturated-cyclotomic valuation the
-        density formulas want; for composite m without the entangling
-        conductor it may differ from the literal finite-level degree.
-        """
-        if mode not in ("generic", "corrected"):
-            raise ValueError("mode is 'generic' or 'corrected'")
-        levels = self._check_levels(modulus, levels)
-
-        if mode == "corrected" and modulus <= DIRECT_BOUND:
-            try:
-                return self.degree_estimate(modulus, levels).value
-            except (InconclusiveError, UnsupportedScopeError):
-                pass  # fall back to the assembled form
-
-        radical_primes = set()
-        for x in levels:
-            if x > 1:
-                radical_primes.update(factorize(x))
-        out = euler_phi(modulus)
-        for ell in sorted(radical_primes):
-            e = tuple(valuation(x, ell) for x in levels)
-            exp = generic_exponent(e, self.profile)
-            if mode == "corrected":
-                e_sorted = tuple(sorted(e, reverse=True))
-                exp = max(exp - self.deficiency(ell, self.class_of(e_sorted)), 0)
-            out *= ell**exp
-        return out
-
-    def local_degree(self, ell: int, w: tuple[int, ...]) -> int:
-        """Corrected degree at one prime: modulus ell^max(w), levels ell^w_i."""
-        if all(x == 0 for x in w):
-            return 1
-        return self.degree(ell ** max(w), tuple(ell**x for x in w), "corrected")

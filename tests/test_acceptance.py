@@ -13,7 +13,7 @@ from itertools import combinations, product
 
 import pytest
 
-from indexdensity.arith import euler_phi, primes_up_to
+from indexdensity.arith import euler_phi, primes_up_to, valuation
 from indexdensity.artin import (
     euler_product,
     local_factor,
@@ -40,7 +40,7 @@ from indexdensity.index_sets import (
     ValuationPattern,
     named_predicate,
 )
-from indexdensity.kummer import KummerModel, difference_tuple
+from indexdensity.kummer import KummerModel
 
 SCAN_BOUND = 10**7
 FAM2 = GroupFamily.from_strings(["2"])
@@ -283,11 +283,20 @@ def test_criterion_06_degree_oracle():
     got5 = model.degree_estimate(5, (5,))
     got8 = model.degree_estimate(8, (8,))
     cyclo = {m: model.degree_estimate(m, (1,)).value for m in (3, 4, 5, 8, 12)}
-    constant = difference_tuple((1,), model.gap_cap())
-    defs = {ell: model.deficiency(ell, constant) for ell in (2, 3, 5)}
+    exact = {m: model.degree(m, (m,), "corrected") for m in (5, 8)}
+    # how far the exact degree of Q(zeta_ell^3, 2^(1/ell)) falls below the
+    # generic one, as a power of ell: sqrt 2 lies in Q(zeta_8)
+    defs = {
+        ell: valuation(
+            model.degree(ell**3, (ell,), "generic")
+            // model.degree(ell**3, (ell,), "corrected"),
+            ell,
+        )
+        for ell in (2, 3, 5)
+    }
     ok = (
-        got5.value == 20
-        and got8.value == 16
+        got5.value == 20 == exact[5]
+        and got8.value == 16 == exact[8]
         and all(cyclo[m] == euler_phi(m) for m in cyclo)
         and defs == {2: 1, 3: 0, 5: 0}
     )
@@ -297,8 +306,8 @@ def test_criterion_06_degree_oracle():
         ok,
         f"deg5={got5.value}, deg8={got8.value}, cyclo={cyclo}, deficiencies={defs}",
     )
-    assert got5.value == 20
-    assert got8.value == 16
+    assert got5.value == 20 == exact[5]
+    assert got8.value == 16 == exact[8]
     for m, value in cyclo.items():
         assert value == euler_phi(m), m
     assert defs == {2: 1, 3: 0, 5: 0}
@@ -403,3 +412,26 @@ def test_criterion_10_method_coherence():
         assert smooth_lows[0] <= smooth_lows[1] <= smooth_lows[2], index_set.label()
         assert smooth_lows[2] <= ceiling.value.high, index_set.label()
     _verdict(10, "method-coherence", True, "monotone in bound and smoothness, capped")
+
+
+@pytest.mark.parametrize(
+    "a, ratio",
+    [
+        (5, Fraction(20, 19)),
+        (-3, Fraction(6, 5)),
+        (13, Fraction(156, 155)),
+        (-7, Fraction(42, 41)),
+        (21, Fraction(204, 205)),
+    ],
+)
+def test_hooley_constants_for_entangled_generators(a, ratio):
+    # Hooley: for a non-power a whose squarefree part a0 is 1 mod 4, the
+    # index-one density is A * (1 - mu(|a0|) prod_{q | a0} 1/(q^2 - q - 1))
+    qs = [q for q in primes_up_to(50) if a % q == 0]
+    mu = (-1) ** len(qs)
+    assert 1 - mu * math.prod(Fraction(1, q * q - q - 1) for q in qs) == ratio
+    fam = GroupFamily.from_strings([str(a)])
+    euler = valuation_density(fam, Equals((1,)), cutoff=10**4)
+    series = hooley_series(fam.groups[0], LevelMap.identity(), 3000, "corrected")
+    assert euler.value.contains(ARTIN * ratio), euler.value.decimal_bounds(7)
+    assert series.value.contains(ARTIN * ratio), series.value.decimal_bounds(7)

@@ -90,12 +90,25 @@ def test_generic_series_at_default_truncation_is_rounded(tmp_path, capsys):
     assert low <= ARTIN <= high
 
 
+EQ1 = {"kind": "equals", "tuple": [1]}
+
+
 @pytest.mark.parametrize(
     "command, extra",
     [
         ("degree", {"modulus": 8, "levels": [0]}),
         ("artin-oracle", {"ell": 4, "v": [1]}),
         ("degree", {"deficiency": {"ell": 4, "e": [1]}}),
+        ("density", {"set": {"kind": "equals", "tuple": 5}}),
+        ("density", {"set": EQ1, "cutoff": None}),
+        ("density", {"groups": [[{}]], "set": EQ1}),
+        ("density", {"set": {"kind": "valuations", "map": {"default": {"bounds": 5}}}}),
+        ("density", {"set": EQ1, "congruence": {"modulus": 4, "residues": 3}}),
+        (
+            "density",
+            {"method": "series", "level_map": {"kind": "prime-powers", "table": [1]}},
+        ),
+        ("density", {"set": EQ1, "mode": "weird"}),
     ],
 )
 def test_hostile_degree_and_oracle_configs_exit_2(tmp_path, capsys, command, extra):
@@ -213,6 +226,33 @@ def test_compare_consistent_and_inconsistent(tmp_path, capsys):
     assert payload["result"]["verdict"] == "inconsistent"
 
 
+@pytest.mark.parametrize(
+    "groups, sieve_bound",
+    [
+        ([["2"], ["5"]], 2 * 10**6),
+        ([["3"], ["5"]], 2 * 10**6),
+        ([["2", "3"], ["5", "7"], ["11"]], 2 * 10**5),
+    ],
+)
+def test_corrected_compare_sees_entanglement(tmp_path, capsys, groups, sieve_bound):
+    # sqrt 5 lies in Q(zeta_5): a per-prime correction gives 0.1473 for both
+    # pairs, while about 0.1619 of the primes make both generators primitive
+    cfg = _write_config(
+        tmp_path,
+        "entangled.json",
+        {
+            "groups": groups,
+            "set": {"kind": "equals", "tuple": [1] * len(groups)},
+            "mode": "corrected",
+            "cutoff": 10**4,
+            "sieve_bound": sieve_bound,
+        },
+    )
+    code, payload, _ = _run(capsys, "compare", "--config", cfg)
+    assert code == 0
+    assert payload["result"]["verdict"] == "consistent"
+
+
 def test_degree_command_generic_and_corrected(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
@@ -236,22 +276,6 @@ def test_degree_command_generic_and_corrected(tmp_path, capsys):
     code, payload, _ = _run(capsys, "degree", "--config", cfg2)
     assert code == 0
     assert payload["result"]["degree"] == 16
-    assert payload["result"]["sampling"]["hits"] > 0
-
-
-def test_degree_deficiency_request(tmp_path, capsys):
-    cfg = _write_config(
-        tmp_path,
-        "defc.json",
-        {
-            "groups": [["2"]],
-            "deficiency": {"ell": 2, "e": [1]},
-        },
-    )
-    code, payload, _ = _run(capsys, "degree", "--config", cfg)
-    assert code == 0
-    assert payload["result"]["deficiency"] == 1
-    assert payload["result"]["gap_cap"] >= 1
 
 
 def test_artin_oracle_seeded_runs_are_identical(tmp_path, capsys):

@@ -77,6 +77,8 @@ def test_hooley_series_rejects_higher_rank():
         hooley_series(MultGroup.from_strings("2", "3"), LevelMap.identity(), 100)
     with pytest.raises(ValueError):
         hooley_series(G2, LevelMap.identity(), 0)
+    with pytest.raises(ValueError, match="truncation"):
+        hooley_series(G2, LevelMap.identity(), 10**12)  # refused before allocating
 
 
 def test_valuation_density_squarefree_agrees_with_series():
@@ -124,7 +126,7 @@ def test_correction_ratio_values():
     assert r3.tag == "generic"
     assert correction_ratio((5,), FAM2).value == Fraction(24, 475)
     r2 = correction_ratio((2,), FAM2)
-    assert r2.tag == "estimated"
+    assert r2.tag == "corrected"
     assert r2.value == Fraction(3, 4)
 
 
@@ -183,5 +185,5 @@ def test_ziegler_index_two_vs_direct_equality_route():
 def test_report_metadata():
     rep = hooley_series(G2, LevelMap.identity(), 500)
     assert any(n.startswith("truncation=") for n in rep.notes)
-    assert any(n.startswith("tail-estimate=") for n in rep.notes)
+    assert any(n.startswith("tail-bound=") for n in rep.notes)
     assert 0 <= rep.value.midpoint <= 1

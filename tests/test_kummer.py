@@ -1,52 +1,19 @@
-"""Degree machinery: difference classes, generic valuations, sampling."""
+"""Degree machinery: exact and generic degrees, and the sampling oracle."""
 
 import random
 from itertools import permutations
 
 import pytest
 
-from indexdensity.arith import euler_phi
+from indexdensity.arith import euler_phi, valuation
 from indexdensity.errors import InconclusiveError
 from indexdensity.groups import GroupFamily, profile_of
-from indexdensity.kummer import KummerModel, difference_tuple, generic_exponent
+from indexdensity.kummer import KummerModel, generic_exponent
 
 FAM2 = GroupFamily.from_strings(["2"])
 # one model per family, so the tests share its sampling runs
 MODEL2 = KummerModel(FAM2)
 MODEL4 = KummerModel(GroupFamily.from_strings(["4"]))
-
-
-def test_difference_tuple_partition_rule():
-    rng = random.Random(3)
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        e = sorted((rng.randint(0, 8) for _ in range(n)), reverse=True)
-        for cap in (0, 1, 2, 3):
-            d = difference_tuple(tuple(e), cap)
-            # intervals tile 1..n in order
-            flat = [i for lo, hi in d.intervals for i in range(lo, hi + 1)]
-            assert flat == list(range(1, n + 1))
-            for (lo, hi), gaps in zip(d.intervals, d.gaps):
-                assert len(gaps) == hi - lo
-                assert all(0 <= g <= cap for g in gaps)
-                assert gaps == tuple(e[i - 1] - e[i] for i in range(lo, hi))
-            # a break happens exactly where the drop exceeds the cap
-            breaks = {hi for lo, hi in d.intervals[:-1]}
-            for i in range(1, n):
-                assert (e[i - 1] - e[i] > cap) == (i in breaks)
-
-
-def test_difference_tuple_requires_non_increasing():
-    with pytest.raises(ValueError):
-        difference_tuple((1, 2), 1)
-
-
-def test_class_key_and_representative_are_consistent():
-    e = (5, 5, 1)
-    d = difference_tuple(e, 2)
-    rep = d.lex_smallest()
-    assert difference_tuple(rep, 2).key() == d.key()
-    assert rep <= e
 
 
 def _fam(*gens):
@@ -86,6 +53,13 @@ def test_generic_exponent_invariant_under_tie_permutations():
                 assert val == base, (fam, xs, sigma)
 
 
+def _partition(e, cap):
+    """Blocks [lo, hi] (1-based) of a non-increasing tuple, cut where it
+    drops by more than cap."""
+    cuts = [i for i in range(1, len(e)) if e[i - 1] - e[i] > cap]
+    return list(zip([1] + [c + 1 for c in cuts], cuts + [len(e)]))
+
+
 def test_increment_law_on_partition_intervals():
     rng = random.Random(17)
     for fam in SWEEP_FAMILIES:
@@ -96,8 +70,7 @@ def test_increment_law_on_partition_intervals():
                 e = tuple(
                     sorted((rng.randint(0, 7) for _ in range(n)), reverse=True)
                 )
-                d = difference_tuple(e, cap)
-                for lo, hi in d.intervals:
+                for lo, hi in _partition(e, cap):
                     if lo != 1 and e[lo - 2] - e[lo - 1] <= cap + 1:
                         continue  # lemma hypothesis: clear gap above the block
                     bumped = tuple(
@@ -143,45 +116,99 @@ def test_degree_estimate_divides_generic_bound():
 
 
 def test_degree_estimate_needs_enough_expected_splits():
+    # bound phi(27) * 27 = 486: too few of the primes below 10^6 can split
     with pytest.raises(InconclusiveError):
-        KummerModel(FAM2, prime_bound=2000).degree_estimate(5, (5,))
+        MODEL2.degree_estimate(27, (27,))
+
+
+def test_degree_estimate_counts_torsion_generators():
+    # [Q(i, sqrt 2) : Q] = 4, though <-1, 2> has rank one
+    model = KummerModel(_fam(["2"], ["-1", "2"]))
+    est = model.degree_estimate(2, (1, 2))
+    assert est.generic_bound == 4
+    assert est.value == 4 == model.degree(2, (1, 2), "corrected")
 
 
 def _deficiency(model, ell, e):
-    return model.deficiency(ell, difference_tuple(e, model.gap_cap()))
+    """log_ell of generic over exact degree at modulus ell^(max e + 2),
+    levels ell^e: how far the exact degree falls short of the generic one."""
+    modulus = ell ** (max(e) + 2)
+    levels = tuple(ell**x for x in e)
+    generic = model.degree(modulus, levels, "generic")
+    exact = model.degree(modulus, levels, "corrected")
+    assert generic % exact == 0
+    return valuation(generic // exact, ell)
 
 
 def test_deficiency_values_for_two():
     assert _deficiency(MODEL2, 2, (1,)) == 1
+    assert _deficiency(MODEL2, 2, (2,)) == 1
     assert _deficiency(MODEL2, 3, (1,)) == 0
     assert _deficiency(MODEL2, 5, (1,)) == 0
 
 
 def test_deficiency_sees_perfect_powers():
-    fam8 = _fam(["8"])
-    model = KummerModel(fam8)
+    model = KummerModel(_fam(["8"]))
     assert 3 in model.deficiency_scope()
-    k = difference_tuple((1,), model.gap_cap())
-    assert model.deficiency(3, k) == 1
+    assert _deficiency(model, 3, (1,)) == 1
     assert _deficiency(MODEL4, 2, (1,)) == 1
 
 
-def test_gap_cap_single_group():
-    assert MODEL2.gap_cap() == 2
+TEXTBOOK_DEGREES = [
+    # (generators, modulus, levels, [Q(zeta_modulus, W^(1/level)) : Q])
+    (["2"], 8, (2,), 4),  # sqrt 2 lies in Q(zeta_8)
+    (["2"], 4, (4,), 8),
+    (["-4"], 4, (4,), 2),  # -4 = (1+i)^4
+    (["5"], 10, (2,), 4),  # sqrt 5 lies in Q(zeta_5)
+    (["3"], 12, (2,), 4),  # sqrt 3 lies in Q(zeta_12)
+    (["2"], 128, (128,), 4096),
+]
+
+
+def test_exact_degrees_match_the_textbook():
+    for gens, modulus, levels, expect in TEXTBOOK_DEGREES:
+        model = KummerModel(_fam(gens))
+        assert model.degree(modulus, levels, "corrected") == expect, gens
+
+
+TORSION_FREE_FAMILIES = [
+    _fam(["2"]),
+    _fam(["3"]),
+    _fam(["5"]),
+    _fam(["6"]),
+    _fam(["4"]),
+    _fam(["2"], ["3"]),
+    _fam(["2"], ["5"]),
+]
+
+
+def test_exact_degree_agrees_with_the_sampling_oracle():
+    checked = 0
+    for fam in TORSION_FREE_FAMILIES:
+        model = KummerModel(fam)
+        for modulus in (8, 10, 12):
+            for level in (2, 4):
+                if modulus % level or euler_phi(modulus) * level ** len(fam) > 64:
+                    continue
+                levels = (level,) * len(fam)
+                exact = model.degree(modulus, levels, "corrected")
+                assert model.degree_estimate(modulus, levels).value == exact, (
+                    str(fam), modulus, levels
+                )
+                checked += 1
+    assert checked == 35
 
 
 def test_corrected_degree_direct_and_assembled():
-    # inside the direct window the sampler is authoritative
     assert MODEL2.degree(8, (8,), "corrected") == 16
-    # beyond it the phi(m) * l-parts assembly carries the deficiency
     assert MODEL2.degree(128, (128,), "generic") == 8192
     assert MODEL2.degree(128, (128,), "corrected") == 4096
 
 
 def test_local_degree_zero_tuple():
-    assert MODEL2.local_degree(2, (0,)) == 1
+    assert MODEL2.degree(1, (1,), "corrected") == 1
     assert MODEL2.degree(8, (8,), "generic") == 32
-    assert MODEL2.local_degree(2, (3,)) == 16
+    assert MODEL2.degree(8, (8,), "corrected") == 16
 
 
 def test_degree_validates_levels():
