@@ -50,13 +50,6 @@ class Interval:
             raise ValueError("negative scaling unsupported")
         return Interval(round_down(self.low * x), round_up(self.high * x))
 
-    def widen(self, slack: Fraction) -> "Interval":
-        """Extend both endpoints outward by slack >= 0 (floor at zero)."""
-        if slack < 0:
-            raise ValueError("slack must be nonnegative")
-        lo = round_down(self.low - slack)
-        return Interval(lo if lo > 0 else Fraction(0), round_up(self.high + slack))
-
     @property
     def width(self) -> Fraction:
         return self.high - self.low

@@ -1,10 +1,15 @@
 """Sieve scans, observation logs, and the frequency/distribution reports."""
 
+import functools
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from indexdensity import empirical
 from indexdensity.empirical import (
+    SIEVE_CAP,
     Congruence,
     FrequencyReport,
     SieveRange,
@@ -16,10 +21,10 @@ from indexdensity.empirical import (
     survey_many,
     wilson_interval,
 )
-from indexdensity.arith import primes_up_to
+from indexdensity.arith import primes_up_to, valuation
 from indexdensity.errors import ConfigError
 from indexdensity.groups import GroupFamily
-from indexdensity.index_sets import Equals, KFree, PrimesSet
+from indexdensity.index_sets import Divides, Equals, KFree, PrimesSet
 
 FAM2 = GroupFamily.from_strings(["2"])
 FAM3 = GroupFamily.from_strings(["3"])
@@ -67,6 +72,101 @@ def test_index_tuple_against_subgroup_enumeration():
             for group, idx in zip(fam.groups, got):
                 residues = [g.residue(p) % p for g in group.generators]
                 assert idx == (p - 1) // _subgroup_size(p, residues), (p, fam)
+
+
+def _factor(n):
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+@functools.cache
+def _divisors(n):
+    divs = [1]
+    for q, e in _factor(n).items():
+        divs = [d * q**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
+def _oracle_psi(p, gen_lists):
+    """The index tuple from orders found by pow over the divisors of p - 1."""
+    divs = _divisors(p - 1)
+    psi = []
+    for gens in gen_lists:
+        joint = 1
+        for g in gens:
+            value = Fraction(g)
+            r = value.numerator * pow(value.denominator, -1, p) % p
+            joint = math.lcm(joint, next(d for d in divs if pow(r, d, p) == 1))
+        psi.append((p - 1) // joint)
+    return tuple(psi)
+
+
+ORACLE_FAMILIES = [
+    (["-2"],),
+    (["1/2"],),
+    (["4"],),
+    (["2", "3"],),
+    (["-3/10", "7"], ["2/9"]),
+    (["2"], ["2"]),
+]
+
+
+@pytest.mark.parametrize("gen_lists", ORACLE_FAMILIES, ids=str)
+def test_scan_matches_the_pow_oracle(gen_lists, monkeypatch):
+    # a small block makes the scan cross many block boundaries
+    monkeypatch.setattr(empirical, "BLOCK", 4096)
+    family = GroupFamily.from_strings(*gen_lists)
+    got = {obs.p: obs.psi for obs in observations(family, SieveRange.up_to(200000))}
+    primes = [p for p in primes_up_to(200000) if p not in family.support]
+    assert len(primes) > 4 * 4096
+    assert list(got) == primes
+    for p in primes:
+        assert got[p] == _oracle_psi(p, gen_lists), p
+
+
+@functools.cache
+def _primes_below_the_cap():
+    return [p for p in range(SIEVE_CAP - 2000, SIEVE_CAP + 1) if _factor(p) == {p: 1}]
+
+
+@pytest.mark.parametrize("gen_lists", ORACLE_FAMILIES, ids=str)
+def test_index_map_stays_exact_at_the_sieve_cap(gen_lists):
+    family = GroupFamily.from_strings(*gen_lists)
+    primes = _primes_below_the_cap()
+    assert len(primes) == 99
+    batch = index_tuple(np.array(primes, dtype=np.int64), family)
+    assert batch.shape == (99, len(gen_lists))
+    for p, row in zip(primes, batch.tolist()):
+        assert tuple(row) == index_tuple(p, family) == _oracle_psi(p, gen_lists), p
+
+
+def test_index_map_reduces_generators_beyond_int64():
+    # 777777777777777777777787 is a prime above 2^79
+    big = "777777777777777777777787"
+    gen_lists = ([f"{big}/3"], ["-2", big])
+    family = GroupFamily.from_strings(*gen_lists)
+    primes = [p for p in primes_up_to(3000) if p > 3] + _primes_below_the_cap()
+    batch = index_tuple(np.array(primes, dtype=np.int64), family)
+    for p, row in zip(primes, batch.tolist()):
+        assert tuple(row) == _oracle_psi(p, gen_lists), p
+
+
+def test_index_map_refuses_primes_above_the_cap():
+    with pytest.raises(ValueError):
+        index_tuple(SIEVE_CAP + 7, FAM2)
+    with pytest.raises(ValueError):
+        index_tuple(2**70, FAM2)
+    with pytest.raises(ValueError):
+        index_tuple(np.array([5, SIEVE_CAP + 7]), FAM2)
+    with pytest.raises(ValueError):  # a batch holds no support primes
+        index_tuple(np.array([2, 5]), FAM2)
 
 
 def test_observations_respect_range_and_divisibility():
@@ -131,6 +231,50 @@ def test_congruence_classes_partition_the_scan():
     ]
     assert sum(rep.total for rep in parts) == whole.total
     assert sum(rep.hits for rep in parts) == whole.hits
+
+
+TALLY_CASES = [
+    (FAM2, [Equals((1,)), KFree((2,)), PrimesSet(), Divides((12,))]),
+    (
+        GroupFamily.from_strings(["2"], ["-3/10", "7"]),
+        [Equals((1, 1)), KFree((2, 2)), Divides((12, 12))],
+    ),
+]
+
+
+def _tally(family, srange, sets, congruence, ell, max_v):
+    """Hits per set and valuation buckets, counted one observation at a time."""
+    hits, buckets = [0] * len(sets), {}
+    for obs in observations(family, srange):
+        if obs.p % congruence.modulus not in congruence.residues:
+            continue
+        for j, s in enumerate(sets):
+            hits[j] += s.contains(obs.psi)
+        key = tuple(min(valuation(x, ell), max_v + 1) for x in obs.psi)
+        buckets[key] = buckets.get(key, 0) + 1
+    return hits, tuple(sorted(buckets.items()))
+
+
+@pytest.mark.parametrize("family, sets", TALLY_CASES, ids=["<2>", "<2>,<-3/10,7>"])
+def test_array_consumers_match_a_per_prime_tally(family, sets, tmp_path, monkeypatch):
+    # blocks of 1000 primes: the log is written and extended in many blocks
+    monkeypatch.setattr(empirical, "BLOCK", 1000)
+    srange = SieveRange.up_to(40000)
+    cong = Congruence(12, frozenset({1, 7, 11}))
+    path = str(tmp_path / "scan.log")
+    survey_many(family, SieveRange.up_to(15000), sets, cong, log_path=path)
+    for log_path in (None, path):  # a fresh scan, then a replayed-and-extended log
+        reports = survey_many(family, srange, sets, cong, log_path=log_path)
+        for ell in (2, 3):
+            hits, buckets = _tally(family, srange, sets, cong, ell, 2)
+            assert [rep.hits for rep in reports] == hits
+            assert {rep.total for rep in reports} == {sum(c for _, c in buckets)}
+            dist = distribution(family, srange, ell, 2, cong, log_path=log_path)
+            assert dist.buckets == buckets
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        logged = [int(line.split()[0]) for line in fh]
+    assert logged == [obs.p for obs in observations(family, srange)]
 
 
 def test_wilson_interval_shape():

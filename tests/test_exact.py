@@ -50,14 +50,6 @@ def test_series_sum_signed_bounds():
     assert lo2 <= exact <= hi2
 
 
-def test_widen_floors_at_zero():
-    iv = Interval(Fraction(1, 10), Fraction(2, 10)).widen(Fraction(1, 2))
-    assert iv.low == 0
-    assert iv.high >= Fraction(7, 10)
-    with pytest.raises(ValueError):
-        Interval.exactly(1).widen(Fraction(-1))
-
-
 def test_contains_and_overlaps():
     a = Interval(Fraction(1, 4), Fraction(1, 2))
     b = Interval(Fraction(1, 2), Fraction(3, 4))
