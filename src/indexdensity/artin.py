@@ -12,14 +12,17 @@ with D the corner-field degree (generically phi(ell^max) times ell to the
 rank-weighted exponent form). Everything here is exact rational arithmetic;
 the same alternating-sum structure telescopes over boxes of tuples, which
 is what makes cofinite valuation patterns and certified Euler tails exact.
+Each local series is one rational function of ell for a given valuation
+spec and rank profile. Its shape is derived and checked against the
+displayed closed forms once, as an identity in ell, then evaluated at
+each prime.
 
 A probabilistic model provides an independent oracle for the same
 numbers: each support prime's discrete logarithm is uniform ell-adic, a
 generator's splitting depth is the valuation of the matching integer
 combination, and a group's index valuation is the minimum depth over its
 generators and the cyclotomic variable. Independent families reduce to a
-finite product law (enumerated exactly); everything else is seeded
-simulation.
+finite product law (enumerated exactly); everything else is seeded simulation.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product as iproduct
 
 import numpy as np
@@ -34,12 +38,7 @@ import numpy as np
 from .arith import euler_phi, primes_up_to
 from .errors import SizeLimitError, UnsupportedScopeError
 from .exact import Interval, round_down
-from .groups import (
-    FactoredRational,
-    GroupFamily,
-    RankProfile,
-    profile_of,
-)
+from .groups import FactoredRational, GroupFamily, RankProfile, profile_of
 from .index_sets import ValuationMap, ValuationPattern, VSpec
 from .kummer import generic_exponent
 
@@ -73,10 +72,7 @@ def _check_tuple(v_I, n: int) -> tuple[int, ...]:
 
 
 def _bump(v: tuple[int, ...], sub) -> tuple[int, ...]:
-    w = list(v)
-    for j in sub:
-        w[j] += 1
-    return tuple(w)
+    return tuple(x + (i in sub) for i, x in enumerate(v))
 
 
 def corner_terms(spec: VSpec, n: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -102,67 +98,23 @@ def corner_terms(spec: VSpec, n: int) -> list[tuple[int, tuple[int, ...]]]:
     return [(c, w) for w, c in merged.items() if c]
 
 
-def _corner_sum(ell: int, spec: VSpec, profile: RankProfile) -> Fraction:
-    terms = corner_terms(spec, profile.n)
-    return sum(
-        (Fraction(c, corner_degree(ell, w, profile)) for c, w in terms), Fraction(0)
-    )
-
-
-def local_factor(ell: int, v_I, profile: RankProfile) -> Fraction:
-    """Density of primes whose index has valuations exactly v_I at ell.
-
-    Generic corner degrees throughout; the value is cross-checked against
-    both displayed closed forms.
-    """
-    v = _check_tuple(v_I, profile.n)
-    value = _corner_sum(ell, (v,), profile)
-    if all(x == 0 for x in v):
-        other = _zero_form(ell, profile)
-    else:
-        other = _general_prefactor_form(ell, v, profile)
-        rewritten = _general_rewritten_form(ell, v, profile)
-        if other != rewritten:
-            raise ArithmeticError(
-                f"the two displayed forms disagree at ell={ell}, v={v}"
-            )
-    if value != other:
-        raise ArithmeticError(
-            f"corner sum and closed form disagree at ell={ell}, v={v}"
-        )
-    if not 0 <= value <= 1:
-        raise ArithmeticError(f"local factor {value} outside [0,1]")
-    return value
-
-
 def _zero_form(ell: int, profile: RankProfile) -> Fraction:
     """The displayed zero-tuple formula, both groupings asserted equal."""
-    n = profile.n
-    full = Fraction(0)
-    nonempty = Fraction(0)
-    for sub in _subsets(range(n)):
-        term = Fraction((-1) ** len(sub), ell ** profile.of(j + 1 for j in sub))
-        full += term
-        if sub:
-            nonempty += term
-    first = Fraction(ell - 2, ell - 1) + Fraction(1, ell - 1) * full
-    second = 1 + Fraction(1, ell - 1) * nonempty
-    if first != second:
+    terms = [
+        Fraction((-1) ** len(sub), ell ** profile.of(j + 1 for j in sub))
+        for sub in _subsets(range(profile.n))
+    ]  # the empty subset comes first
+    first = Fraction(ell - 2, ell - 1) + Fraction(1, ell - 1) * sum(terms)
+    if first != 1 + Fraction(1, ell - 1) * sum(terms[1:]):
         raise ArithmeticError("zero-tuple groupings disagree")
     return first
 
 
-def _argmax_set(v: tuple[int, ...]) -> tuple[int, ...]:
-    vmax = max(v)
-    return tuple(i for i, x in enumerate(v) if x == vmax)
-
-
 def _general_prefactor_form(ell, v, profile) -> Fraction:
     vmax = max(v)
-    i_prime = set(_argmax_set(v))
+    i_prime = {i for i, x in enumerate(v) if x == vmax}
     f_v = generic_exponent(v, profile)
-    avoiding = Fraction(0)
-    everything = Fraction(0)
+    avoiding = everything = Fraction(0)
     for sub in _subsets(range(profile.n)):
         rel = generic_exponent(_bump(v, sub), profile) - f_v
         term = Fraction((-1) ** len(sub), ell**rel)
@@ -170,20 +122,16 @@ def _general_prefactor_form(ell, v, profile) -> Fraction:
         if not i_prime & set(sub):
             avoiding += term
     prefactor = Fraction(1, (ell - 1) * ell ** (vmax - 1 + f_v))
-    return prefactor * (
-        Fraction(ell - 1, ell) * avoiding + Fraction(1, ell) * everything
-    )
+    return prefactor * (Fraction(ell - 1, ell) * avoiding + everything / ell)
 
 
 def _general_rewritten_form(ell, v, profile) -> Fraction:
     vmax = max(v)
-    i_prime = set(_argmax_set(v))
-    avoiding = Fraction(0)
-    everything = Fraction(0)
+    i_prime = {i for i, x in enumerate(v) if x == vmax}
+    avoiding = everything = Fraction(0)
     for sub in _subsets(range(profile.n)):
-        term = Fraction(
-            (-1) ** len(sub), ell ** generic_exponent(_bump(v, sub), profile)
-        )
+        f_w = generic_exponent(_bump(v, sub), profile)
+        term = Fraction((-1) ** len(sub), ell**f_w)
         everything += term
         if not i_prime & set(sub):
             avoiding += term
@@ -191,7 +139,73 @@ def _general_rewritten_form(ell, v, profile) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# sums over valuation patterns
+# shapes, and sums over valuation patterns: a local series is
+# c0 + sum_e c_e / ((ell - 1) ell^e) with integers fixed by (spec, profile);
+# its shape is (c0, ((e, c_e), ...)), e ascending and every c_e nonzero.
+
+Shape = tuple[int, tuple[tuple[int, int], ...]]
+
+
+def _merged(pairs) -> Shape:
+    """Add up (e, c) pairs into a shape; e None is the constant term."""
+    coeff: dict = {}
+    for e, c in pairs:
+        coeff[e] = coeff.get(e, 0) + c
+    c0 = coeff.pop(None, 0)
+    return c0, tuple(sorted((e, c) for e, c in coeff.items() if c))
+
+
+def _sum_of(shapes) -> Shape:
+    return _merged(p for c0, terms in shapes for p in ((None, c0), *terms))
+
+
+def _evaluate(shape: Shape, ell: int) -> Fraction:
+    """One Fraction over (ell - 1) ell^E, E the largest exponent."""
+    c0, terms = shape
+    top = terms[-1][0] if terms else 0
+    numerator = c0 * (ell - 1) * ell**top + sum(c * ell ** (top - e) for e, c in terms)
+    return Fraction(numerator, (ell - 1) * ell**top)
+
+
+@lru_cache(maxsize=4096)
+def _shape(spec: VSpec, profile: RankProfile) -> Shape:
+    """The checked shape of a pattern or of a tuple of valuation tuples.
+
+    Several tuples: the sum of their shapes. A finite pattern whose box
+    has at most CROSSCHECK_BOX_LIMIT tuples must telescope to the sum over
+    its box, coefficient by coefficient. One tuple v: the shape, the
+    direct corner sum and the closed forms must agree at K + 2 integers
+    ell >= 2, K = max v + f(v + 1). Each corner w lies between v and
+    v + 1 and f is monotone, so K bounds every ell-exponent in a
+    denominator, and each form times (ell - 1) ell^K is a polynomial in
+    ell of degree at most K + 1. Agreement at K + 2 points is then
+    agreement as rational functions: at every prime, checked or not.
+    """
+    if not isinstance(spec, ValuationPattern) and len(spec) != 1:
+        return _sum_of(_shape((v,), profile) for v in spec)
+    terms = corner_terms(spec, profile.n)
+    shape = _merged(
+        (max(w) - 1 + generic_exponent(w, profile) if any(w) else None, c)
+        for c, w in terms
+    )
+    if isinstance(spec, ValuationPattern):
+        if spec.is_finite() and math.prod(spec.bounds) <= CROSSCHECK_BOX_LIMIT:
+            if shape != _sum_of(_shape((t,), profile) for t in spec.tuples()):
+                raise ArithmeticError(f"box {spec.bounds} differs from its tuple sum")
+        return shape
+    (v,) = spec
+    top = max(v) + generic_exponent(_bump(v, range(len(v))), profile)
+    for ell in range(2, top + 4):
+        direct = sum(Fraction(c, corner_degree(ell, w, profile)) for c, w in terms)
+        if any(v):
+            closed = _general_prefactor_form(ell, v, profile)
+            if closed != _general_rewritten_form(ell, v, profile):
+                raise ArithmeticError(f"the displayed forms differ at {ell}, {v}")
+        else:
+            closed = _zero_form(ell, profile)
+        if not _evaluate(shape, ell) == direct == closed:
+            raise ArithmeticError(f"corner sum and closed form differ at {ell}, {v}")
+    return shape
 
 
 @dataclass(frozen=True)
@@ -210,27 +224,30 @@ def local_series(ell: int, spec: VSpec, profile: RankProfile) -> LocalSeries:
     Patterns telescope: summing the alternating corner sum over a box
     (coordinates below given bounds, other coordinates free) leaves only
     the corner evaluations at bound-or-zero tuples, so cofinite patterns
-    get exact values with no truncation at all.
+    get exact values with no truncation at all. The closed forms and the
+    box sum are checked once per shape, as identities in ell; each prime
+    costs one evaluation of the shape and a range check.
     """
     if isinstance(spec, ValuationPattern):
         if spec.n != profile.n:
             raise ValueError("pattern arity mismatch")
-        value = _corner_sum(ell, spec, profile)
-        if spec.is_finite():
-            size = math.prod(spec.bounds)
-            if size <= CROSSCHECK_BOX_LIMIT:
-                explicit = sum(local_factor(ell, t, profile) for t in spec.tuples())
-                if explicit != value:
-                    raise ArithmeticError(
-                        f"telescoped box differs from the explicit sum at {ell}"
-                    )
-        return LocalSeries(value, ell, spec)
+        key = spec
+    else:
+        spec = tuple(spec)
+        key = tuple(_check_tuple(v, profile.n) for v in spec)
+    value = _evaluate(_shape(key, profile), ell)
+    if not 0 <= value <= 1:
+        raise ArithmeticError(f"local series {value} at ell={ell} outside [0,1]")
+    return LocalSeries(value, ell, spec)
 
-    tuples = tuple(spec)
-    value = sum((local_factor(ell, t, profile) for t in tuples), Fraction(0))
-    if value > 1:
-        raise ArithmeticError("tuple list double-counts a valuation tuple")
-    return LocalSeries(value, ell, tuples)
+
+def local_factor(ell: int, v_I, profile: RankProfile) -> Fraction:
+    """Density of primes whose index has valuations exactly v_I at ell.
+
+    The local series of the one tuple v_I, whose shape is checked once
+    against both displayed closed forms as an identity in ell.
+    """
+    return local_series(ell, (v_I,), profile).value
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +263,6 @@ class EulerProduct:
     n: int
     factors: tuple[tuple[int, Fraction], ...]
     zero_at: int | None = None
-
-    def decimal_bounds(self, places: int = 12) -> tuple[str, str]:
-        return self.interval.decimal_bounds(places)
 
 
 def euler_product(
@@ -340,8 +354,7 @@ def _pmf_tables(ell: int, top: int):
     pmf_z = [
         Fraction(1, euler_phi(ell**k)) - Fraction(1, euler_phi(ell ** (k + 1)))
         for k in range(top)
-    ]
-    pmf_z.append(Fraction(1, euler_phi(ell**top)))
+    ] + [Fraction(1, euler_phi(ell**top))]
     if sum(pmf_x) != 1 or sum(pmf_z) != 1:
         raise ArithmeticError("truncated distributions fail to normalize")
     return pmf_x, pmf_z
@@ -374,6 +387,8 @@ def prob_model_oracle(
     basis, owner = _torsion_free_basis(family)
     top = max(v) + 1
     pmf_x, pmf_z = _pmf_tables(ell, top)
+    m = len(basis)
+    cols = [[j for j in range(m) if owner[j] == i] for i in range(profile.n)]
 
     if method == "exact":
         if not profile.is_independent():
@@ -381,25 +396,12 @@ def prob_model_oracle(
                 "exact enumeration is only valid for multiplicatively "
                 "independent families; use method='monte-carlo'"
             )
-        m = len(basis)
         if (top + 1) ** (m + 1) > ENUMERATION_ATOM_LIMIT:
             raise SizeLimitError("joint distribution too large to enumerate")
         total = Fraction(0)
-        for z in range(top + 1):
-            for xs in iproduct(range(top + 1), repeat=m):
-                ok = True
-                for i in range(profile.n):
-                    depth = min(
-                        [xs[j] for j in range(m) if owner[j] == i] + [z]
-                    )
-                    if depth != v[i]:
-                        ok = False
-                        break
-                if ok:
-                    p = pmf_z[z]
-                    for x in xs:
-                        p *= pmf_x[x]
-                    total += p
+        for z, *xs in iproduct(range(top + 1), repeat=m + 1):
+            if all(min([xs[j] for j in c] + [z]) == v[i] for i, c in enumerate(cols)):
+                total += pmf_z[z] * math.prod(pmf_x[x] for x in xs)
         return total
 
     if method != "monte-carlo":
@@ -414,10 +416,6 @@ def prob_model_oracle(
     ).T  # one column per basis element, one row per support prime
     cdf_z = np.cumsum([float(p) for p in pmf_z])
     rng = np.random.default_rng(seed)
-    m = len(basis)
-    groups_cols = [
-        [j for j in range(m) if owner[j] == i] for i in range(profile.n)
-    ]
 
     hits = 0
     left = samples
@@ -435,8 +433,8 @@ def prob_model_oracle(
             rem[alive] //= ell
         z = np.searchsorted(cdf_z, rng.random(size), side="right")
         target = np.ones(size, dtype=bool)
-        for i, cols in enumerate(groups_cols):
-            psi = np.minimum(depth[:, cols].min(axis=1), z)
+        for i, c in enumerate(cols):
+            psi = np.minimum(depth[:, c].min(axis=1), z)
             target &= psi == v[i]
         hits += int(target.sum())
 

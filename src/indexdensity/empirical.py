@@ -485,9 +485,6 @@ class DistributionReport:
             return Fraction(0)
         return Fraction(self.count(v), self.total)
 
-    def wilson(self, v: tuple[int, ...]) -> tuple[float, float]:
-        return wilson_interval(self.count(v), self.total)
-
 
 def distribution(
     family: GroupFamily,

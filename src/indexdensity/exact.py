@@ -54,10 +54,6 @@ class Interval:
     def width(self) -> Fraction:
         return self.high - self.low
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.low + self.high) / 2
-
     def contains(self, x) -> bool:
         x = Fraction(x)
         return self.low <= x <= self.high

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import prod
 
@@ -59,15 +59,6 @@ class FactoredRational:
     def is_torsion(self) -> bool:
         """True for +-1: the only torsion in Q*."""
         return not self.exponents
-
-    def residue(self, p: int) -> int:
-        """The value reduced mod an odd prime p not dividing num or den."""
-        out = 1 if self.sign > 0 else p - 1
-        for q, e in self.exponents:
-            if q % p == 0:
-                raise ValueError(f"{self} is not a unit mod {p}")
-            out = out * pow(q, e % (p - 1), p) % p
-        return out
 
     def __str__(self):
         v = self.value
@@ -233,7 +224,7 @@ class RankProfile:
     n: int
     table: tuple[tuple[frozenset, int], ...]
 
-    @property
+    @cached_property
     def ranks(self) -> dict:
         return dict(self.table)
 

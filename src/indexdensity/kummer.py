@@ -9,7 +9,8 @@ exponent vectors decides it, including entanglement such as sqrt(5)
 lying in Q(zeta_5) or sqrt(2) in Q(zeta_8).
 
 Chebotarev sampling (KummerModel.degree_estimate) stays as an independent
-oracle for the exact degree; no density route calls it.
+oracle for the exact degree; no density route calls it. It reads the
+splitting of each prime off the batched index map of `empirical`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from math import prod
 import numpy as np
 
 from .arith import euler_phi, factorize, primes_up_to, valuation
+from .empirical import index_tuple, spf_table
 from .errors import InconclusiveError, UnsupportedScopeError
 from .groups import (
     GroupFamily,
@@ -213,8 +215,8 @@ class KummerModel:
             )
 
         primes = np.asarray(primes_up_to(SAMPLE_BOUND), dtype=np.int64)
-        skip = set(self.family.support)
-        total = int(primes.size) - sum(1 for p in skip if p <= SAMPLE_BOUND)
+        skip = [p for p in self.family.support if p <= SAMPLE_BOUND]
+        total = int(primes.size) - len(skip)
         if total // bound < MIN_EXPECTED:
             raise InconclusiveError(
                 f"expected {total // bound} split primes < required {MIN_EXPECTED}",
@@ -222,25 +224,10 @@ class KummerModel:
                 total=total,
             )
 
-        candidates = primes[primes % modulus == 1] if modulus > 1 else primes
-        hits = 0
-        gens = [g for grp in self.family.groups for g in grp.generators]
-        group_of = [
-            i for i, grp in enumerate(self.family.groups) for _ in grp.generators
-        ]
-        for p in candidates.tolist():
-            if p in skip:
-                continue
-            ok = True
-            for g, i in zip(gens, group_of):
-                n_i = levels[i]
-                if n_i == 1:
-                    continue
-                if pow(g.residue(p), (p - 1) // n_i, p) != 1:
-                    ok = False
-                    break
-            if ok:
-                hits += 1
+        # W_i lies in the n_i-th powers mod p exactly when n_i divides its index
+        candidates = primes[((primes - 1) % modulus == 0) & ~np.isin(primes, skip)]
+        psi = index_tuple(candidates, self.family, spf_table(SAMPLE_BOUND))
+        hits = int((psi % np.array(levels) == 0).all(axis=1).sum())
         if hits == 0:
             raise InconclusiveError(
                 "no split primes found; degree beyond sampling resolution",

@@ -5,8 +5,12 @@ from itertools import product as iproduct
 
 import pytest
 
+from indexdensity import artin
 from indexdensity.artin import (
+    _general_prefactor_form,
+    _zero_form,
     corner_degree,
+    corner_terms,
     euler_product,
     local_factor,
     local_series,
@@ -104,6 +108,31 @@ def test_normalization_small_sweep():
         prof = profile_of(fam)
         for ell in (2, 3, 5):
             assert local_series(ell, ValuationPattern.anything(prof.n), prof).value == 1
+
+
+def test_shapes_hold_far_beyond_their_check_points():
+    # each shape is checked at a few small integers ell, as an identity in
+    # ell; it must then hold at primes no check ever visits
+    for fam in (FAM1, FAM_IND, FAM_SAME, FAM_DEP):
+        prof = profile_of(fam)
+        for ell in (1_000_003, 2**31 - 1):
+            for v in iproduct(range(3), repeat=prof.n):
+                closed = (
+                    _general_prefactor_form(ell, v, prof) if any(v) else _zero_form(ell, prof)
+                )
+                direct = sum(
+                    Fraction(c, corner_degree(ell, w, prof))
+                    for c, w in corner_terms((v,), prof.n)
+                )
+                assert local_factor(ell, v, prof) == closed == direct, (fam, ell, v)
+
+
+def test_a_wrong_closed_form_fails_the_shape_check(monkeypatch):
+    monkeypatch.setattr(artin, "_general_rewritten_form", lambda ell, v, prof: Fraction(0))
+    artin._shape.cache_clear()
+    with pytest.raises(ArithmeticError):
+        local_factor(3, (1, 0), profile_of(FAM_IND))
+    assert artin._shape.cache_info().maxsize is not None
 
 
 def test_euler_product_contains_artin_constant():

@@ -191,4 +191,4 @@ def test_report_metadata():
     rep = hooley_series(G2, LevelMap.identity(), 500)
     assert any(n.startswith("truncation=") for n in rep.notes)
     assert any(n.startswith("tail-bound=") for n in rep.notes)
-    assert 0 <= rep.value.midpoint <= 1
+    assert 0 <= rep.value.low <= rep.value.high <= 1

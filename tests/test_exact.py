@@ -58,7 +58,6 @@ def test_contains_and_overlaps():
     assert not a.contains(Fraction(2, 3))
     assert a.overlaps(b) and b.overlaps(a)
     assert not a.overlaps(c)
-    assert a.midpoint == Fraction(3, 8)
 
 
 def test_decimal_bounds_rounds_outward():
