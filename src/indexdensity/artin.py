@@ -37,7 +37,7 @@ import numpy as np
 
 from .arith import euler_phi, primes_up_to
 from .errors import SizeLimitError, UnsupportedScopeError
-from .exact import Interval, round_down
+from .exact import PRECISION_BITS, Interval
 from .groups import FactoredRational, GroupFamily, RankProfile, profile_of
 from .index_sets import ValuationMap, ValuationPattern, VSpec
 from .kummer import generic_exponent
@@ -159,12 +159,12 @@ def _sum_of(shapes) -> Shape:
     return _merged(p for c0, terms in shapes for p in ((None, c0), *terms))
 
 
-def _evaluate(shape: Shape, ell: int) -> Fraction:
-    """One Fraction over (ell - 1) ell^E, E the largest exponent."""
+def _evaluate(shape: Shape, ell: int) -> tuple[int, int]:
+    """(numerator, (ell - 1) ell^E), E the largest exponent: not reduced."""
     c0, terms = shape
     top = terms[-1][0] if terms else 0
     numerator = c0 * (ell - 1) * ell**top + sum(c * ell ** (top - e) for e, c in terms)
-    return Fraction(numerator, (ell - 1) * ell**top)
+    return numerator, (ell - 1) * ell**top
 
 
 @lru_cache(maxsize=4096)
@@ -203,7 +203,7 @@ def _shape(spec: VSpec, profile: RankProfile) -> Shape:
                 raise ArithmeticError(f"the displayed forms differ at {ell}, {v}")
         else:
             closed = _zero_form(ell, profile)
-        if not _evaluate(shape, ell) == direct == closed:
+        if not Fraction(*_evaluate(shape, ell)) == direct == closed:
             raise ArithmeticError(f"corner sum and closed form differ at {ell}, {v}")
     return shape
 
@@ -218,6 +218,21 @@ class LocalSeries:
     truncation: int | None = None
 
 
+def _series_ratio(ell: int, spec: VSpec, profile: RankProfile) -> tuple[int, int]:
+    """The local series as an unreduced (numerator, denominator > 0) pair."""
+    if isinstance(spec, ValuationPattern):
+        if spec.n != profile.n:
+            raise ValueError("pattern arity mismatch")
+        key = spec
+    else:
+        key = tuple(_check_tuple(v, profile.n) for v in spec)
+    numerator, denominator = _evaluate(_shape(key, profile), ell)
+    if not 0 <= numerator <= denominator:
+        value = Fraction(numerator, denominator)
+        raise ArithmeticError(f"local series {value} at ell={ell} outside [0,1]")
+    return numerator, denominator
+
+
 def local_series(ell: int, spec: VSpec, profile: RankProfile) -> LocalSeries:
     """Sum F(v) over a finite tuple list or a product-form pattern.
 
@@ -228,17 +243,9 @@ def local_series(ell: int, spec: VSpec, profile: RankProfile) -> LocalSeries:
     box sum are checked once per shape, as identities in ell; each prime
     costs one evaluation of the shape and a range check.
     """
-    if isinstance(spec, ValuationPattern):
-        if spec.n != profile.n:
-            raise ValueError("pattern arity mismatch")
-        key = spec
-    else:
+    if not isinstance(spec, ValuationPattern):
         spec = tuple(spec)
-        key = tuple(_check_tuple(v, profile.n) for v in spec)
-    value = _evaluate(_shape(key, profile), ell)
-    if not 0 <= value <= 1:
-        raise ArithmeticError(f"local series {value} at ell={ell} outside [0,1]")
-    return LocalSeries(value, ell, spec)
+    return LocalSeries(Fraction(*_series_ratio(ell, spec, profile)), ell, spec)
 
 
 def local_factor(ell: int, v_I, profile: RankProfile) -> Fraction:
@@ -278,6 +285,11 @@ def euler_product(
     telescopes to at least 1 - 2^n/L. When the default pattern is the
     trivial one, unlisted primes contribute exactly 1 and no tail widening
     happens at all.
+
+    The running enclosure is two integers over 2^PRECISION_BITS, floored
+    and ceiled after each exact factor: the same endpoints as folding
+    Interval.times_exact prime by prime, with no Fraction arithmetic in
+    the loop. The Interval is built once, after the tail.
     """
     if vmap.n != profile.n:
         raise ValueError("valuation map arity does not match the profile")
@@ -288,23 +300,21 @@ def euler_product(
     if max(vmap.listed, default=0) > cutoff:
         raise ValueError("every listed prime must lie at or below the cutoff")
 
-    acc = Interval.exactly(1)
+    scale = 1 << PRECISION_BITS
+    low = high = scale  # the enclosure [low, high] / scale, rounded outward
     factors = []
     zero_at = None
     for ell in primes_up_to(cutoff):
-        a = local_series(ell, vmap.spec_at(ell), profile).value
-        factors.append((ell, a))
-        if a == 0 and zero_at is None:
+        num, den = _series_ratio(ell, vmap.spec_at(ell), profile)
+        factors.append((ell, Fraction(num, den)))
+        if num == 0 and zero_at is None:
             zero_at = ell
-        acc = acc.times_exact(a)
+        low = low * num // den
+        high = -(-high * num // den)
 
-    if vmap.default.is_trivial():
-        interval = acc
-    else:
-        tail_low = acc.low * (1 - Fraction(2**profile.n, cutoff))
-        interval = Interval(
-            round_down(tail_low) if tail_low > 0 else Fraction(0), acc.high
-        )
+    if not vmap.default.is_trivial():
+        low = low * (cutoff - 2**profile.n) // cutoff
+    interval = Interval(Fraction(low, scale), Fraction(high, scale))
     return EulerProduct(interval, cutoff, profile.n, tuple(factors), zero_at)
 
 

@@ -116,11 +116,21 @@ class IndexObservation:
 
 
 def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """base^exp mod mod, elementwise, by square-and-multiply (exp >= 0)."""
+    """base^exp mod mod, elementwise, by square-and-multiply (exp >= 0).
+
+    The multiplier (exp & 1) (base - 1) + 1 is base on odd bits and 1 on
+    even ones, with no branch; every step works in place.
+    """
     base, exp, out = base % mod, exp.copy(), np.ones_like(base)
+    step = np.empty_like(base)
     for _ in range(int(exp.max(initial=0)).bit_length()):
-        out = out * np.where(exp & 1, base, 1) % mod
-        base = base * base % mod
+        np.subtract(base, 1, out=step)
+        step *= exp & 1
+        step += 1
+        out *= step
+        out %= mod
+        base *= base
+        base %= mod
         exp >>= 1
     return out
 

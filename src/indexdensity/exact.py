@@ -1,11 +1,16 @@
 """Exact rational intervals with directed dyadic rounding.
 
 Long products and series over thousands of exact rational factors would
-blow up denominator sizes if accumulated naively. Instead we keep a
-[low, high] pair of Fractions and, after each exact operation, round the
-endpoints outward to denominator 2^PRECISION_BITS. Every emitted interval
-therefore still rigorously contains the true value, while arithmetic
-stays fast. Decimal rendering rounds low down and high up.
+blow up denominator sizes if accumulated naively. Instead every endpoint
+lives on the grid of multiples of 2^-PRECISION_BITS: after each exact
+operation, low is rounded down and high up to that grid. Every emitted
+interval therefore still rigorously contains the true value, while
+arithmetic stays fast. The long loops (series_sum here, the Euler product
+in artin) keep the two endpoints as plain integers k meaning
+k / 2^PRECISION_BITS and build Fractions only at the end; one-off
+operations go through Interval, round_down and round_up. Both give the
+same endpoints, since floor(x 2^PRECISION_BITS) does not depend on how x
+is written. Decimal rendering rounds low down and high up.
 """
 
 from __future__ import annotations
@@ -78,14 +83,18 @@ def _render(scaled: int, places: int) -> str:
 def series_sum(terms) -> tuple[Fraction, Fraction]:
     """Signed bounds on a sum of exact rational terms, rounded outward.
 
+    Each term is added on the 2^-PRECISION_BITS grid as an integer count,
+    floored for low and ceiled for high: the same endpoints as rounding
+    each exact partial sum outward, with no Fraction arithmetic per term.
+
     Returned as a plain (low, high) pair rather than an Interval because
     partial sums of alternating series may dip below zero even when the
     limit is a density; callers clamp once they have added their tail.
     """
-    lo = Fraction(0)
-    hi = Fraction(0)
+    lo = hi = 0
     for t in terms:
         t = Fraction(t)
-        lo = round_down(lo + t)
-        hi = round_up(hi + t)
-    return (lo, hi)
+        scaled = t.numerator << PRECISION_BITS
+        lo += scaled // t.denominator
+        hi -= -scaled // t.denominator
+    return (Fraction(lo, _SCALE), Fraction(hi, _SCALE))

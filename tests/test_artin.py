@@ -6,6 +6,7 @@ from itertools import product as iproduct
 import pytest
 
 from indexdensity import artin
+from indexdensity.arith import primes_up_to
 from indexdensity.artin import (
     _general_prefactor_form,
     _zero_form,
@@ -17,8 +18,9 @@ from indexdensity.artin import (
     prob_model_oracle,
 )
 from indexdensity.errors import UnsupportedScopeError
+from indexdensity.exact import Interval, round_down
 from indexdensity.groups import GroupFamily, is_separated, profile_of
-from indexdensity.index_sets import ValuationMap, ValuationPattern
+from indexdensity.index_sets import Equals, KFree, ValuationMap, ValuationPattern
 
 ARTIN_CONSTANT = Fraction(3739558136192022880547280543464164151, 10**37)
 
@@ -164,6 +166,42 @@ def test_euler_product_trivial_default_is_exact():
     vm = ValuationMap.build(1, {2: ValuationPattern.exact_zero(1)}, ValuationPattern.anything(1))
     ep = euler_product(vm, profile_of(FAM1), 50)
     assert ep.interval.low == ep.interval.high == Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "fam, vmap",
+    [
+        (FAM1, Equals((1,)).valuation_map()),
+        (FAM_IND, Equals((1, 1)).valuation_map()),
+        (FAM1, KFree((2,)).valuation_map()),
+        (FAM_SAME, ValuationMap.build(2, {3: [(0, 1)]}, ValuationPattern.exact_zero(2))),
+    ],
+    ids=["eq1-<2>", "eq11-<2>,<3>", "kfree2-<2>", "zero-at-3"],
+)
+def test_euler_product_endpoints_match_the_interval_fold(fam, vmap):
+    # the integer enclosure must give exactly the endpoints of rounding
+    # outward after every exact factor, as Interval.times_exact does
+    prof, cutoff = profile_of(fam), 3000
+    acc, factors = Interval.exactly(1), []
+    for ell in primes_up_to(cutoff):
+        a = local_series(ell, vmap.spec_at(ell), prof).value
+        factors.append((ell, a))
+        acc = acc.times_exact(a)
+    if not vmap.default.is_trivial():
+        low = acc.low * (1 - Fraction(2**prof.n, cutoff))
+        acc = Interval(round_down(low), acc.high)
+    ep = euler_product(vmap, prof, cutoff)
+    assert ep.interval == acc
+    assert ep.factors == tuple(factors)
+    assert ep.zero_at == next((ell for ell, a in factors if a == 0), None)
+
+
+def test_the_range_check_guards_every_euler_factor(monkeypatch):
+    artin._shape.cache_clear()
+    monkeypatch.setattr(artin, "_shape", lambda spec, prof: (2, ()))  # the value 2
+    vm = ValuationMap.build(1, {}, ValuationPattern.exact_zero(1))
+    with pytest.raises(ArithmeticError, match="outside"):
+        euler_product(vm, profile_of(FAM1), 100)
 
 
 def test_prob_oracle_exact_matches_local_factor():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from indexdensity.exact import (
+    PRECISION_BITS,
     Interval,
     round_down,
     round_up,
@@ -48,6 +49,26 @@ def test_series_sum_signed_bounds():
     lo2, hi2 = series_sum([Fraction((-1) ** n, n + 1) for n in range(100)])
     exact = sum(Fraction((-1) ** n, n + 1) for n in range(100))
     assert lo2 <= exact <= hi2
+
+
+def test_series_sum_matches_rounding_every_partial_sum():
+    # the integer accumulators must reproduce the per-term outward fold,
+    # for terms of either sign and for terms already on the 2^-128 grid
+    rng = random.Random(5)
+    grid = 1 << PRECISION_BITS
+    terms = [Fraction(-1, rng.randint(1, 10**6)) for _ in range(50)]
+    terms += [Fraction(rng.choice((-1, 1)), rng.randint(1, 10**9)) for _ in range(200)]
+    terms += [Fraction(rng.randint(-(10**40), 10**40), grid) for _ in range(50)]
+    terms += [Fraction(-1, grid), Fraction(1, grid), Fraction(-3), 2]
+    rng.shuffle(terms)
+    lo = hi = Fraction(0)
+    for t in terms:
+        lo, hi = round_down(lo + t), round_up(hi + t)
+    assert series_sum(terms) == (lo, hi)
+    assert series_sum([Fraction(-5, grid), Fraction(1, 2)]) == (
+        Fraction(grid // 2 - 5, grid),
+        Fraction(grid // 2 - 5, grid),
+    )
 
 
 def test_contains_and_overlaps():
