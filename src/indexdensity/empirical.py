@@ -4,14 +4,16 @@ Everything analytic in this package predicts frequencies; this module
 measures them. The index map runs on whole blocks of primes at once in
 int64 numpy arithmetic, which is exact because every prime is at most
 SIEVE_CAP < 2^31. Each generator is reduced mod p by square-and-multiply
-over its factored exponents; a smallest-prime-factor table drives the
-factorization of p - 1, multiplicative orders come from exponent descent
-(one prime of p - 1 per pass, each pass over the rows that still have
-one), and the index of each group is (p - 1) over the lcm of its
-generators' orders. Surveys count membership in an index set once per
-distinct index tuple, optionally filtered by a congruence class on p, and
-report Wilson intervals. Observation logs make 10^7-scale scans reusable
-across queries.
+over its factored exponents, and a smallest-prime-factor table drives the
+factorization of p - 1. Indices come from power-residue tests: q divides
+the index of r exactly when r^((p - 1)/q) = 1, so one right-to-left
+square-and-multiply per generator, its squarings shared, tests every
+prime q of p - 1 at once, with the rows sorted so that each q runs on a
+prefix of them. In the cyclic group F_p^* the index of a group is the gcd
+of its generators' indices. Surveys count membership in an index set once
+per distinct index tuple, optionally filtered by a congruence class on p,
+and report Wilson intervals. Observation logs make 10^7-scale scans
+reusable across queries.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .groups import GroupFamily
 from .index_sets import IndexSet
 
 SIEVE_CAP = 10**8
+_CHUNK = 1 << 14  # primes per pass of the index kernel
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
@@ -56,13 +59,9 @@ def spf_table(limit: int) -> np.ndarray:
     """Smallest prime factor for every integer up to limit (int32)."""
     if limit > SIEVE_CAP:
         raise ValueError("table limit exceeds the sieve cap")
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == 0:
-            seg = spf[i * i :: i]
-            seg[seg == 0] = i
-    rest = np.nonzero(spf == 0)[0]
-    spf[rest] = rest  # primes above sqrt(limit), plus harmless 0 and 1
+    spf = np.arange(limit + 1, dtype=np.int32)  # primes, 0 and 1 keep themselves
+    for i in reversed(primes_up_to(math.isqrt(limit))):
+        spf[i * i :: i] = i  # the smaller primes write last
     return spf
 
 
@@ -115,24 +114,32 @@ class IndexObservation:
 # fits in int64 and the arithmetic below is exact.
 
 
-def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """base^exp mod mod, elementwise, by square-and-multiply (exp >= 0).
+def _powmod(base: np.ndarray, exps: list, mod: np.ndarray) -> list:
+    """base^x mod mod for each exponent array x, on x's prefix of the last axis.
 
-    The multiplier (exp & 1) (base - 1) + 1 is base on odd bits and 1 on
-    even ones, with no branch; every step works in place.
+    Right-to-left square-and-multiply (0 <= base < mod, x >= 0): the
+    squarings base^(2^j) are shared by every x, which each stop at their
+    own bit length. The multiplier (x & 1) (base - 1) + 1 is base on odd
+    bits and 1 on even ones, with no branch; every step works in place.
     """
-    base, exp, out = base % mod, exp.copy(), np.ones_like(base)
+    base, exps = base.copy(), [x.copy() for x in exps]
+    outs = [np.where(x & 1, base[..., : x.size], 1) for x in exps]
+    bits = [int(x.max(initial=0)).bit_length() for x in exps]
     step = np.empty_like(base)
-    for _ in range(int(exp.max(initial=0)).bit_length()):
-        np.subtract(base, 1, out=step)
-        step *= exp & 1
-        step += 1
-        out *= step
-        out %= mod
-        base *= base
-        base %= mod
-        exp >>= 1
-    return out
+    for j in range(1, max(bits, default=0)):
+        live = [(x, out) for x, out, n in zip(exps, outs, bits) if n > j]
+        n = max(x.size for x, _ in live)
+        base[..., :n] *= base[..., :n]
+        base[..., :n] %= mod[:n]
+        for x, out in live:
+            x >>= 1
+            s = step[..., : x.size]
+            np.subtract(base[..., : x.size], 1, out=s)
+            s *= x & 1
+            s += 1
+            out *= s
+            out %= mod[: x.size]
+    return outs
 
 
 def _reduce(x: int, mod: np.ndarray) -> np.ndarray:
@@ -144,57 +151,65 @@ def _reduce(x: int, mod: np.ndarray) -> np.ndarray:
 
 
 def _residues(primes: np.ndarray, family: GroupFamily) -> np.ndarray:
-    """Every generator of every group reduced mod each prime, one column each."""
+    """Every generator of every group reduced mod each prime, one row each."""
     pm1 = primes - 1
-    columns = []
-    for group in family.groups:
-        for g in group.generators:
-            r = np.ones_like(primes) if g.sign > 0 else pm1.copy()
-            for q, e in g.exponents:
-                r = r * _powmod(_reduce(q, primes), e % pm1, primes) % primes
-            columns.append(r)
-    return np.stack(columns, axis=1)
+    gens = [g for group in family.groups for g in group.generators]
+    out = np.empty((len(gens), primes.size), dtype=np.int64)
+    for r, g in zip(out, gens):
+        r[:] = 1 if g.sign > 0 else pm1
+        for q, e in g.exponents:
+            r[:] = r * _powmod(_reduce(q, primes), [e % pm1], primes)[0] % primes
+    return out
 
 
-def _orders(
-    primes: np.ndarray, residues: np.ndarray, spf: np.ndarray | None
-) -> np.ndarray:
-    """Multiplicative order of each residue mod its row's prime.
+def _slots(pm1: np.ndarray, spf: np.ndarray | None):
+    """A row order by omega(p - 1), most distinct primes first, and one slot per rank.
 
-    Exponent descent, one prime factor q of p - 1 per pass: strip q^e from
-    the part of p - 1 not yet examined, then lower each order's q-part to
-    the least q^k with r^(order / q^e * q^k) = 1. A pass touches only the
-    rows whose p - 1 still has a prime factor left. q comes from the spf
-    table, or from trial division without one.
+    Slot k is a pair of arrays (q, q^e) over the first n_k rows of that
+    order, the rows whose p - 1 has more than k distinct primes: q is the
+    k-th smallest of them and q^e exactly divides p - 1. q comes from the
+    spf table, or from trial division without one.
     """
-    width = residues.shape[1]
-    cofactor = primes - 1
-    orders = np.repeat(cofactor[:, None], width, axis=1)
-    live = np.flatnonzero(cofactor > 1)
-    while live.size:
-        m = cofactor[live]
-        q = _least_factor(m) if spf is None else spf[m].astype(np.int64)
-        m //= q
-        q_e, e_max = q.copy(), 1
-        again = np.flatnonzero(m % q == 0)
+    live, ranks = np.flatnonzero(pm1 > 1), []
+    c, omega = pm1[live], np.zeros(pm1.size, dtype=np.int8)
+    while live.size:  # c is the part of p - 1 left to factor on the live rows
+        q = _least_factor(c) if spf is None else spf[c].astype(np.int64)
+        c //= q
+        q_e, again = q.copy(), np.flatnonzero(c % q == 0)
         while again.size:
-            m[again] //= q[again]
+            c[again] //= q[again]
             q_e[again] *= q[again]
-            again = again[m[again] % q[again] == 0]
-            e_max += 1
-        cofactor[live] = m
+            again = again[c[again] % q[again] == 0]
+        omega[live] += 1
+        ranks.append((live, q, q_e))
+        live, c = live[c > 1], c[c > 1]
+    sort = [np.argsort(-omega[live], kind="stable") for live, _, _ in ranks]
+    slots = [(q[at], q_e[at]) for at, (_, q, q_e) in zip(sort, ranks)]
+    return np.argsort(-omega, kind="stable"), slots
 
-        p, q = np.repeat(primes[live], width), np.repeat(q, width)
-        order = (orders[live] // q_e[:, None]).ravel()
-        y = _powmod(residues[live].ravel(), order, p)
-        short = np.flatnonzero(y != 1)
-        for _ in range(e_max):  # r^(p - 1) = 1 bounds the q-part by q^e
-            order[short] *= q[short]
-            y[short] = _powmod(y[short], q[short], p[short])
-            short = short[y[short] != 1]
-        orders[live] = order.reshape(-1, width)
-        live = live[m > 1]
-    return orders
+
+def _indices(primes: np.ndarray, residues: np.ndarray, slots) -> np.ndarray:
+    """[F_p^* : <r>] for each residue r (one row per generator, columns in slot order).
+
+    For a slot (q, q^e), y = r^((p - 1) / q^e) has order q^s, and the
+    q-part of the index is q^(e - s): q^e when y = 1, and otherwise found
+    by lifting y <- y^q on the few columns with e > 1. One shared
+    square-and-multiply per residue computes y for every slot at once.
+    """
+    ys = _powmod(residues, [(primes[: q.size] - 1) // q_e for q, q_e in slots], primes)
+    index = np.ones_like(residues)
+    for (q, q_e), y in zip(slots, ys):
+        index[:, : q.size] *= np.where(y == 1, q_e, 1)
+        gen, col = np.nonzero((y != 1) & (q_e > q))
+        y, q, p, f = y[gen, col], q[col], primes[col], q_e[col] // q[col]
+        while gen.size:  # f = q^(e - s) if this lift reaches 1
+            y = _powmod(y, [q], p)[0]
+            hit = y == 1
+            index[gen[hit], col[hit]] *= f[hit]
+            f //= q
+            go = ~hit & (f > 1)
+            gen, col, y, q, p, f = gen[go], col[go], y[go], q[go], p[go], f[go]
+    return index
 
 
 def _least_factor(m: np.ndarray) -> np.ndarray:
@@ -222,7 +237,8 @@ def index_tuple(p, family: GroupFamily, spf: np.ndarray | None = None):
     prime. The computation is batched in int64 and exact because every
     prime is at most SIEVE_CAP < 2^31; larger primes raise ValueError. The
     factors of p - 1 come from spf, a smallest-prime-factor table covering
-    p, or from trial division when it is not given.
+    p, or from trial division when it is not given. A group's index is the
+    gcd of its generators' indices, each found by power-residue tests.
     """
     batch = isinstance(p, np.ndarray)
     if (int(p.max(initial=0)) if batch else p) > SIEVE_CAP:
@@ -233,13 +249,13 @@ def index_tuple(p, family: GroupFamily, spf: np.ndarray | None = None):
         if not batch:
             return None
         raise ValueError("the batch holds primes in the support of the family")
-    orders = _orders(primes, _residues(primes, family), spf)
     psi = np.empty((primes.size, len(family.groups)), dtype=np.int64)
-    col = 0
-    for i, group in enumerate(family.groups):
-        width = len(group.generators)
-        psi[:, i] = (primes - 1) // np.lcm.reduce(orders[:, col : col + width], axis=1)
-        col += width
+    first = np.cumsum([0] + [len(group.generators) for group in family.groups])[:-1]
+    for start in range(0, primes.size, _CHUNK):
+        chunk = primes[start : start + _CHUNK]
+        order, slots = _slots(chunk - 1, spf)
+        index = _indices(chunk[order], _residues(chunk[order], family), slots)
+        psi[start + order] = np.gcd.reduceat(index, first).T
     return psi if batch else tuple(int(x) for x in psi[0])
 
 
@@ -337,7 +353,8 @@ def _scan(family: GroupFamily, srange: SieveRange, log_path: str | None):
     primes = _primes_in(spf, resume_from, srange.high)
     primes = primes[~np.isin(primes, [q for q in family.support if q <= srange.high])]
     done = len(logged)
-    rows = np.empty((done + primes.size, logged.shape[1]), dtype=np.int64)
+    # p and Psi(p) are at most SIEVE_CAP < 2^31, so int32 holds them at half the size
+    rows = np.empty((done + primes.size, logged.shape[1]), dtype=np.int32)
     rows[:done], rows[done:, 0] = logged, primes
     del logged, primes  # rows holds them; keep the peak down during the scan
     sink = open(log.path, "a", encoding="utf-8") if log else None

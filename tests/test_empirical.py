@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -164,6 +165,47 @@ def test_index_map_reduces_generators_beyond_int64():
     batch = index_tuple(np.array(primes, dtype=np.int64), family)
     for p, row in zip(primes, batch.tolist()):
         assert tuple(row) == _oracle_psi(p, gen_lists), p
+
+
+# p = 2 has omega(p - 1) = 0, the Fermat primes have p - 1 a power of 2, and
+# the last three are the first primes with eight distinct primes in p - 1
+EXTREME_PRIMES = [2, 3, 5, 17, 257, 65537, 13123111, 14804791, 16546531]
+EXTREME_FAMILIES = [
+    (["2"],),
+    (["4096"],),
+    (["-1", "2"],),
+    (["2", "3"], ["5"]),
+    (["-3"], ["7/5"]),  # keeps p = 2 in the batch
+]
+
+
+@pytest.mark.parametrize("gen_lists", EXTREME_FAMILIES, ids=str)
+def test_index_map_at_extreme_factorisations(gen_lists):
+    family = GroupFamily.from_strings(*gen_lists)
+    primes = [p for p in EXTREME_PRIMES if p not in family.support]
+    batch = index_tuple(np.array(primes, dtype=np.int64), family)
+    for p, row in zip(primes, batch.tolist()):
+        assert tuple(row) == index_tuple(p, family) == _oracle_psi(p, gen_lists), p
+
+
+def test_index_map_at_65537():
+    assert index_tuple(65537, FAM2) == (2048,)
+    assert index_tuple(65537, GroupFamily.from_strings(["4096"])) == (8192,)
+
+
+def test_index_map_temporaries_stay_small():
+    # 8 MiB: the 7.95 MiB that the order-descent kernel needed here, rounded up
+    spf = empirical.spf_table(10**7)
+    primes = empirical._primes_in(spf, 2, 10**7)[-(1 << 16) :]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        index_tuple(primes, FAM2, spf)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_index_map_refuses_primes_above_the_cap():
