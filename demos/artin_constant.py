@@ -31,7 +31,7 @@ def main():
     target = Equals((1,))
 
     euler = valuation_density(family, target, cutoff=args.cutoff)
-    lo, hi = euler.value.decimal_bounds(8)
+    lo, hi = euler.value.decimal_bounds(20)
     print(f"euler product (cutoff {args.cutoff}):   [{lo}, {hi}]")
 
     series = hooley_series(

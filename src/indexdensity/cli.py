@@ -57,8 +57,18 @@ def frac_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def interval_payload(iv: Interval) -> dict:
-    lo, hi = iv.decimal_bounds()
+def interval_payload(iv: Interval, *, certified: bool = True) -> dict:
+    """Exact endpoints, and decimals to the place where the width shows.
+
+    Enough places that 10^-places is at most the width, and at least 12.
+    An interval that is not certified to enclose the value the caller
+    reports (a partial sum) gets the 12 places only: its width says
+    nothing about how many digits of that value are right.
+    """
+    places = 12
+    if certified and iv.width:
+        places = max(places, len(str(iv.width.denominator // iv.width.numerator)))
+    lo, hi = iv.decimal_bounds(places)
     return {
         "low": frac_str(iv.low),
         "high": frac_str(iv.high),
@@ -68,8 +78,11 @@ def interval_payload(iv: Interval) -> dict:
 
 
 def report_payload(report: DensityReport) -> dict:
+    # the singleton route encloses the sum over the members up to its
+    # bound: a lower bound on the density when the set has more members
+    certified = report.method != "singleton-sum"
     return {
-        "value": interval_payload(report.value),
+        "value": interval_payload(report.value, certified=certified),
         "method": report.method,
         "ledger": [[label, frac_str(x)] for label, x in report.ledger],
         "notes": list(report.notes),
@@ -558,7 +571,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the result payload as JSON")
         p.add_argument("--mode", choices=["generic", "corrected"])
         p.add_argument("--seed", type=int)
-        p.add_argument("--cutoff", type=int)
+        p.add_argument(
+            "--cutoff",
+            type=int,
+            help="primes up to here get exact factors in the ledger; past a "
+            "split of a few hundred the Euler tail is accelerated, so the "
+            "cutoff no longer sets the precision",
+        )
         p.add_argument("--truncation", type=int)
         p.add_argument("--bound", type=int)
         p.add_argument("--sieve-bound", dest="sieve_bound", type=int)

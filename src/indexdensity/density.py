@@ -282,14 +282,15 @@ def _joint_factor(model: KummerModel, specs: dict[int, VSpec]) -> Fraction:
     return total
 
 
-def _free_at(vmap: ValuationMap, scope, cutoff: int) -> ValuationMap:
-    """vmap with the scope primes up to the cutoff unconstrained (factor 1).
+def _free_at(vmap: ValuationMap, scope) -> ValuationMap:
+    """vmap with every scope prime unconstrained (factor 1).
 
-    Scope primes above the cutoff stay in the Euler tail, whose bound
-    still holds for the product over the primes outside the scope.
+    The joint factor accounts for the scope primes, so each is listed
+    here, past the cutoff too: euler_product then takes its factor 1 out
+    of the tail instead of counting its default factor a second time.
     """
     anything = ValuationPattern.anything(vmap.n)
-    at = dict(vmap.at) | {ell: anything for ell in scope if ell <= cutoff}
+    at = dict(vmap.at) | {ell: anything for ell in scope}
     return ValuationMap.build(vmap.n, at, vmap.default)
 
 
@@ -340,7 +341,7 @@ def valuation_density(
             ledger.append((f"ell={ell} generic", generic))
         joint = _joint_factor(model, specs)
         ledger.append((f"ell={','.join(map(str, scope))} corrected", joint))
-        vmap = _free_at(vmap, scope, cutoff)
+        vmap = _free_at(vmap, scope)
 
     ep = euler_product(vmap, profile, cutoff)
     for ell, a in ep.factors:
@@ -351,6 +352,7 @@ def valuation_density(
     notes = [
         f"set={index_set.label()}",
         f"cutoff={cutoff}",
+        f"tail-bound={float(ep.tail_bound):.3e}",
         f"corrected={corrected}",
         f"zero-at={ep.zero_at if joint else scope}",
     ]
@@ -435,7 +437,7 @@ def singleton_sum(
     zero_map = ValuationMap.build(
         profile.n, {}, ValuationPattern.exact_zero(profile.n)
     )
-    base = euler_product(_free_at(zero_map, scope, cutoff), profile, cutoff)
+    base = euler_product(_free_at(zero_map, scope), profile, cutoff)
     base_value = base.interval.times_exact(joint(((0,) * profile.n,) * len(scope)))
 
     members = index_set.members(bound, smooth)
@@ -461,6 +463,7 @@ def singleton_sum(
         f"smooth={smooth.value if smooth else None}",
         f"members={len(members)}",
         f"cutoff={cutoff}",
+        f"tail-bound={float(base.tail_bound):.3e}",
         f"corrected={corrected}",
     )
     return DensityReport(value, "singleton-sum", tuple(ledger), notes)

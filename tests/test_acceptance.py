@@ -435,3 +435,18 @@ def test_hooley_constants_for_entangled_generators(a, ratio):
     series = hooley_series(fam.groups[0], LevelMap.identity(), 3000, "corrected")
     assert euler.value.contains(ARTIN * ratio), euler.value.decimal_bounds(7)
     assert series.value.contains(ARTIN * ratio), series.value.decimal_bounds(7)
+    assert euler.value.width < Fraction(1, 10**20)
+
+
+@pytest.mark.parametrize("cutoff", [2000, 20000])
+@pytest.mark.parametrize(
+    "a, ratio", [(10007, Fraction(1)), (10009, 1 + Fraction(1, 10009**2 - 10009 - 1))]
+)
+def test_a_support_prime_on_either_side_of_the_cutoff(a, ratio, cutoff):
+    # Hooley (1967): 10007 is 3 mod 4, so <10007> gives A; 10009 is 1 mod 4,
+    # so <10009> gives A (1 + 1/(10009^2 - 10009 - 1)). The correction is
+    # 1.0e-8: a scope prime counted in the tail and in the joint factor fails
+    family = GroupFamily.from_strings([str(a)])
+    euler = valuation_density(family, Equals((1,)), cutoff=cutoff)
+    assert euler.value.contains(ARTIN * ratio), euler.value.decimal_bounds(12)
+    assert euler.value.width < Fraction(1, 10**20)

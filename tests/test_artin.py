@@ -18,7 +18,7 @@ from indexdensity.artin import (
     prob_model_oracle,
 )
 from indexdensity.errors import UnsupportedScopeError
-from indexdensity.exact import Interval, round_down
+from indexdensity.exact import PRECISION_BITS, Interval, round_down
 from indexdensity.groups import GroupFamily, is_separated, profile_of
 from indexdensity.index_sets import Equals, KFree, ValuationMap, ValuationPattern
 
@@ -141,7 +141,7 @@ def test_euler_product_contains_artin_constant():
     vm = ValuationMap.build(1, {}, ValuationPattern.exact_zero(1))
     ep = euler_product(vm, profile_of(FAM1), 10**4)
     assert ep.interval.low <= ARTIN_CONSTANT <= ep.interval.high
-    assert ep.interval.width < Fraction(2, 10**3)
+    assert ep.interval.width < Fraction(1, 10**20)
     assert ep.factors[0] == (2, Fraction(1, 2))
     assert ep.zero_at is None
 
@@ -179,8 +179,9 @@ def test_euler_product_trivial_default_is_exact():
     ids=["eq1-<2>", "eq11-<2>,<3>", "kfree2-<2>", "zero-at-3"],
 )
 def test_euler_product_endpoints_match_the_interval_fold(fam, vmap):
-    # the integer enclosure must give exactly the endpoints of rounding
-    # outward after every exact factor, as Interval.times_exact does
+    # the factors are exact; the interval must lie inside the enclosure
+    # from rounding outward after every exact factor, as
+    # Interval.times_exact does, widened by the crude tail 1 - 2^n/cutoff
     prof, cutoff = profile_of(fam), 3000
     acc, factors = Interval.exactly(1), []
     for ell in primes_up_to(cutoff):
@@ -191,9 +192,105 @@ def test_euler_product_endpoints_match_the_interval_fold(fam, vmap):
         low = acc.low * (1 - Fraction(2**prof.n, cutoff))
         acc = Interval(round_down(low), acc.high)
     ep = euler_product(vmap, prof, cutoff)
-    assert ep.interval == acc
+    assert acc.low <= ep.interval.low and ep.interval.high <= acc.high
+    if acc.high == 0:
+        assert ep.interval == acc
     assert ep.factors == tuple(factors)
     assert ep.zero_at == next((ell for ell, a in factors if a == 0), None)
+
+
+# zeta(2) = pi^2/6, zeta(3) (Apery's constant) and zeta(4) = pi^4/90,
+# truncated to 36 places
+ZETA = {
+    2: Fraction(1644934066848226436472415166646025189, 10**36),
+    3: Fraction(1202056903159594285399738161511449990, 10**36),
+    4: Fraction(1082323233711138191516003696541167902, 10**36),
+}
+
+
+def test_zeta_bounds_enclose_the_literature_values():
+    scale = 1 << PRECISION_BITS
+    for s, value in ZETA.items():
+        lo, hi = artin._zeta_bounds(s, scale)
+        assert Fraction(lo, scale) < value + Fraction(1, 10**36)
+        assert value <= Fraction(hi, scale)
+        assert hi - lo < 64
+
+
+def test_log_and_exp_bounds_invert_each_other():
+    scale = 1 << PRECISION_BITS
+    for y in (Fraction(0), Fraction(1, 3), Fraction(1, 1000), Fraction(2, 7) ** 9):
+        y_lo = y.numerator * scale // y.denominator
+        y_hi = -(-y.numerator * scale // y.denominator)
+        g_lo, g_hi = artin._log1p_bounds(y_lo, y_hi, scale)
+        assert g_hi - g_lo < 256
+        low = artin._exp_bounds(g_lo, scale)[0]
+        high = artin._exp_bounds(g_hi, scale)[1]
+        assert Fraction(low, scale) <= 1 + y <= Fraction(high, scale)
+        assert high - low < 512
+        low = artin._exp_bounds(-g_hi, scale)[0]
+        high = artin._exp_bounds(-g_lo, scale)[1]
+        assert Fraction(low, scale) <= 1 / (1 + y) <= Fraction(high, scale)
+
+
+@pytest.mark.parametrize(
+    "fam, index_set",
+    [(FAM1, Equals((1,))), (FAM_IND, Equals((1, 1))), (FAM1, KFree((2,)))],
+    ids=["eq1-<2>", "eq11-<2>,<3>", "kfree2-<2>"],
+)
+def test_the_smallest_split_agrees_with_the_default(monkeypatch, fam, index_set):
+    # at L0 = 2 rho every truncation bound binds hardest; the enclosure
+    # must still hold, so it must meet the default one
+    vmap, prof = index_set.valuation_map(), profile_of(fam)
+    artin._accelerated_tail.cache_clear()
+    default = euler_product(vmap, prof, 2000)
+    monkeypatch.setattr(artin, "TAIL_SPLIT_RATIO", 2)
+    artin._accelerated_tail.cache_clear()
+    smallest = euler_product(vmap, prof, 2000)
+    artin._accelerated_tail.cache_clear()
+    assert default.interval.width < Fraction(1, 10**30)
+    assert smallest.interval.width < Fraction(1, 10**12)
+    assert smallest.interval.overlaps(default.interval)
+
+
+def test_a_shape_without_an_accelerated_tail_keeps_the_crude_tail(monkeypatch):
+    # a default that is not 1 + O(ell^-2) has no accelerated tail
+    assert artin._accelerated_tail((1, ((0, -1),))) is None
+    assert artin._accelerated_tail((2, ())) is None
+    # then the interval is the old fold, widened by 1 - 2/cutoff: it
+    # nests as the cutoff grows and holds the accelerated enclosure
+    vm = ValuationMap.build(1, {}, ValuationPattern.exact_zero(1))
+    prof = profile_of(FAM1)
+    sharp = euler_product(vm, prof, 100).interval
+    monkeypatch.setattr(artin, "_accelerated_tail", lambda shape: None)
+    outer = Interval(Fraction(0), Fraction(1))
+    for cutoff in (100, 1000):
+        acc = Interval.exactly(1)
+        for ell in primes_up_to(cutoff):
+            acc = acc.times_exact(local_series(ell, vm.default, prof).value)
+        acc = Interval(round_down(acc.low * (1 - Fraction(2, cutoff))), acc.high)
+        ep = euler_product(vm, prof, cutoff)
+        assert ep.interval == acc
+        assert ep.tail_bound == Fraction(2, cutoff)
+        assert outer.low <= acc.low <= sharp.low and sharp.high <= acc.high <= outer.high
+        outer = acc
+    assert sharp.contains(ARTIN_CONSTANT)
+    assert sharp.width < Fraction(1, 10**30)
+
+
+@pytest.mark.parametrize("cutoff", [100, 2000, 20000])
+def test_listed_primes_past_the_split_leave_the_tail(cutoff):
+    # a listed prime trades its default factor for its own, on either side
+    # of the split and of the cutoff
+    prof = profile_of(FAM1)
+    at = {1009: ValuationPattern.anything(1), 10007: [(1,)]}
+    vm = ValuationMap.build(1, at, ValuationPattern.exact_zero(1))
+    ep = euler_product(vm, prof, cutoff)
+    f0 = {ell: local_factor(ell, (0,), prof) for ell in (1009, 10007)}
+    target = ARTIN_CONSTANT / f0[1009] * local_factor(10007, (1,), prof) / f0[10007]
+    assert ep.interval.contains(target)
+    assert all(ell <= cutoff for ell, _ in ep.factors)
+    assert ep.interval.width < Fraction(1, 10**30)
 
 
 def test_the_range_check_guards_every_euler_factor(monkeypatch):

@@ -35,9 +35,41 @@ def test_artin_command_brackets_the_constant(tmp_path, capsys):
     result = payload["result"]
     assert result["zero_at"] is None
     assert result["leading_factors"][0] == [2, "1/2"]
-    lo = float(result["interval"]["decimal_low"])
-    hi = float(result["interval"]["decimal_high"])
-    assert lo < 0.3739558 < hi
+    lo = Fraction(result["interval"]["decimal_low"])
+    hi = Fraction(result["interval"]["decimal_high"])
+    assert lo <= ARTIN <= hi
+
+
+def test_density_decimals_show_every_certified_digit(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "eq1.json", {"groups": [["2"]], "set": EQ1})
+    code, payload, _ = _run(capsys, "density", "--config", cfg)
+    assert code == 0
+    lo = payload["result"]["value"]["decimal_low"]
+    hi = payload["result"]["value"]["decimal_high"]
+    assert lo[:22] == hi[:22]  # "0." and 20 places
+    assert Fraction(lo) <= ARTIN <= Fraction(hi)
+
+
+def test_singleton_decimals_keep_twelve_places(tmp_path, capsys):
+    # the singleton interval leaves out the primes past the bound, so a
+    # narrow width must not be printed as certified digits of the density
+    cfg = _write_config(
+        tmp_path,
+        "primes.json",
+        {
+            "groups": [["2"]],
+            "set": {"kind": "primes"},
+            "method": "singletons",
+            "bound": 100,
+            "cutoff": 2000,
+        },
+    )
+    code, payload, _ = _run(capsys, "density", "--config", cfg)
+    assert code == 0
+    value = payload["result"]["value"]
+    assert payload["result"]["method"] == "singleton-sum"
+    assert Fraction(value["high"]) - Fraction(value["low"]) < Fraction(1, 10**30)
+    assert len(value["decimal_low"]) == len(value["decimal_high"]) == 14
 
 
 def test_density_series_vs_euler_payloads(tmp_path, capsys):

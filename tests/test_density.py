@@ -192,3 +192,11 @@ def test_report_metadata():
     assert any(n.startswith("truncation=") for n in rep.notes)
     assert any(n.startswith("tail-bound=") for n in rep.notes)
     assert 0 <= rep.value.low <= rep.value.high <= 1
+    # the Euler route and the singleton base say how their tail was certified
+    for rep in (
+        valuation_density(FAM2, Equals((1,)), cutoff=3000),
+        singleton_sum(FAM2, FiniteSet(((3,),)), cutoff=3000),
+    ):
+        notes = dict(n.split("=", 1) for n in rep.notes)
+        assert notes["cutoff"] == "3000"
+        assert 0 < float(notes["tail-bound"]) < 1e-30

@@ -2,11 +2,15 @@
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import indexdensity
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def test_every_export_resolves():
@@ -30,3 +34,25 @@ def test_every_traced_layer_resolves():
             if owner is None:
                 missing.append(f"{module_name}.{name}")
     assert missing == []
+
+
+def test_the_cli_loads_no_undeclared_dependency():
+    # mpmath and sympy may be installed, but pyproject.toml declares numpy only
+    probe = (
+        "import sys; import indexdensity.cli; "
+        "print(sorted({'mpmath', 'sympy'} & set(sys.modules)))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"
