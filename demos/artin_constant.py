@@ -22,7 +22,6 @@ from indexdensity import (
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--cutoff", type=int, default=10**4)
     parser.add_argument("--truncation", type=int, default=3000)
     parser.add_argument("--sieve-bound", type=int, default=300000)
     args = parser.parse_args()
@@ -30,9 +29,9 @@ def main():
     family = GroupFamily.from_strings(["2"])
     target = Equals((1,))
 
-    euler = valuation_density(family, target, cutoff=args.cutoff)
+    euler = valuation_density(family, target)
     lo, hi = euler.value.decimal_bounds(20)
-    print(f"euler product (cutoff {args.cutoff}):   [{lo}, {hi}]")
+    print(f"euler product:                   [{lo}, {hi}]")
 
     series = hooley_series(
         family.groups[0], LevelMap.identity(), args.truncation

@@ -215,7 +215,6 @@ class LocalSeries:
     value: Fraction
     ell: int
     spec: VSpec
-    truncation: int | None = None
 
 
 def _series_ratio(ell: int, spec: VSpec, profile: RankProfile) -> tuple[int, int]:
@@ -454,13 +453,12 @@ def _accelerated_tail(shape: Shape) -> tuple[int, int, int] | None:
 class EulerProduct:
     """Certified enclosure of an infinite product of local series.
 
+    factors holds every factor the exact product multiplied, in order;
     tail_bound is the width of the enclosure of the factor that the
-    primes past the exact ones contribute.
+    other primes contribute.
     """
 
     interval: Interval
-    cutoff: int
-    n: int
     factors: tuple[tuple[int, Fraction], ...]
     zero_at: int | None = None
     tail_bound: Fraction = Fraction(0)
@@ -473,23 +471,23 @@ def euler_product(
 ) -> EulerProduct:
     """prod over ell of the local series, with a certified tail.
 
-    Past a split L0 = TAIL_SPLIT_RATIO rho (a few hundred; see the
+    The exact product runs over the primes up to a bound, then over the
+    listed primes past it, and `factors` holds exactly those factors.
+    Past the split L0 = TAIL_SPLIT_RATIO rho (a few hundred; see the
     accelerated tails above) every unlisted prime has the default factor,
-    and their product is enclosed to about the working precision. The
-    exact product runs over the primes up to L0, whatever the cutoff; a
-    listed prime past L0 multiplies the tail by its own factor over the
-    default one. The primes up to the cutoff fill `factors`, and listed
-    primes past it are allowed, so a scope prime is never counted in the
-    tail as well.
+    and their product is enclosed to about the working precision, so the
+    bound is L0; a listed prime past L0 multiplies the tail by its own
+    factor over the default one. When the default pattern is the trivial
+    one, unlisted primes contribute exactly 1 and there is no tail: the
+    bound is 0, and only the listed primes are visited.
 
     When the default shape has no accelerated tail (it is not
-    1 + O(ell^-2), or its tail is too large for the exp bound), the
-    crude bound applies past the cutoff: every unlisted prime beyond
-    the cutoff contributes a factor between the zero-tuple value and 1,
-    the zero-tuple value is at least 1 - 2^n/(ell^2 - ell), and the product
-    of those lower bounds beyond L telescopes to at least 1 - 2^n/L. When
-    the default pattern is the trivial one, unlisted primes contribute
-    exactly 1 and there is no tail at all.
+    1 + O(ell^-2), or its tail is too large for the exp bound), the bound
+    is the cutoff, and the crude bound applies past it: every unlisted
+    prime beyond the cutoff contributes a factor between the zero-tuple
+    value and 1, the zero-tuple value is at least 1 - 2^n/(ell^2 - ell),
+    and the product of those lower bounds beyond L telescopes to at least
+    1 - 2^n/L.
 
     The running enclosure is two integers over 2^PRECISION_BITS, floored
     and ceiled after each exact factor, with no Fraction arithmetic in the
@@ -504,30 +502,23 @@ def euler_product(
 
     scale = 1 << PRECISION_BITS
     tail = None
+    bound = 0
     if not vmap.default.is_trivial():
         default = _shape(vmap.default, profile)
         tail = _accelerated_tail(default)
-    split = tail[0] if tail else 0
-    last = max(cutoff, split)
-    listed = set(vmap.listed)
-    beyond = [ell for ell in vmap.listed if ell > last]
+        bound = tail[0] if tail else cutoff
 
     low = high = scale  # the enclosure [low, high] / scale, rounded outward
     factors = []
-    zero_at = None
-    for ell in (*primes_up_to(last), *beyond):
+    for ell in (*primes_up_to(bound), *(p for p in vmap.listed if p > bound)):
         num, den = _series_ratio(ell, vmap.spec_at(ell), profile)
-        if ell <= cutoff:
-            factors.append((ell, Fraction(num, den)))
-        if num == 0 and zero_at is None:
-            zero_at = ell
-        if tail and ell > split:
-            if ell not in listed:
-                continue
+        factors.append((ell, Fraction(num, den)))
+        if tail and ell > bound:
             r_num, r_den = _evaluate(default, ell)  # positive past the split
             num, den = num * r_den, den * r_num
         low = low * num // den
         high = -(-high * num // den)
+    zero_at = next((ell for ell, a in factors if a == 0), None)
 
     if tail is not None:
         low = low * tail[1] // scale
@@ -539,9 +530,7 @@ def euler_product(
         low = low * (cutoff - 2**profile.n) // cutoff
         tail_bound = Fraction(2**profile.n, cutoff)
     interval = Interval(Fraction(low, scale), Fraction(high, scale))
-    return EulerProduct(
-        interval, cutoff, profile.n, tuple(factors), zero_at, tail_bound
-    )
+    return EulerProduct(interval, tuple(factors), zero_at, tail_bound)
 
 
 # ---------------------------------------------------------------------------

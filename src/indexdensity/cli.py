@@ -346,7 +346,7 @@ def run_artin(cfg: dict) -> dict:
     small = [[ell, frac_str(a)] for ell, a in ep.factors[:25]]
     return {
         "interval": interval_payload(ep.interval),
-        "cutoff": ep.cutoff,
+        "cutoff": cutoff,
         "zero_at": ep.zero_at,
         "leading_factors": small,
     }
@@ -574,9 +574,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--cutoff",
             type=int,
-            help="primes up to here get exact factors in the ledger; past a "
-            "split of a few hundred the Euler tail is accelerated, so the "
-            "cutoff no longer sets the precision",
+            help="where the crude Euler tail 1 - 2^n/cutoff starts, for a "
+            "default factor with no accelerated tail; the exact product "
+            "otherwise stops at a split of a few hundred, whatever the cutoff",
         )
         p.add_argument("--truncation", type=int)
         p.add_argument("--bound", type=int)

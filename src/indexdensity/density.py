@@ -25,7 +25,7 @@ from math import lcm, prod
 
 from .arith import euler_phi, factorize, moebius_sieve, primes_up_to, valuation
 from .errors import SizeLimitError, UnsupportedScopeError
-from .exact import Interval, round_down, round_up, series_sum
+from .exact import PRECISION_BITS, Interval, round_down, round_up, series_sum
 from .groups import GroupFamily, MultGroup, is_separated, profile_of, rank
 from .index_sets import (
     IndexSet,
@@ -36,7 +36,13 @@ from .index_sets import (
     check_index_tuple,
     valuations_at,
 )
-from .artin import corner_terms, euler_product, local_factor, local_series
+from .artin import (
+    _zeta_bounds,
+    corner_terms,
+    euler_product,
+    local_factor,
+    local_series,
+)
 from .kummer import KummerModel
 
 LEDGER_ROW_LIMIT = 64
@@ -147,17 +153,11 @@ class LevelMap:
 # Moebius series with a proved tail
 
 
-@lru_cache(maxsize=1)
 def _kappa_bound() -> Fraction:
-    """An upper bound on zeta(2)zeta(3)/zeta(6) = prod_p (1 + 1/(p(p-1))).
-
-    The primes above L = 10^4 contribute at most exp(1/L) <= L/(L-1).
-    """
-    top = 10**4
-    out = Fraction(top, top - 1)
-    for p in primes_up_to(top):
-        out = round_up(out * (1 + Fraction(1, p * (p - 1))))
-    return out
+    """An upper bound on kappa = zeta(2)zeta(3)/zeta(6) = prod_p (1 + 1/(p(p-1)))."""
+    scale = 1 << PRECISION_BITS
+    z2, z3, z6 = (_zeta_bounds(s, scale) for s in (2, 3, 6))
+    return Fraction(-(-z2[1] * z3[1] // z6[0]), scale)
 
 
 def _reciprocal_tail(truncation: int) -> Fraction:
@@ -169,15 +169,18 @@ def _reciprocal_tail(truncation: int) -> Fraction:
     T(N) <= kappa/N + P(N)/N^2 + 2 T(N)/N, with kappa = zeta(2)zeta(3)/zeta(6)
     and P(N) = sum_{d <= N} mu^2(d)/phi(d) <= prod_{p <= N} p/(p-1). The
     primes above L = 10^4 are covered by prod_{L < m <= N} m/(m-1) = N/L.
+    The product runs on the 2^-PRECISION_BITS grid, rounded up.
     """
     kappa = _kappa_bound()
     if truncation < 3:
         return kappa  # T(N) <= T(0) = kappa
+    scale = 1 << PRECISION_BITS
     top = min(truncation, 10**4)
-    mertens = Fraction(truncation, top)
+    mertens = -(-truncation * scale // top)
     for p in primes_up_to(top):
-        mertens = round_up(mertens * Fraction(p, p - 1))
+        mertens = -(-mertens * p // (p - 1))
     n = truncation
+    mertens = Fraction(mertens, scale)
     return round_up((kappa / n + mertens / n**2) / (1 - Fraction(2, n)))
 
 
@@ -286,7 +289,7 @@ def _free_at(vmap: ValuationMap, scope) -> ValuationMap:
     """vmap with every scope prime unconstrained (factor 1).
 
     The joint factor accounts for the scope primes, so each is listed
-    here, past the cutoff too: euler_product then takes its factor 1 out
+    here, past the split too: euler_product then takes its factor 1 out
     of the tail instead of counting its default factor a second time.
     """
     anything = ValuationPattern.anything(vmap.n)

@@ -146,12 +146,45 @@ def test_euler_product_contains_artin_constant():
     assert ep.zero_at is None
 
 
-def test_euler_product_intervals_nest_as_cutoff_grows():
-    vm = ValuationMap.build(1, {}, ValuationPattern.exact_zero(1))
-    prof = profile_of(FAM1)
-    small = euler_product(vm, prof, 1000).interval
-    big = euler_product(vm, prof, 4000).interval
-    assert small.low <= big.low and big.high <= small.high
+def _split(vmap, prof):
+    return artin._accelerated_tail(artin._shape(vmap.default, prof))[0]
+
+
+def test_euler_product_visits_only_the_primes_it_multiplies(monkeypatch):
+    # the exact product stops at the split: the cutoff changes neither
+    # the interval nor the work, and every local series evaluated is a
+    # factor kept, so the ledger rows are the product's own factors
+    calls = []
+    series_ratio = artin._series_ratio
+
+    def counted(ell, spec, profile):
+        calls.append(ell)
+        return series_ratio(ell, spec, profile)
+
+    monkeypatch.setattr(artin, "_series_ratio", counted)
+    cases = [
+        (FAM1, Equals((1,)), 31),
+        (FAM_IND, Equals((1, 1)), 43),
+        (FAM1, KFree((2,)), 31),
+    ]
+    for fam, index_set, count in cases:
+        vmap, prof = index_set.valuation_map(), profile_of(fam)
+        first, *rest = (euler_product(vmap, prof, c) for c in (100, 2000, 10**5))
+        assert all(ep.interval == first.interval for ep in rest)
+        calls.clear()
+        ep = euler_product(vmap, prof, 10**5)
+        primes = [ell for ell, _ in ep.factors]
+        assert primes == list(primes_up_to(_split(vmap, prof)))
+        assert len(primes) == count
+        assert calls == primes
+    # a trivial default: unlisted primes contribute exactly 1
+    at = {2: ValuationPattern.exact_zero(1), 10007: [(1,)]}
+    vm = ValuationMap.build(1, at, ValuationPattern.anything(1))
+    calls.clear()
+    ep = euler_product(vm, profile_of(FAM1), 10**5)
+    assert calls == [ell for ell, _ in ep.factors] == [2, 10007]
+    target = local_factor(10007, (1,), profile_of(FAM1)) / 2
+    assert ep.interval.contains(target)
 
 
 def test_euler_product_zero_absorption():
@@ -195,7 +228,8 @@ def test_euler_product_endpoints_match_the_interval_fold(fam, vmap):
     assert acc.low <= ep.interval.low and ep.interval.high <= acc.high
     if acc.high == 0:
         assert ep.interval == acc
-    assert ep.factors == tuple(factors)
+    split = _split(vmap, prof)
+    assert ep.factors == tuple((ell, a) for ell, a in factors if ell <= split)
     assert ep.zero_at == next((ell for ell, a in factors if a == 0), None)
 
 
@@ -289,7 +323,8 @@ def test_listed_primes_past_the_split_leave_the_tail(cutoff):
     f0 = {ell: local_factor(ell, (0,), prof) for ell in (1009, 10007)}
     target = ARTIN_CONSTANT / f0[1009] * local_factor(10007, (1,), prof) / f0[10007]
     assert ep.interval.contains(target)
-    assert all(ell <= cutoff for ell, _ in ep.factors)
+    past = [(ell, a) for ell, a in ep.factors if ell > _split(vm, prof)]
+    assert past == [(1009, 1), (10007, local_factor(10007, (1,), prof))]
     assert ep.interval.width < Fraction(1, 10**30)
 
 

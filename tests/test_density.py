@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from indexdensity import density
 from indexdensity.density import (
     LevelMap,
     correction_ratio,
@@ -80,6 +81,15 @@ def test_hooley_series_rejects_higher_rank():
         hooley_series(G2, LevelMap.identity(), 0)
     with pytest.raises(ValueError, match="truncation"):
         hooley_series(G2, LevelMap.identity(), 10**12)  # refused before allocating
+
+
+# zeta(2)zeta(3)/zeta(6) = sum 1/(n phi(n)), OEIS A082695, truncated
+KAPPA = Fraction(19435964368207592050570703625747634, 10**34)
+
+
+def test_the_series_tail_constant_bounds_kappa_from_above():
+    bound = density._kappa_bound()
+    assert KAPPA <= bound < KAPPA + Fraction(1, 10**30)
 
 
 def test_valuation_density_squarefree_agrees_with_series():
