@@ -11,9 +11,9 @@ vectors; counting split primes is shown as an independent check.
 from indexdensity import (
     GroupFamily,
     KummerModel,
+    LevelMap,
     entanglement_primes,
-    valuation_density,
-    Equals,
+    hooley_series,
 )
 
 
@@ -42,9 +42,8 @@ print(
 )
 
 # a wrong degree is not cosmetic: it shifts densities
-fam8 = GroupFamily.from_strings(["8"])
-for corrected in (False, True):
-    rep = valuation_density(fam8, Equals((1,)), cutoff=2000, corrected=corrected)
+g8 = GroupFamily.from_strings(["8"]).groups[0]
+for mode in ("generic", "corrected"):
+    rep = hooley_series(g8, LevelMap.identity(), 3000, mode)
     lo, hi = rep.value.decimal_bounds(6)
-    mode = "corrected" if corrected else "generic  "
-    print(f"density of index 1 for <8>, {mode} degrees: [{lo}, {hi}]")
+    print(f"density of index 1 for <8>, {mode:<9} degrees: [{lo}, {hi}]")

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .arith import is_prime
-from .artin import euler_product, local_factor, prob_model_oracle
+from .artin import local_factor, prob_model_oracle
 from .density import (
     DensityReport,
     LevelMap,
@@ -110,7 +110,6 @@ _SURVEY_KEYS = {"groups", "set", "congruence", "sieve_bound", "log_path"}
 
 _COMMAND_KEYS = {
     "degree": {"groups", "mode", "modulus", "levels"},
-    "artin": {"groups", "set", "map", "cutoff"},
     "artin-oracle": {"groups", "ell", "v", "method", "samples", "seed"},
     "density": _DENSITY_KEYS,
     "survey": _SURVEY_KEYS,
@@ -331,27 +330,6 @@ def run_degree(cfg: dict) -> dict:
     return {"modulus": modulus, "levels": list(levels), "mode": mode, "degree": value}
 
 
-def run_artin(cfg: dict) -> dict:
-    family = build_family(cfg)
-    profile = profile_of(family)
-    cutoff = _int(cfg, "cutoff", 10**5)
-    if "map" in cfg and "set" in cfg:
-        raise ConfigError("give either 'map' or 'set', not both")
-    if "map" in cfg:
-        vmap = build_valuation_map(cfg["map"], profile.n)
-    else:
-        index_set = build_index_set(cfg, profile.n)
-        vmap = index_set.valuation_map()
-    ep = euler_product(vmap, profile, cutoff)
-    small = [[ell, frac_str(a)] for ell, a in ep.factors[:25]]
-    return {
-        "interval": interval_payload(ep.interval),
-        "cutoff": cutoff,
-        "zero_at": ep.zero_at,
-        "leading_factors": small,
-    }
-
-
 def run_artin_oracle(cfg: dict) -> dict:
     family = build_family(cfg)
     profile = profile_of(family)
@@ -389,7 +367,12 @@ def run_density(cfg: dict) -> dict:
     family = build_family(cfg)
     _require_trivial_congruence(build_congruence(cfg))
     method = cfg.get("method", "euler")
-    mode = cfg.get("mode", "generic")
+    exact_only = method in ("euler", "singletons")
+    if exact_only and cfg.get("mode", "corrected") != "corrected":
+        raise ConfigError(
+            f"method {method} uses exact degrees at every prime; "
+            "'mode': 'generic' applies only to the series method"
+        )
     if method == "series":
         if len(family) != 1:
             raise ConfigError("series method needs a single group")
@@ -397,15 +380,12 @@ def run_density(cfg: dict) -> dict:
             family.groups[0],
             build_level_map(cfg),
             _int(cfg, "truncation", 10**4),
-            mode,
+            cfg.get("mode", "generic"),
         )
     elif method == "euler":
         index_set = build_index_set(cfg, len(family))
         report = valuation_density(
-            family,
-            index_set,
-            cutoff=_int(cfg, "cutoff", 10**5),
-            corrected=(mode == "corrected"),
+            family, index_set, cutoff=_int(cfg, "cutoff", 10**5)
         )
     elif method == "singletons":
         index_set = build_index_set(cfg, len(family))
@@ -416,7 +396,6 @@ def run_density(cfg: dict) -> dict:
             bound=_int(cfg, "bound", 10**3),
             smooth=SquarefreeModulus.from_int(smooth) if smooth else None,
             cutoff=_int(cfg, "cutoff", 10**5),
-            corrected=(mode == "corrected"),
         )
     else:
         raise ConfigError("method is one of series, euler, singletons")
@@ -557,7 +536,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     specs = {
         "degree": "cyclotomic-Kummer degrees, generic or exact",
-        "artin": "Euler product over local valuation series",
         "artin-oracle": "probabilistic model vs the closed form",
         "density": "analytic density by series, euler, or singletons",
         "survey": "sieve primes and measure index frequencies",
@@ -569,7 +547,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--output", help="write the result payload as JSON")
-        p.add_argument("--mode", choices=["generic", "corrected"])
+        p.add_argument(
+            "--mode",
+            choices=["generic", "corrected"],
+            help="generic or exact (corrected) Kummer degrees, for the series "
+            "method (default generic) and the degree command; the euler and "
+            "singletons methods are always exact and refuse generic",
+        )
         p.add_argument("--seed", type=int)
         p.add_argument(
             "--cutoff",
@@ -588,7 +572,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _RUNNERS = {
     "degree": run_degree,
-    "artin": run_artin,
     "artin-oracle": run_artin_oracle,
     "density": run_density,
     "survey": run_survey,

@@ -7,12 +7,14 @@ local valuation series for sets cut by valuations, a singleton sum of
 per-tuple densities for enumerable sets, and multiplicative correction
 ratios relating any tuple's density to the index-one constant.
 
-In corrected mode the finitely many primes where Kummer degrees can fall
-short of the generic ones (2, the support and the lattice primes) enter
-through one joint factor built from exact composite degrees, so
-entanglement between primes (sqrt(5) inside Q(zeta_5)) is seen; all
-other primes use the generic closed forms. Non-separated families are
-refused wherever a generic per-tuple value would be unsound.
+The Euler, singleton and ratio routes are exact at every prime: the
+finitely many primes where Kummer degrees can fall short of the generic
+ones (2, the support and the lattice primes) enter through one joint
+factor built from exact composite degrees, so entanglement between
+primes (sqrt(5) inside Q(zeta_5)) is seen; all other primes use the
+generic closed forms. The series route takes its degrees generic or
+exact by its mode. Non-separated families are refused wherever a
+generic per-tuple value would be unsound.
 """
 
 from __future__ import annotations
@@ -257,15 +259,17 @@ def hooley_series(
 # the joint factor at the primes where degrees can entangle
 
 
-def _joint_factor(model: KummerModel, specs: dict[int, VSpec]) -> Fraction:
+def _joint_factor(model: KummerModel, specs: dict[int, VSpec], degree=None) -> Fraction:
     """Density of primes whose index valuations at each listed ell lie in its spec.
 
     Multiplies out the signed corner terms of every prime's spec and
     divides each product by the exact degree of the composite field, so
     entanglement between the primes (sqrt(5) in Q(zeta_5)) is counted;
     this is the character-sum correction of Lenstra, Moree and
-    Stevenhagen (2014) in inclusion-exclusion form.
+    Stevenhagen (2014) in inclusion-exclusion form. degree, if given,
+    stands in for model.degree (a memo shared by calls on one model).
     """
+    degree = degree or model.degree
     n = len(model.family)
     primes = sorted(specs)
     terms = [corner_terms(specs[ell], n) for ell in primes]
@@ -281,7 +285,7 @@ def _joint_factor(model: KummerModel, specs: dict[int, VSpec]) -> Fraction:
         for ell, (c, w) in zip(primes, corners):
             coeff *= c
             levels = tuple(x * ell**e for x, e in zip(levels, w))
-        total += Fraction(coeff, model.degree(lcm(*levels), levels, "corrected"))
+        total += Fraction(coeff, degree(lcm(*levels), levels, "corrected"))
     return total
 
 
@@ -306,16 +310,14 @@ def valuation_density(
     index_set: IndexSet,
     *,
     cutoff: int = 10**5,
-    corrected: bool = True,
 ) -> DensityReport:
     """Euler product of local valuation series for a cut/almost-cut set.
 
-    With corrected=True the primes of KummerModel.deficiency_scope() (2,
-    the support and the lattice primes) enter through one joint factor
-    with exact composite degrees, and every other prime keeps its generic
-    local series. The ledger records the generic local series at each
-    scope prime next to the joint factor, so the rational multiple
-    relating them is visible.
+    The primes of KummerModel.deficiency_scope() (2, the support and the
+    lattice primes) enter through one joint factor with exact composite
+    degrees, and every other prime keeps its generic local series. The
+    ledger records the generic local series at each scope prime next to
+    the joint factor, so the rational multiple relating them is visible.
     """
     profile = profile_of(family)
     klass = index_set.classification()
@@ -332,21 +334,17 @@ def valuation_density(
     if vmap.n != len(family):
         raise ValueError("index set arity does not match the family")
 
-    scope: tuple[int, ...] = ()
-    joint = Fraction(1)
-    ledger = []
-    if corrected:
-        model = KummerModel(family)
-        scope = model.deficiency_scope()
-        specs = {ell: vmap.spec_at(ell) for ell in scope}
-        for ell, spec in specs.items():
-            generic = local_series(ell, spec, profile).value
-            ledger.append((f"ell={ell} generic", generic))
-        joint = _joint_factor(model, specs)
-        ledger.append((f"ell={','.join(map(str, scope))} corrected", joint))
-        vmap = _free_at(vmap, scope)
+    model = KummerModel(family)
+    scope = model.deficiency_scope()
+    specs = {ell: vmap.spec_at(ell) for ell in scope}
+    ledger = [
+        (f"ell={ell} generic", local_series(ell, spec, profile).value)
+        for ell, spec in specs.items()
+    ]
+    joint = _joint_factor(model, specs)
+    ledger.append((f"ell={','.join(map(str, scope))} corrected", joint))
 
-    ep = euler_product(vmap, profile, cutoff)
+    ep = euler_product(_free_at(vmap, scope), profile, cutoff)
     for ell, a in ep.factors:
         if len(ledger) >= LEDGER_ROW_LIMIT:
             break
@@ -356,7 +354,6 @@ def valuation_density(
         f"set={index_set.label()}",
         f"cutoff={cutoff}",
         f"tail-bound={float(ep.tail_bound):.3e}",
-        f"corrected={corrected}",
         f"zero-at={ep.zero_at if joint else scope}",
     ]
     if not is_separated(family):
@@ -369,18 +366,20 @@ def valuation_density(
 # singleton route for enumerable sets
 
 
-def _scope_joint(family: GroupFamily, corrected: bool):
-    """The corrected scope S (empty in generic mode) and a memoized joint factor.
+def _scope_joint(family: GroupFamily):
+    """The Kummer model's scope S and a memoized joint factor.
 
     joint(vs) is the density of primes whose index valuations at the i-th
     prime of S are exactly vs[i].
     """
     model = KummerModel(family)
-    scope = model.deficiency_scope() if corrected else ()
+    scope = model.deficiency_scope()
+    degree = lru_cache(maxsize=None)(model.degree)
 
     @lru_cache(maxsize=None)
     def joint(vs):
-        return _joint_factor(model, {ell: (v,) for ell, v in zip(scope, vs)})
+        specs = {ell: (v,) for ell, v in zip(scope, vs)}
+        return _joint_factor(model, specs, degree)
 
     return scope, joint
 
@@ -416,17 +415,17 @@ def singleton_sum(
     bound: int = 10**3,
     smooth: SquarefreeModulus | None = None,
     cutoff: int = 10**5,
-    corrected: bool = True,
 ) -> DensityReport:
     """Sum of per-tuple densities over the set's members up to a bound.
 
     Each tuple contributes the index-one constant times its multiplicative
-    correction; in corrected mode both use the joint factor over the
-    Kummer model's scope. Monotone in both the enumeration bound and the
-    smoothness modulus, which is the observable shape of the truncation
-    lattice the ledger reports. Refuses non-separated families: for those,
-    per-tuple densities are not products of local factors and a generic
-    value here would be silently wrong.
+    correction; both use the joint factor over the Kummer model's scope,
+    so every prime is priced with exact degrees. Monotone in both the
+    enumeration bound and the smoothness modulus, which is the observable
+    shape of the truncation lattice the ledger reports. Refuses
+    non-separated families: for those, per-tuple densities are not
+    products of local factors and a generic value here would be silently
+    wrong.
     """
     if not is_separated(family):
         raise UnsupportedScopeError(
@@ -435,7 +434,7 @@ def singleton_sum(
             "so the singleton route refuses; use the empirical survey"
         )
     profile = profile_of(family)
-    scope, joint = _scope_joint(family, corrected)
+    scope, joint = _scope_joint(family)
 
     zero_map = ValuationMap.build(
         profile.n, {}, ValuationPattern.exact_zero(profile.n)
@@ -467,7 +466,6 @@ def singleton_sum(
         f"members={len(members)}",
         f"cutoff={cutoff}",
         f"tail-bound={float(base.tail_bound):.3e}",
-        f"corrected={corrected}",
     )
     return DensityReport(value, "singleton-sum", tuple(ledger), notes)
 
@@ -479,19 +477,14 @@ def singleton_sum(
 @dataclass(frozen=True)
 class CorrectionRatio:
     value: Fraction
-    tag: str  # "corrected" when a prime of the corrected scope divides h
+    tag: str  # "corrected" when a prime of the Kummer scope divides h
 
 
-def correction_ratio(
-    h,
-    family: GroupFamily,
-    *,
-    corrected: bool = True,
-) -> CorrectionRatio:
+def correction_ratio(h, family: GroupFamily) -> CorrectionRatio:
     """Multiplicative correction m(h) relating dens({h}) to the constant.
 
-    Exact either way. Tagged "generic" when no prime dividing h is in the
-    corrected scope, so the generic local ratios alone give the value;
+    Exact. Tagged "generic" when no prime dividing h is in the Kummer
+    model's scope, so the generic local ratios alone give the value;
     otherwise tagged "corrected", as the scope primes enter through the
     joint factor with exact degrees.
     """
@@ -501,7 +494,7 @@ def correction_ratio(
         )
     profile = profile_of(family)
     h = check_index_tuple(h, profile.n)
-    scope, joint = _scope_joint(family, corrected)
+    scope, joint = _scope_joint(family)
     support = factorize(lcm(*h))
     tag = "corrected" if any(ell in support for ell in scope) else "generic"
     return CorrectionRatio(_tuple_correction(h, profile, scope, joint), tag)

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -20,24 +21,6 @@ def _run(capsys, *argv):
     captured = capsys.readouterr()
     payload = json.loads(captured.out) if captured.out.strip() else None
     return code, payload, captured.err
-
-
-def test_artin_command_brackets_the_constant(tmp_path, capsys):
-    cfg = _write_config(
-        tmp_path,
-        "artin.json",
-        {"groups": [["2"]], "set": {"kind": "equals", "tuple": [1]}},
-    )
-    code, payload, _ = _run(
-        capsys, "artin", "--config", cfg, "--cutoff", "3000"
-    )
-    assert code == 0
-    result = payload["result"]
-    assert result["zero_at"] is None
-    assert result["leading_factors"][0] == [2, "1/2"]
-    lo = Fraction(result["interval"]["decimal_low"])
-    hi = Fraction(result["interval"]["decimal_high"])
-    assert lo <= ARTIN <= hi
 
 
 def test_density_decimals_show_every_certified_digit(tmp_path, capsys):
@@ -240,22 +223,136 @@ def test_compare_consistent_and_inconsistent(tmp_path, capsys):
     assert code == 0
     assert payload["result"]["verdict"] == "consistent"
 
-    # generic mode thinks 4 is index 1 about 37% of the time; the sieve
-    # knows better, since 4 is a square
+    # the generic series thinks 4 is index 1 about 37% of the time; the
+    # sieve knows better, since 4 is a square
     bad = _write_config(
         tmp_path,
         "bad.json",
         {
             "groups": [["4"]],
             "set": {"kind": "equals", "tuple": [1]},
+            "method": "series",
             "mode": "generic",
-            "cutoff": 2000,
+            "truncation": 2000,
             "sieve_bound": 20000,
         },
     )
     code, payload, _ = _run(capsys, "compare", "--config", bad)
     assert code == 4
     assert payload["result"]["verdict"] == "inconsistent"
+
+
+@pytest.mark.parametrize("method", ["euler", "singletons"])
+def test_generic_mode_outside_the_series_exits_2(tmp_path, capsys, method):
+    cfg = _write_config(
+        tmp_path,
+        "generic.json",
+        {
+            "groups": [["4"]],
+            "set": {"kind": "equals", "tuple": [1]},
+            "method": method,
+            "mode": "generic",
+        },
+    )
+    for argv in (("density",), ("compare", "--sieve-bound", "20000")):
+        code, payload, err = _run(capsys, *argv, "--config", cfg)
+        assert code == 2
+        assert payload is None
+        assert "series method" in err
+
+
+def _squarefree_part(g):
+    """d and its primes, for g = d * m^2 with d squarefree (sign kept)."""
+    d, m, primes, p = (1 if g > 0 else -1), abs(g), [], 2
+    while m > 1:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e % 2:
+            d *= p
+            primes.append(p)
+        p += 1
+    return d, primes
+
+
+def _is_rational_power(g):
+    """Whether g = b^h for an integer b and some h >= 2."""
+    m = abs(g)
+    for h in range(2, m.bit_length() + 1):
+        b = round(m ** (1 / h))
+        if any(c**h == m for c in (b - 1, b, b + 1)) and (g > 0 or h % 2):
+            return True
+    return False
+
+
+HOOLEY_GRID = [
+    g
+    for g in range(-60, 61)
+    if abs(g) > 1
+    and not _is_rational_power(g)
+    and not (g < 0 and _squarefree_part(g)[0] == -1)
+]
+
+
+def _hooley_factor(g) -> Fraction:
+    """Hooley (1967): dens(index 1 for <g>) / A, for g not a power or -k^2."""
+    d, primes = _squarefree_part(g)
+    if d % 4 != 1:
+        return Fraction(1)
+    mu = (-1) ** len(primes)
+    return 1 - Fraction(mu, prod(p * p - p - 1 for p in primes))
+
+
+def test_default_density_is_hooleys_constant(tmp_path, capsys):
+    # 50 positive and 50 negative generators; 5, -3, 13, -7 and 21 carry
+    # the factors 20/19, 6/5, 156/155, 42/41 and 204/205
+    assert len(HOOLEY_GRID) == 100
+    assert sum(g > 0 for g in HOOLEY_GRID) == 50
+    assert [_hooley_factor(g) for g in (5, -3, 13, -7, 21)] == [
+        Fraction(20, 19),
+        Fraction(6, 5),
+        Fraction(156, 155),
+        Fraction(42, 41),
+        Fraction(204, 205),
+    ]
+    # the 37-digit A is truncated, so A lies in [ARTIN, ARTIN + 10^-37]
+    for g in HOOLEY_GRID:
+        cfg = _write_config(
+            tmp_path, "hooley.json", {"groups": [[str(g)]], "set": EQ1}
+        )
+        code, payload, _ = _run(capsys, "density", "--config", cfg)
+        assert code == 0, g
+        low = Fraction(payload["result"]["value"]["low"])
+        high = Fraction(payload["result"]["value"]["high"])
+        factor = _hooley_factor(g)
+        assert high - low < Fraction(1, 10**30), g
+        assert low <= (ARTIN + Fraction(1, 10**37)) * factor, g
+        assert ARTIN * factor <= high, g
+
+
+@pytest.mark.parametrize(
+    "groups, extra",
+    [
+        ([["5"]], {"set": EQ1, "sieve_bound": 10**6}),
+        (
+            [["2"], ["3"]],
+            {
+                "set": {"kind": "divides", "tuple": [12, 12]},
+                "method": "singletons",
+                "sieve_bound": 2 * 10**6,
+            },
+        ),
+    ],
+)
+def test_default_compare_sees_the_entanglement(tmp_path, capsys, groups, extra):
+    # sqrt(5) lies in Q(zeta_5) and sqrt(3) in Q(zeta_12): generic degrees
+    # give A for <5> and 0.7414 for the divisors of 12, the sieve about
+    # 20A/19 and 0.721
+    cfg = _write_config(tmp_path, "default.json", {"groups": groups, **extra})
+    code, payload, _ = _run(capsys, "compare", "--config", cfg)
+    assert code == 0
+    assert payload["result"]["verdict"] == "consistent"
 
 
 @pytest.mark.parametrize(
