@@ -407,9 +407,12 @@ def run_survey(cfg: dict) -> dict:
     srange = SieveRange.up_to(_int(cfg, "sieve_bound", 10**6))
     index_set = build_index_set(cfg, len(family))
     congruence = build_congruence(cfg)
-    rep = survey(
-        family, srange, index_set, congruence, log_path=cfg.get("log_path")
-    )
+    try:
+        rep = survey(
+            family, srange, index_set, congruence, log_path=cfg.get("log_path")
+        )
+    except OSError as exc:  # only the observation log is a file here
+        raise ConfigError(f"cannot use the observation log: {exc}") from exc
     lo, hi = rep.wilson
     return {
         "set": rep.label,

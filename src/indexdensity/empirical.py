@@ -4,22 +4,26 @@ Everything analytic in this package predicts frequencies; this module
 measures them. The index map runs on whole blocks of primes at once in
 int64 numpy arithmetic, which is exact because every prime is at most
 SIEVE_CAP < 2^31. Each generator is reduced mod p by square-and-multiply
-over its factored exponents, and a smallest-prime-factor table drives the
-factorization of p - 1. Indices come from power-residue tests: q divides
-the index of r exactly when r^((p - 1)/q) = 1, so one right-to-left
-square-and-multiply per generator, its squarings shared, tests every
-prime q of p - 1 at once, with the rows sorted so that each q runs on a
-prefix of them. In the cyclic group F_p^* the index of a group is the gcd
-of its generators' indices. Surveys count membership in an index set once
-per distinct index tuple, optionally filtered by a congruence class on p,
-and report Wilson intervals. Observation logs make 10^7-scale scans
-reusable across queries.
+over its factored exponents. A scan sieves and factors p - 1 one window
+of integers at a time (Bays-Hudson), so its memory does not grow with the
+range. Indices come from power-residue tests: q divides the index of r
+exactly when r^((p - 1)/q) = 1, so one right-to-left square-and-multiply
+per generator, its squarings shared, tests every prime q of p - 1 at
+once, with the rows sorted so that each q runs on a prefix of them. In
+the cyclic group F_p^* the index of a group is the gcd of its generators'
+indices. Surveys count membership in an index set once per distinct
+index tuple, one block of primes at a time, optionally filtered by a
+congruence class on p, and report Wilson intervals. Observation logs make
+10^7-scale scans reusable across queries.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import warnings
+from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -162,30 +166,69 @@ def _residues(primes: np.ndarray, family: GroupFamily) -> np.ndarray:
     return out
 
 
-def _slots(pm1: np.ndarray, spf: np.ndarray | None):
+def _factor(pm1: np.ndarray, spf: np.ndarray | None):
+    """The factorization of pm1 as _factorization gives it, by spf or trial division."""
+    pairs = [(pm1[:0], pm1[:0])]  # no pairs (row, q) when every entry is 1
+    if spf is None:  # every prime up to the square root, 128 at a time
+        small = np.array(primes_up_to(math.isqrt(int(pm1.max()))), dtype=np.int64)
+        for start in range(0, small.size, 128):
+            row, col = np.nonzero(pm1[:, None] % small[start : start + 128] == 0)
+            pairs.append((row, small[start + col]))
+    else:
+        live = np.flatnonzero(pm1 > 1)
+        c = pm1[live]
+        while live.size:  # c is the part of p - 1 left to factor on the live rows
+            q = spf[c].astype(np.int64)
+            c //= _exact_power(c, q)
+            pairs.append((live, q))
+            live, c = live[c > 1], c[c > 1]
+    return _factorization(pm1, *map(np.concatenate, zip(*pairs)))
+
+
+def _factorization(pm1: np.ndarray, row: np.ndarray, q: np.ndarray):
+    """(omega, q, q^e) from the pairs (row, q), q | pm1[row], in ascending q.
+
+    The pairs may leave out an entry's largest prime: it is what remains.
+    omega (int8) counts each entry's primes q, listed entry by entry in
+    ascending order beside q^e, the exact power of q dividing the entry.
+    """
+    q_e, prod = _exact_power(pm1[row], q), np.ones_like(pm1)
+    np.multiply.at(prod, row, q_e)
+    last = np.flatnonzero(pm1 > prod)  # the entries with a prime left over
+    left = pm1[last] // prod[last]
+    row, q, q_e = (np.concatenate(x) for x in ((row, last), (q, left), (q_e, left)))
+    # below 2^16 rows the key is 16 bits wide, and the stable sort is a radix sort
+    order = np.argsort(row.astype(np.min_scalar_type(pm1.size)), kind="stable")
+    omega = np.bincount(row, minlength=pm1.size).astype(np.int8)
+    return omega, q[order].astype(np.int32), q_e[order].astype(np.int32)
+
+
+def _exact_power(c: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """q^e, the exact power of q that divides each entry of c (q | c)."""
+    q_e, again = q.copy(), np.flatnonzero(c % (q * q) == 0)
+    while again.size:
+        q_e[again] *= q[again]
+        again = again[c[again] % (q_e[again] * q[again]) == 0]
+    return q_e
+
+
+def _slots(omega: np.ndarray, q: np.ndarray, q_e: np.ndarray):
     """A row order by omega(p - 1), most distinct primes first, and one slot per rank.
 
-    Slot k is a pair of arrays (q, q^e) over the first n_k rows of that
-    order, the rows whose p - 1 has more than k distinct primes: q is the
-    k-th smallest of them and q^e exactly divides p - 1. q comes from the
-    spf table, or from trial division without one.
+    Slot k is the pair (q, q^e) over the first rows of that order, those
+    whose p - 1 has more than k primes: q is the k-th smallest of them.
     """
-    live, ranks = np.flatnonzero(pm1 > 1), []
-    c, omega = pm1[live], np.zeros(pm1.size, dtype=np.int8)
-    while live.size:  # c is the part of p - 1 left to factor on the live rows
-        q = _least_factor(c) if spf is None else spf[c].astype(np.int64)
-        c //= q
-        q_e, again = q.copy(), np.flatnonzero(c % q == 0)
-        while again.size:
-            c[again] //= q[again]
-            q_e[again] *= q[again]
-            again = again[c[again] % q[again] == 0]
-        omega[live] += 1
-        ranks.append((live, q, q_e))
-        live, c = live[c > 1], c[c > 1]
-    sort = [np.argsort(-omega[live], kind="stable") for live, _, _ in ranks]
-    slots = [(q[at], q_e[at]) for at, (_, q, q_e) in zip(sort, ranks)]
-    return np.argsort(-omega, kind="stable"), slots
+    order = np.argsort(-omega, kind="stable")
+    first = (np.cumsum(omega) - omega)[order]
+    at = [first[: np.count_nonzero(omega > k)] + k for k in range(omega.max(initial=0))]
+    return order, [(q[i], q_e[i]) for i in at]
+
+
+def _split(factors, k: int):
+    """The factorizations (omega, q, q^e) of the first k entries, and of the rest."""
+    omega, q, q_e = factors
+    cut = int(omega[:k].sum())
+    return (omega[:k], q[:cut], q_e[:cut]), (omega[k:], q[cut:], q_e[cut:])
 
 
 def _indices(primes: np.ndarray, residues: np.ndarray, slots) -> np.ndarray:
@@ -212,33 +255,17 @@ def _indices(primes: np.ndarray, residues: np.ndarray, slots) -> np.ndarray:
     return index
 
 
-def _least_factor(m: np.ndarray) -> np.ndarray:
-    """Smallest prime factor of each entry m > 1, by trial division."""
-    small = np.array(primes_up_to(math.isqrt(SIEVE_CAP)), dtype=np.int64)
-    q = m.copy()  # an entry with no factor up to its square root is prime
-    todo = np.arange(m.size)
-    for start in range(0, small.size, 128):
-        chunk = small[start : start + 128]
-        if todo.size == 0 or chunk[0] ** 2 > m[todo].max():
-            break
-        hit = m[todo, None] % chunk == 0
-        found = hit.any(axis=1)
-        q[todo[found]] = chunk[hit[found].argmax(axis=1)]
-        todo = todo[~found]
-    return q
-
-
-def index_tuple(p, family: GroupFamily, spf: np.ndarray | None = None):
+def index_tuple(p, family: GroupFamily, factors: tuple | np.ndarray | None = None):
     """Psi(p): the index of each group's reduction in F_p^*.
 
     An int p gives a tuple, or None when p is in the support of the family
     (reduction mod p is undefined there). A 1-D int64 array of primes
     outside the support gives an (len(p), n) int64 array, one row per
     prime. The computation is batched in int64 and exact because every
-    prime is at most SIEVE_CAP < 2^31; larger primes raise ValueError. The
-    factors of p - 1 come from spf, a smallest-prime-factor table covering
-    p, or from trial division when it is not given. A group's index is the
-    gcd of its generators' indices, each found by power-residue tests.
+    prime is at most SIEVE_CAP < 2^31; larger primes raise ValueError.
+    factors is p - 1 factored as _factorization gives it, or an spf table
+    that covers p, or None for trial division. A group's index is the gcd of its
+    generators' indices, each found by power-residue tests.
     """
     batch = isinstance(p, np.ndarray)
     if (int(p.max(initial=0)) if batch else p) > SIEVE_CAP:
@@ -253,7 +280,11 @@ def index_tuple(p, family: GroupFamily, spf: np.ndarray | None = None):
     first = np.cumsum([0] + [len(group.generators) for group in family.groups])[:-1]
     for start in range(0, primes.size, _CHUNK):
         chunk = primes[start : start + _CHUNK]
-        order, slots = _slots(chunk - 1, spf)
+        if isinstance(factors, tuple):
+            chunk_factors, factors = _split(factors, _CHUNK)
+        else:
+            chunk_factors = _factor(chunk - 1, factors)
+        order, slots = _slots(*chunk_factors)
         index = _indices(chunk[order], _residues(chunk[order], family), slots)
         psi[start + order] = np.gcd.reduceat(index, first).T
     return psi if batch else tuple(int(x) for x in psi[0])
@@ -262,7 +293,8 @@ def index_tuple(p, family: GroupFamily, spf: np.ndarray | None = None):
 # ---------------------------------------------------------------------------
 # the scan, with an optional persisted log
 
-BLOCK = 1 << 16  # primes per index_tuple call
+BLOCK = 1 << 16  # primes per index_tuple call and per log write
+_WINDOW = 1 << 18  # integers sieved and factored per step of a scan
 _TABLE_CHUNK = 1 << 20  # spf entries read per step when listing primes
 
 
@@ -272,9 +304,9 @@ class ObservationLog:
     Header pins the family fingerprint and the range start; the highest
     scanned prime is implicit in the last row. Reuse requires the same
     fingerprint and start, and extends the log in place when a caller
-    asks for a higher bound. The rows are read back in one parse and
-    written one computed block at a time, so a stopped scan leaves whole
-    blocks behind and resumes after the last of them.
+    asks for a higher bound. The rows are read back and written one block
+    at a time, so a stopped scan leaves whole blocks behind and resumes
+    after the last of them.
     """
 
     def __init__(self, path: str, family: GroupFamily, low: int):
@@ -300,15 +332,17 @@ class ObservationLog:
         if int(parts[2]) != self.low:
             raise ConfigError("observation log starts at a different bound")
 
-    def read(self) -> np.ndarray:
-        """Every logged row (p, Psi(p)) as one int64 array."""
+    def blocks(self):
+        """The logged rows (p, Psi(p)) as int64 arrays of at most BLOCK rows."""
         with open(self.path, encoding="utf-8") as fh:
             self.validate(fh.readline())
-            body = fh.tell()
-            if not fh.read(1):
-                return np.empty((0, 1 + len(self.family)), dtype=np.int64)
-            fh.seek(body)
-            return np.loadtxt(fh, dtype=np.int64, ndmin=2)
+            while True:
+                with warnings.catch_warnings():  # a read at the end of the log warns
+                    warnings.simplefilter("ignore", UserWarning)
+                    rows = np.loadtxt(fh, dtype=np.int64, ndmin=2, max_rows=BLOCK)
+                if not len(rows):
+                    return
+                yield rows
 
 
 def _rows_text(rows: np.ndarray) -> str:
@@ -332,44 +366,73 @@ def _primes_in(spf: np.ndarray, low: int, high: int) -> np.ndarray:
     return np.concatenate(found)
 
 
-def _scan(family: GroupFamily, srange: SieveRange, log_path: str | None):
-    """(primes, psi) arrays over the range, support primes skipped.
+def _window(lo: int, hi: int, small: list[int], skip: list[int]):
+    """The primes of [lo, hi) outside skip, then their p - 1 as _factorization gives it.
 
-    A log that covers the range is replayed; one that stops short is
-    replayed and then extended in place.
+    small reaches the square root of the scan's end, so p - 1 has at most
+    one prime beyond it. Primes q | p - 1 below 16 are tested on p - 1; the
+    others are read off the sieve at the integers 1 mod q, a stride apart.
+    """
+    flags = np.ones(hi - lo, dtype=bool)
+    for q in small:
+        flags[max(q * q, -(-lo // q) * q) - lo :: q] = False
+    flags[[s - lo for s in skip if lo <= s < hi]] = False
+    at = np.flatnonzero(flags)
+    pm1, rank = at + (lo - 1), np.zeros(flags.size, dtype=np.int32)
+    rank[at] = np.arange(at.size)
+    tiny, big = [q for q in small if q < 16], [q for q in small if q >= 16]
+    starts = [(1 - lo) % q for q in big]  # offset of the first integer 1 mod q
+    steps = [flags[s::q].nonzero()[0] for q, s in zip(big, starts)]  # s + kq prime
+    n = [k.size for k in steps]
+    rows = [np.flatnonzero(pm1 % q == 0) for q in tiny]
+    rows.append(rank[np.repeat(starts, n) + np.concatenate(steps) * np.repeat(big, n)])
+    q = np.repeat(small, [r.size for r in rows[:-1]] + n)
+    return pm1 + 1, *_factorization(pm1, np.concatenate(rows), q)
+
+
+def _scan(family: GroupFamily, srange: SieveRange, log_path: str | None):
+    """(primes, psi) blocks over the range in ascending p, support primes skipped.
+
+    A log is replayed, then extended past its last prime if it stops short.
+    Each block but the last holds BLOCK primes; memory does not grow with
+    the range, as the sieve runs one window at a time.
     """
     log = ObservationLog(log_path, family, srange.low) if log_path else None
     write_header = log is not None and not log.exists()
-    logged = np.empty((0, 1 + len(family)), dtype=np.int64)
+    last = srange.low - 1
     if log and not write_header:
-        logged = log.read()
-    resume_from = int(logged[-1, 0]) + 1 if len(logged) else srange.low
+        for rows in log.blocks():
+            last = int(rows[-1, 0])
+            rows = rows[rows[:, 0] <= srange.high]
+            yield rows[:, 0], rows[:, 1:]
+            if last >= srange.high:
+                break
     # stops at the first prime past the log, so it costs one prime gap at most
-    if not any(is_prime(n) for n in range(resume_from, srange.high + 1)):
-        logged = logged[logged[:, 0] <= srange.high]
-        return logged[:, 0], logged[:, 1:]
-
-    spf = spf_table(srange.high)
-    primes = _primes_in(spf, resume_from, srange.high)
-    primes = primes[~np.isin(primes, [q for q in family.support if q <= srange.high])]
-    done = len(logged)
-    # p and Psi(p) are at most SIEVE_CAP < 2^31, so int32 holds them at half the size
-    rows = np.empty((done + primes.size, logged.shape[1]), dtype=np.int32)
-    rows[:done], rows[done:, 0] = logged, primes
-    del logged, primes  # rows holds them; keep the peak down during the scan
-    sink = open(log.path, "a", encoding="utf-8") if log else None
-    try:
+    if not any(is_prime(n) for n in range(last + 1, srange.high + 1)):
+        return
+    skip = [q for q in family.support if q <= srange.high]
+    # small always holds a prime above 16, for _window's strided reads
+    small, rest = list(primes_up_to(max(math.isqrt(srange.high), 17))), []
+    log_file = open(log_path, "a", encoding="utf-8") if log else nullcontext()
+    with log_file as sink:
         if write_header:
             sink.write(log.header())
-        for start in range(done, len(rows), BLOCK):
-            block = rows[start : start + BLOCK]
-            block[:, 1:] = index_tuple(block[:, 0], family, spf)
-            if sink:
-                sink.write(_rows_text(block))
-    finally:
-        if sink:
-            sink.close()
-    return rows[:, 0], rows[:, 1:]
+        for lo in range(last + 1, srange.high + 1, _WINDOW):
+            rest.append(_window(lo, min(lo + _WINDOW, srange.high + 1), small, skip))
+            end = lo + _WINDOW > srange.high
+            if not end and sum(part[0].size for part in rest) < BLOCK:
+                continue
+            primes, *factors = map(np.concatenate, zip(*rest))
+            rest = []  # the windows are copied: the kernel runs without them
+            while primes.size >= BLOCK or end and primes.size:
+                block, factors = _split(factors, BLOCK)
+                psi = index_tuple(primes[:BLOCK], family, block)
+                if sink:
+                    sink.write(_rows_text(np.column_stack([primes[:BLOCK], psi])))
+                yield primes[:BLOCK], psi
+                primes = primes[BLOCK:]
+            rest.append(tuple(map(np.copy, (primes, *factors))))
+            primes = factors = block = psi = None  # they would keep the blocks alive
 
 
 def observations(
@@ -381,29 +444,32 @@ def observations(
     """Stream IndexObservations over the range, reusing a log if given.
 
     Support primes are skipped (their reductions are not well-defined
-    units); callers that need the skip count use skipped_in. A log that
-    stops short of the requested bound is extended in place.
+    units); callers that need the skip count use skipped_in. The scan runs
+    as the stream is read, and extends a log that stops short in place.
     """
-    primes, psi = _scan(family, srange, log_path)
-    for p, row in zip(primes.tolist(), psi.tolist()):
-        yield IndexObservation(p, tuple(row))
+    for primes, psi in _scan(family, srange, log_path):
+        for p, row in zip(primes.tolist(), psi.tolist()):
+            yield IndexObservation(p, tuple(row))
 
 
 def _tally(family, srange, congruence, log_path):
     """The distinct Psi rows over the admitted primes, with their counts.
 
-    Rows are grouped by one lexsort; np.unique(axis=0) gives the same
-    groups about ten times slower.
+    Each block is grouped by one lexsort (np.unique(axis=0) gives the same
+    groups about ten times slower), and the blocks' counts are merged.
     """
-    primes, psi = _scan(family, srange, log_path)
-    if congruence and not congruence.is_trivial():
-        psi = psi[congruence.allows(primes)]
-    psi = psi[np.lexsort(psi.T[::-1])]
-    first = np.ones(len(psi), dtype=bool)
-    first[1:] = (psi[1:] != psi[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    counts = np.diff(starts, append=len(psi))
-    return [(tuple(r), c) for r, c in zip(psi[starts].tolist(), counts.tolist())]
+    counts = Counter()
+    for primes, psi in _scan(family, srange, log_path):
+        if congruence and not congruence.is_trivial():
+            psi = psi[congruence.allows(primes)]
+        psi = psi[np.lexsort(psi.T[::-1])]
+        first = np.ones(len(psi), dtype=bool)
+        first[1:] = (psi[1:] != psi[:-1]).any(axis=1)
+        starts = np.flatnonzero(first)
+        sizes = np.diff(starts, append=len(psi)).tolist()
+        counts.update(dict(zip(map(tuple, psi[starts].tolist()), sizes)))
+        del primes, psi  # not held while the scan sieves the next block
+    return sorted(counts.items())
 
 
 def skipped_in(family: GroupFamily, srange: SieveRange) -> int:

@@ -6,6 +6,7 @@ from math import prod
 
 import pytest
 
+from indexdensity import empirical
 from indexdensity.cli import main
 from test_acceptance import ARTIN
 
@@ -180,6 +181,43 @@ def test_bad_output_path_exits_2(tmp_path, capsys):
         code, _, err = _run(capsys, "survey", "--config", cfg)
         assert code == 2
         assert "config error" in err
+
+
+def test_unusable_log_path_exits_2(tmp_path, capsys):
+    base = {"groups": [["2"]], "set": {"kind": "equals", "tuple": [1]}}
+    # a log in a missing directory, and a log path that names a directory
+    for log_path in (tmp_path / "missing" / "scan.log", tmp_path):
+        for command, extra in (("survey", {}), ("compare", {"cutoff": 2000})):
+            keys = base | extra | {"sieve_bound": 2000, "log_path": str(log_path)}
+            cfg = _write_config(tmp_path, "log.json", keys)
+            code, payload, err = _run(capsys, command, "--config", cfg)
+            assert code == 2, (command, log_path)
+            assert payload is None
+            assert err.startswith("config error: cannot use the observation log")
+            assert "Traceback" not in err
+
+
+def test_malformed_log_row_exits_2(tmp_path, capsys, monkeypatch):
+    # small blocks put the bad row in the log's fourth block
+    monkeypatch.setattr(empirical, "BLOCK", 100)
+    log_path = tmp_path / "scan.log"
+    cfg = _write_config(
+        tmp_path,
+        "log.json",
+        {
+            "groups": [["2"]],
+            "set": {"kind": "equals", "tuple": [1]},
+            "sieve_bound": 3000,
+            "log_path": str(log_path),
+        },
+    )
+    assert _run(capsys, "survey", "--config", cfg)[0] == 0
+    with open(log_path, "a", encoding="utf-8") as fh:
+        fh.write("3001 x\n")
+    code, payload, err = _run(capsys, "survey", "--config", cfg)
+    assert code == 2
+    assert payload is None
+    assert "could not convert string" in err
 
 
 def test_malformed_set_exits_2(tmp_path, capsys):

@@ -140,6 +140,86 @@ def test_scan_matches_the_pow_oracle(gen_lists, monkeypatch):
         assert got[p] == _oracle_psi(p, gen_lists), p
 
 
+def _assert_scan_is_exact(rows, gen_lists, srange):
+    """rows (p, Psi(p)) hold every prime of the range outside the support, each
+    with the oracle's index tuple and index_tuple's own."""
+    family = GroupFamily.from_strings(*gen_lists)
+    primes = [p for p in primes_up_to(srange.high) if p >= srange.low]
+    primes = [p for p in primes if p not in family.support]
+    assert [p for p, _ in rows] == primes
+    batch = index_tuple(np.array(primes, dtype=np.int64), family).tolist()
+    for (p, psi), row in zip(rows, batch):
+        assert psi == tuple(row) == _oracle_psi(p, gen_lists), p
+
+
+# (window, range, generators): a range from 30, where sieving primes up to
+# the square root lie inside the range, and one from 12345, where every
+# sieve and stride starts at an arbitrary offset; support primes that end a
+# window (4093 in [2, 4094)) and start one (4099 in [4099, 8196)); and
+# p = 2 and 3 in the first window
+WINDOW_CASES = [
+    (3000, (30, 20000), (["2", "3"],)),
+    (3000, (12345, 40000), (["-3/10", "7"], ["2/9"])),
+    (4092, (2, 20000), (["4093"], ["-2"])),
+    (4097, (2, 20000), (["4099/7"],)),
+    (2500, (2, 12000), (["5"], ["-7"])),
+]
+
+
+@pytest.mark.parametrize("window, bounds, gen_lists", WINDOW_CASES, ids=str)
+def test_scan_is_exact_across_window_edges(window, bounds, gen_lists, monkeypatch):
+    monkeypatch.setattr(empirical, "_WINDOW", window)
+    monkeypatch.setattr(empirical, "BLOCK", 1000)
+    family, srange = GroupFamily.from_strings(*gen_lists), SieveRange(*bounds)
+    assert srange.high - srange.low > 3 * window
+    rows = [(obs.p, obs.psi) for obs in observations(family, srange)]
+    _assert_scan_is_exact(rows, gen_lists, srange)
+
+
+def test_log_extended_from_inside_a_window(tmp_path, monkeypatch):
+    # the log stops at 5000, inside the second window [3002, 6002); the
+    # extension sieves from there alone
+    monkeypatch.setattr(empirical, "_WINDOW", 3000)
+    monkeypatch.setattr(empirical, "BLOCK", 1000)
+    gen_lists, path = (["2"], ["-3/10", "7"]), str(tmp_path / "scan.log")
+    family = GroupFamily.from_strings(*gen_lists)
+    assert sum(1 for _ in observations(family, SieveRange.up_to(5000), log_path=path))
+    srange = SieveRange.up_to(30000)
+    rows = [(obs.p, obs.psi) for obs in observations(family, srange, log_path=path)]
+    _assert_scan_is_exact(rows, gen_lists, srange)
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        logged = [tuple(map(int, line.split())) for line in fh]
+    assert logged == [(p, *psi) for p, psi in rows]
+
+
+def _survey_peak(bound):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        survey(FAM2, SieveRange.up_to(bound), Equals((1,)))
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_survey_memory_does_not_grow_with_the_range():
+    # the scan holds a window and a block, both of a fixed size, so its peak
+    # is a few MiB at any bound
+    small, large = _survey_peak(10**6), _survey_peak(10**7)
+    assert large <= 20 * 2**20
+    assert large <= small + 2 * 2**20
+
+
+def test_counts_match_independent_prime_counts():
+    # hits frozen from orders computed with sympy, independently of this package
+    pair = GroupFamily.from_strings(["2"], ["3"])
+    both = survey(pair, SieveRange.up_to(2 * 10**6), Equals((1, 1)))
+    assert (both.hits, both.total) == (21886, 148931)
+    kfree = survey(FAM2, SieveRange.up_to(3 * 10**6), KFree((2,)))
+    assert (kfree.hits, kfree.total) == (185741, 216815)
+
+
 @functools.cache
 def _primes_below_the_cap():
     return [p for p in range(SIEVE_CAP - 2000, SIEVE_CAP + 1) if _factor(p) == {p: 1}]
