@@ -402,10 +402,11 @@ def run_density(cfg: dict) -> dict:
     return report_payload(report)
 
 
-def run_survey(cfg: dict) -> dict:
+def run_survey(cfg: dict, index_set=None) -> dict:
     family = build_family(cfg)
     srange = SieveRange.up_to(_int(cfg, "sieve_bound", 10**6))
-    index_set = build_index_set(cfg, len(family))
+    if index_set is None:
+        index_set = build_index_set(cfg, len(family))
     congruence = build_congruence(cfg)
     try:
         rep = survey(
@@ -427,28 +428,29 @@ def run_survey(cfg: dict) -> dict:
     }
 
 
+def _series_set(cfg: dict):
+    """The set whose density the level map gives: index 1, index t, or k-free."""
+    level_map = build_level_map(cfg)
+    if level_map.kind not in ("identity", "times", "power"):
+        raise ConfigError(f"compare cannot survey the set of a {level_map.kind} map")
+    own = KFree((level_map.k,)) if level_map.k else Equals((level_map.t or 1,))
+    if "set" in cfg and build_index_set(cfg, 1) != own:
+        raise ConfigError(f"the level map gives the set {own.label()}; 'set' differs")
+    return own
+
+
 def run_compare(cfg: dict) -> tuple[dict, int]:
+    index_set = _series_set(cfg) if cfg.get("method") == "series" else None
     analytic = run_density(cfg)
-    empirical = run_survey(cfg)
-    a_low = Fraction(*map(int, analytic["value"]["low"].split("/")))
-    a_high = Fraction(*map(int, analytic["value"]["high"].split("/")))
+    empirical = run_survey(cfg, index_set)
     verdict = "inconclusive"
     if empirical["total"] > 0:
-        overlap = float(a_low) <= empirical["wilson_high"] and empirical[
-            "wilson_low"
-        ] <= float(a_high)
+        low, high = (float(Fraction(analytic["value"][end])) for end in ("low", "high"))
+        overlap = low <= empirical["wilson_high"] and empirical["wilson_low"] <= high
         verdict = "consistent" if overlap else "inconsistent"
-    payload = {
-        "analytic": analytic,
-        "empirical": empirical,
-        "verdict": verdict,
-    }
-    code = {
-        "consistent": EXIT_OK,
-        "inconsistent": EXIT_INCONSISTENT,
-        "inconclusive": EXIT_REFUSED,
-    }[verdict]
-    return payload, code
+    payload = {"analytic": analytic, "empirical": empirical, "verdict": verdict}
+    exits = {"consistent": EXIT_OK, "inconsistent": EXIT_INCONSISTENT}
+    return payload, exits.get(verdict, EXIT_REFUSED)
 
 
 def run_classify(cfg: dict) -> dict:

@@ -11,10 +11,11 @@ The Euler, singleton and ratio routes are exact at every prime: the
 finitely many primes where Kummer degrees can fall short of the generic
 ones (2, the support and the lattice primes) enter through one joint
 factor built from exact composite degrees, so entanglement between
-primes (sqrt(5) inside Q(zeta_5)) is seen; all other primes use the
-generic closed forms. The series route takes its degrees generic or
-exact by its mode. Non-separated families are refused wherever a
-generic per-tuple value would be unsound.
+primes (sqrt(5) inside Q(zeta_5)) is seen; as it passes through the
+2-part alone, that factor is a product of local sums. All other primes
+use the generic closed forms. The series route takes its degrees
+generic or exact by its mode. Non-separated families are refused
+wherever a generic per-tuple value would be unsound.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from math import lcm, prod
 
 from .arith import euler_phi, factorize, moebius_sieve, primes_up_to, valuation
-from .errors import SizeLimitError, UnsupportedScopeError
+from .errors import UnsupportedScopeError
 from .exact import PRECISION_BITS, Interval, round_down, round_up, series_sum
 from .groups import GroupFamily, MultGroup, is_separated, profile_of, rank
 from .index_sets import (
@@ -39,6 +40,7 @@ from .index_sets import (
     valuations_at,
 )
 from .artin import (
+    _subsets,
     _zeta_bounds,
     corner_terms,
     euler_product,
@@ -49,7 +51,6 @@ from .kummer import KummerModel
 
 LEDGER_ROW_LIMIT = 64
 MAX_TRUNCATION = 10**7  # moebius_sieve holds about 9 bytes per n
-JOINT_TERM_LIMIT = 2**17  # composite degrees one joint factor may need
 
 
 @dataclass(frozen=True)
@@ -196,12 +197,10 @@ def _tail_constant(model: KummerModel, level_map: LevelMap, mode: str) -> Fracti
     level map, 1/D(f(n)) <= c / (f(n) phi(f(n))) <= c / (n phi(n)).
     """
     best = Fraction(0)
-    scope = model.deficiency_scope()
-    for size in range(len(scope) + 1):
-        for primes in combinations(scope, size):
-            f_s = level_map(prod(primes))
-            ratio = Fraction(f_s * euler_phi(f_s), model.degree(f_s, (f_s,), mode))
-            best = max(best, ratio)
+    for primes in _subsets(model.deficiency_scope()):
+        f_s = level_map(prod(primes))
+        ratio = Fraction(f_s * euler_phi(f_s), model.degree(f_s, (f_s,), mode))
+        best = max(best, ratio)
     return best
 
 
@@ -262,31 +261,43 @@ def hooley_series(
 def _joint_factor(model: KummerModel, specs: dict[int, VSpec], degree=None) -> Fraction:
     """Density of primes whose index valuations at each listed ell lie in its spec.
 
-    Multiplies out the signed corner terms of every prime's spec and
-    divides each product by the exact degree of the composite field, so
-    entanglement between the primes (sqrt(5) in Q(zeta_5)) is counted;
-    this is the character-sum correction of Lenstra, Moree and
-    Stevenhagen (2014) in inclusion-exclusion form. degree, if given,
+    Term by term, it is sum prod_ell c_ell / D(M, N) over one signed corner
+    (c_ell, w_ell) per prime, N_i = prod_ell ell^(w_ell)_i and M = lcm(N),
+    with exact degrees D, so entanglement (sqrt(5) in Q(zeta_5)) counts:
+    the character-sum correction of Lenstra, Moree and Stevenhagen (2014).
+    In D(M, N) = phi(M) |G| / |G & H| (KummerModel.degree), phi(M) and |G|
+    split over the ell-parts of Q*/Q*^M; H has exponent 2, so G & H depends
+    only on the 2-adic levels and on T, the odd support primes dividing M
+    (disc Q(sqrt z) is made of 2 and support primes). With k_ell = v_ell(M):
+      D(M, N) = D(2^k_2 prod T, N_2) prod_{ell in T} D(ell^k_ell, N_ell)/(ell-1)
+                prod_{other odd ell | M} D(ell^k_ell, N_ell).
+    So the sum is a product over the lattice primes outside the support of
+    sum c/D(ell^max w, ell^w), times the sum over the corners (c, w) at 2 and
+    the sets T of c prod_{ell in T} A_ell prod_{ell not in T} B_ell
+    / D(2^max w prod T, 2^w): A_ell is ell - 1 times the sum over the nonzero
+    corners at ell, B_ell the zero corner's coefficient. degree, if given,
     stands in for model.degree (a memo shared by calls on one model).
     """
     degree = degree or model.degree
-    n = len(model.family)
-    primes = sorted(specs)
-    terms = [corner_terms(specs[ell], n) for ell in primes]
-    if prod(map(len, terms)) > JOINT_TERM_LIMIT:
-        raise SizeLimitError(
-            f"the joint factor over {primes} needs more than "
-            f"{JOINT_TERM_LIMIT} composite degrees"
-        )
+    corners = {ell: corner_terms(v, len(model.family)) for ell, v in specs.items()}
+
+    def over(c, modulus, ell, w) -> Fraction:  # c / D(modulus, ell^w)
+        return Fraction(c, degree(modulus, tuple(ell**e for e in w), "corrected"))
+
+    def local_sum(ell) -> Fraction:
+        terms = (over(c, ell ** max(w), ell, w) for c, w in corners[ell])
+        return sum(terms, Fraction(0))
+
+    odd = [ell for ell in sorted(specs) if ell != 2 and ell in model.family.support]
+    b = {ell: sum(c for c, w in corners[ell] if not any(w)) for ell in odd}
+    a = {ell: (ell - 1) * (local_sum(ell) - b[ell]) for ell in odd}
     total = Fraction(0)
-    for corners in product(*terms):
-        coeff = 1
-        levels = (1,) * n
-        for ell, (c, w) in zip(primes, corners):
-            coeff *= c
-            levels = tuple(x * ell**e for x, e in zip(levels, w))
-        total += Fraction(coeff, degree(lcm(*levels), levels, "corrected"))
-    return total
+    for (c, w), t in product(corners[2], _subsets(odd)):
+        weight = prod((a[ell] if ell in t else b[ell] for ell in odd), start=c)
+        if weight:
+            total += over(weight, 2 ** max(w) * prod(t), 2, w)
+    lattice = (local_sum(ell) for ell in specs if ell != 2 and ell not in odd)
+    return prod(lattice, start=total)
 
 
 def _free_at(vmap: ValuationMap, scope) -> ValuationMap:

@@ -295,7 +295,6 @@ def index_tuple(p, family: GroupFamily, factors: tuple | np.ndarray | None = Non
 
 BLOCK = 1 << 16  # primes per index_tuple call and per log write
 _WINDOW = 1 << 18  # integers sieved and factored per step of a scan
-_TABLE_CHUNK = 1 << 20  # spf entries read per step when listing primes
 
 
 class ObservationLog:
@@ -354,16 +353,6 @@ def _rows_text(rows: np.ndarray) -> str:
     line = " ".join(["%d"] * rows.shape[1]) + "\n"
     parts = np.split(rows, range(4096, len(rows), 4096))
     return "".join((line * len(part)) % tuple(part.ravel().tolist()) for part in parts)
-
-
-def _primes_in(spf: np.ndarray, low: int, high: int) -> np.ndarray:
-    """The primes in [low, high] (low >= 2), read off the spf table in chunks."""
-    found = []
-    for start in range(low, high + 1, _TABLE_CHUNK):
-        stop = min(start + _TABLE_CHUNK, high + 1)
-        is_prime_here = spf[start:stop] == np.arange(start, stop, dtype=spf.dtype)
-        found.append(np.flatnonzero(is_prime_here) + start)
-    return np.concatenate(found)
 
 
 def _window(lo: int, hi: int, small: list[int], skip: list[int]):

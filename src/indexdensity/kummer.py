@@ -157,13 +157,10 @@ class KummerModel:
             raise ValueError("mode is 'generic' or 'corrected'")
         levels = self._check_levels(modulus, levels)
         if mode == "generic":
-            radical_primes = set()
-            for x in levels:
-                radical_primes.update(factorize(x))
-            out = euler_phi(modulus)
-            for ell in sorted(radical_primes):
+            out = 1
+            for ell, k in factorize(modulus).items():
                 e = tuple(valuation(x, ell) for x in levels)
-                out *= ell ** generic_exponent(e, self.profile)
+                out *= (ell - 1) * ell ** (k - 1 + generic_exponent(e, self.profile))
             return out
 
         width = len(self.family.support) + 1

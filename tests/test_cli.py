@@ -280,6 +280,37 @@ def test_compare_consistent_and_inconsistent(tmp_path, capsys):
     assert payload["result"]["verdict"] == "inconsistent"
 
 
+def test_series_compare_surveys_the_set_of_its_level_map(tmp_path, capsys):
+    # f(n) = 2n gives the density of index exactly 2 and f(n) = n^2 that of
+    # a squarefree index; the survey counts the same set
+    base = {"groups": [["2"]], "method": "series", "truncation": 2000}
+    for level_map, index_set in (
+        ({"kind": "times", "t": 2}, None),
+        ({"kind": "power", "k": 2}, {"kind": "kfree", "k": 2}),
+    ):
+        extra = {"set": index_set} if index_set else {}
+        cfg = _write_config(
+            tmp_path,
+            "series.json",
+            {**base, "level_map": level_map, "sieve_bound": 2 * 10**5, **extra},
+        )
+        code, payload, _ = _run(capsys, "compare", "--config", cfg)
+        assert code == 0
+        assert payload["result"]["verdict"] == "consistent"
+    assert payload["result"]["empirical"]["set"] == "kfree(2,)"
+
+    # a 'set' other than the level map's, or a level map with no such set
+    for extra in (
+        {"level_map": {"kind": "times", "t": 2}, "set": EQ1},
+        {"level_map": {"kind": "times-local", "t": 2}},
+        {"level_map": {"kind": "prime-powers", "table": {"2": 2}}},
+    ):
+        cfg = _write_config(tmp_path, "mismatch.json", {**base, **extra})
+        code, payload, err = _run(capsys, "compare", "--config", cfg)
+        assert code == 2
+        assert payload is None and "config error" in err
+
+
 @pytest.mark.parametrize("method", ["euler", "singletons"])
 def test_generic_mode_outside_the_series_exits_2(tmp_path, capsys, method):
     cfg = _write_config(
@@ -399,6 +430,7 @@ def test_default_compare_sees_the_entanglement(tmp_path, capsys, groups, extra):
         ([["2"], ["5"]], 2 * 10**6),
         ([["3"], ["5"]], 2 * 10**6),
         ([["2", "3"], ["5", "7"], ["11"]], 2 * 10**5),
+        ([["2", "3"], ["5", "7"], ["11", "13"]], 2 * 10**5),
     ],
 )
 def test_corrected_compare_sees_entanglement(tmp_path, capsys, groups, sieve_bound):

@@ -1,6 +1,9 @@
 """The four analytic routes and their cross-checks at desk scale."""
 
+import random
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
 
@@ -12,10 +15,11 @@ from indexdensity.density import (
     singleton_sum,
     valuation_density,
 )
-from indexdensity.artin import euler_product
+from indexdensity.artin import corner_terms, euler_product
 from indexdensity.errors import UnsupportedScopeError
 from indexdensity.exact import Interval
 from indexdensity.groups import GroupFamily, MultGroup, profile_of
+from indexdensity.kummer import KummerModel
 from indexdensity.index_sets import (
     Divides,
     Equals,
@@ -210,3 +214,81 @@ def test_report_metadata():
         notes = dict(n.split("=", 1) for n in rep.notes)
         assert notes["cutoff"] == "3000"
         assert 0 < float(notes["tail-bound"]) < 1e-30
+
+
+def _corner_product_joint(model, specs):
+    """The joint factor term by term: one exact degree per combination of corners."""
+    n = len(model.family)
+    primes = sorted(specs)
+    total = Fraction(0)
+    for corners in product(*(corner_terms(specs[ell], n) for ell in primes)):
+        coeff = 1
+        levels = (1,) * n
+        for ell, (c, w) in zip(primes, corners):
+            coeff *= c
+            levels = tuple(x * ell**e for x, e in zip(levels, w))
+        total += Fraction(coeff, model.degree(lcm(*levels), levels, "corrected"))
+    return total
+
+
+JOINT_FAMILIES = [
+    [["2"]],
+    [["5"]],
+    [["-3"]],
+    [["-15"]],
+    [["12"]],
+    [["-1", "2"]],
+    [["2"], ["3"]],
+    [["2"], ["5"]],
+    [["2"], ["8"]],
+    [["45"], ["-20"]],
+    [["1/2"], ["-2"]],
+    [["3"], ["-3"], ["6"]],
+    [["2", "3"], ["5", "7"]],
+]
+
+
+def _random_spec(rng, n):
+    if rng.random() < 0.5:
+        return ValuationPattern(tuple(rng.choice((None, 1, 2, 3)) for _ in range(n)))
+    count = rng.randint(1, 3)
+    return tuple(tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(count))
+
+
+@pytest.mark.parametrize("groups", JOINT_FAMILIES, ids=str)
+def test_joint_factor_matches_the_corner_product(groups):
+    # the local-sum factorization against the term-by-term sum, 12 random
+    # specs per family, patterns and tuple lists with valuations up to 3
+    model = KummerModel(GroupFamily.from_strings(*groups))
+    scope = model.deficiency_scope()
+    rng = random.Random(str(groups))
+    for _ in range(12):
+        specs = {ell: _random_spec(rng, len(groups)) for ell in scope}
+        assert density._joint_factor(model, specs) == _corner_product_joint(
+            model, specs
+        ), specs
+
+
+# Artin's constant A, truncated to 37 digits
+ARTIN = Fraction(3739558136192022880547280543464164151, 10**37)
+
+
+@pytest.mark.parametrize(
+    "groups, index, scope, ratio",
+    [
+        # 8 = 2^3: when 2 is primitive, 8 is primitive exactly when
+        # p != 1 mod 3. At 3 that keeps 1/2 of the primes where Artin's
+        # product keeps 5/6, so the density is A (1/2)/(5/6). The lattice
+        # prime 3 lies outside the support and enters as its own factor
+        ([["2"], ["8"]], (1, 1), (2, 3), Fraction(3, 5)),
+        # 4 = 2^2 has index exactly 2 whenever 2 is primitive, as p - 1 is
+        # even; here the lattice prime is 2 itself
+        ([["2"], ["4"]], (1, 2), (2,), Fraction(1)),
+    ],
+)
+def test_non_separated_identities(groups, index, scope, ratio):
+    family = GroupFamily.from_strings(*groups)
+    assert KummerModel(family).deficiency_scope() == scope
+    value = valuation_density(family, Equals(index), cutoff=3000).value
+    slack = Fraction(1, 10**36)  # A is truncated
+    assert value.low - slack <= ARTIN * ratio <= value.high + slack

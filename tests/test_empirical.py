@@ -276,7 +276,10 @@ def test_index_map_at_65537():
 def test_index_map_temporaries_stay_small():
     # 8 MiB: the 7.95 MiB that the order-descent kernel needed here, rounded up
     spf = empirical.spf_table(10**7)
-    primes = empirical._primes_in(spf, 2, 10**7)[-(1 << 16) :]
+    low = 10**7 - (1 << 21)  # the last 2^16 primes below 10^7 lie above this
+    tail = np.arange(low, spf.size, dtype=np.int64)
+    primes = tail[spf[low:] == tail][-(1 << 16) :]
+    assert primes.size == 1 << 16
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
