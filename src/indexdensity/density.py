@@ -13,20 +13,23 @@ ones (2, the support and the lattice primes) enter through one joint
 factor built from exact composite degrees, so entanglement between
 primes (sqrt(5) inside Q(zeta_5)) is seen; as it passes through the
 2-part alone, that factor is a product of local sums. All other primes
-use the generic closed forms. The series route takes its degrees
-generic or exact by its mode. Non-separated families are refused
-wherever a generic per-tuple value would be unsound.
+use the generic closed forms. The series route splits each degree at
+the same primes: the part of f(n) on them takes its degree exact or
+generic by the mode, and the rest the generic phi(B) B. Non-separated
+families are refused wherever a generic per-tuple value would be unsound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import lcm, prod
 
-from .arith import euler_phi, factorize, moebius_sieve, primes_up_to, valuation
+import numpy as np
+
+from .arith import factorize, moebius_sieve, primes_up_to
 from .errors import UnsupportedScopeError
 from .exact import PRECISION_BITS, Interval, round_down, round_up, series_sum
 from .groups import GroupFamily, MultGroup, is_separated, profile_of, rank
@@ -120,25 +123,30 @@ class LevelMap:
     def prime_powers(cls, table: dict[int, int]):
         return cls("prime-powers", table=tuple(sorted(table.items())))
 
+    @cached_property
+    def _exponents(self) -> dict[int, int]:
+        """The prime-powers table, or the factorization of t."""
+        return dict(self.table) if self.kind == "prime-powers" else factorize(self.t or 1)
+
+    def factors(self, n_factors: dict[int, int]) -> dict[int, int]:
+        """The factorization of f(n), given n's: every kind acts prime by prime."""
+        if self.kind == "identity":
+            return n_factors
+        if self.kind == "times":
+            out = dict(n_factors)
+            for ell, e in self._exponents.items():
+                out[ell] = out.get(ell, 0) + e
+            return out
+        if self.kind == "times-local":
+            return {ell: e + self._exponents.get(ell, 0) for ell, e in n_factors.items()}
+        if self.kind == "power":
+            return {ell: e * self.k for ell, e in n_factors.items()}
+        return {ell: self._exponents.get(ell, 1) for ell in n_factors}
+
     def __call__(self, n: int) -> int:
         if n < 1:
             raise ValueError("level maps take positive integers")
-        if self.kind == "identity":
-            return n
-        if self.kind == "times":
-            return n * self.t
-        if self.kind == "times-local":
-            out = n
-            for ell in factorize(n):
-                out *= ell ** valuation(self.t, ell)
-            return out
-        if self.kind == "power":
-            return n**self.k
-        table = dict(self.table)
-        out = 1
-        for ell in factorize(n):
-            out *= ell ** table.get(ell, 1)
-        return out
+        return prod(ell**e for ell, e in self.factors(factorize(n)).items())
 
     def label(self) -> str:
         if self.kind == "identity":
@@ -187,20 +195,46 @@ def _reciprocal_tail(truncation: int) -> Fraction:
     return round_up((kappa / n + mertens / n**2) / (1 - Fraction(2, n)))
 
 
-def _tail_constant(model: KummerModel, level_map: LevelMap, mode: str) -> Fraction:
+def _series_degree(model: KummerModel, mode: str):
+    """D(f) = [Q(zeta_f, W^{1/f}):Q] for a rank-one model, from f's factorization.
+
+    Write f = A*B, with A made of the primes of model.deficiency_scope() and
+    B prime to them. Then D(f) = D(A) phi(B) B: phi(f) and |G| split over
+    the ell-parts of Q*/Q*^f, W is saturated at every ell off the scope (its
+    ell-part of |G| is ell^k), and G & H sees only 2 and the support (the
+    argument in _joint_factor's docstring). D(A) is model.degree(A, (A,),
+    mode), memoized by A: a level map gives at most one A per subset of the
+    scope, whatever the truncation.
+    """
+    scope = frozenset(model.deficiency_scope())
+    exact = lru_cache(maxsize=None)(lambda a: model.degree(a, (a,), mode))
+
+    def degree(levels: dict[int, int]) -> int:
+        a = off = 1
+        for ell, k in levels.items():
+            if ell in scope:
+                a *= ell**k
+            else:
+                off *= (ell - 1) * ell ** (2 * k - 1)  # phi(ell^k) ell^k
+        return exact(a) * off
+
+    return degree
+
+
+def _tail_constant(model: KummerModel, level_map: LevelMap, degree) -> Fraction:
     """c = max f(s) phi(f(s)) / D(f(s)) over squarefree s dividing prod S.
 
-    Off S (the model's scope) the degree of a rank-one group is generic,
-    so m phi(m) / D(m) depends only on the S-part of m. Write n = s*t with
-    s made of primes of S and t prime to S: f(n) has the same S-part as
-    f(s), so f(n) phi(f(n)) / D(f(n)) <= c. As n divides f(n) for every
-    level map, 1/D(f(n)) <= c / (f(n) phi(f(n))) <= c / (n phi(n)).
+    By _series_degree, f phi(f) / D(f) = A phi(A) / D(A) for the S-part A
+    of f (S the model's scope). Write n = s*t with s made of primes of S
+    and t prime to S: f(n) has the same S-part as f(s), so
+    f(n) phi(f(n)) / D(f(n)) <= c. As n divides f(n) for every level map,
+    1/D(f(n)) <= c / (f(n) phi(f(n))) <= c / (n phi(n)).
     """
     best = Fraction(0)
     for primes in _subsets(model.deficiency_scope()):
-        f_s = level_map(prod(primes))
-        ratio = Fraction(f_s * euler_phi(f_s), model.degree(f_s, (f_s,), mode))
-        best = max(best, ratio)
+        levels = level_map.factors(dict.fromkeys(primes, 1))
+        size = prod((ell - 1) * ell ** (2 * k - 1) for ell, k in levels.items())
+        best = max(best, Fraction(size, degree(levels)))
     return best
 
 
@@ -212,8 +246,13 @@ def hooley_series(
 ) -> DensityReport:
     """Sum mu(n)/[Q(zeta_f(n), W^{1/f(n)}):Q] for n up to the truncation.
 
-    Corrected mode uses exact degrees, generic mode the generic ones. The
-    reported interval is the partial sum widened by a proved tail bound,
+    Each n is factored once and f(n)'s factorization derived from it. The
+    degree splits as D(f(n)) = D(A) phi(B) B, A the part of f(n) on the
+    model's deficiency scope and B the rest (_series_degree; the proof is
+    _joint_factor's). Only D(A) depends on the mode: exact in corrected
+    mode, generic in generic mode. The terms stream into series_sum and
+    only the first LEDGER_ROW_LIMIT are kept. The reported interval is the
+    partial sum widened by a proved tail bound,
     |sum_{n>N} mu(n)/D(f(n))| <= c * sum_{n>N} 1/(n phi(n))
     <= c * (zeta(2)zeta(3)/zeta(6) + eps) / N,
     where c (1 for <2>, and 1 in generic mode) bounds how far an exact
@@ -227,28 +266,29 @@ def hooley_series(
             "valuation_density or singleton_sum"
         )
     model = KummerModel(GroupFamily((group,)))
-    tail = _tail_constant(model, level_map, mode) * _reciprocal_tail(truncation)
+    degree = _series_degree(model, mode)
+    tail = _tail_constant(model, level_map, degree) * _reciprocal_tail(truncation)
     mu = moebius_sieve(truncation)
 
-    terms = []
     ledger = []
-    for n in range(1, truncation + 1):
-        if mu[n] == 0:
-            continue
-        f_n = level_map(n)
-        term = Fraction(int(mu[n]), model.degree(f_n, (f_n,), mode))
-        terms.append(term)
-        if len(ledger) < LEDGER_ROW_LIMIT:
-            ledger.append((f"n={n} level={f_n}", term))
 
-    lo, hi = series_sum(terms)
+    def terms():
+        for n in range(1, truncation + 1):
+            if mu[n]:
+                levels = level_map.factors(factorize(n))
+                term = Fraction(int(mu[n]), degree(levels))
+                if len(ledger) < LEDGER_ROW_LIMIT:
+                    ledger.append((f"n={n} level={level_map(n)}", term))
+                yield term
+
+    lo, hi = series_sum(terms())
     hi = max(Fraction(0), round_up(hi + tail))
     lo = min(max(Fraction(0), round_down(lo - tail)), hi)
     notes = (
         f"f(n)={level_map.label()}",
         f"truncation={truncation}",
         f"mode={mode}",
-        f"terms={len(terms)}",
+        f"terms={np.count_nonzero(mu)}",
         f"tail-bound={float(tail):.3e}",
     )
     return DensityReport(Interval(lo, hi), "series", tuple(ledger), notes)

@@ -1,6 +1,7 @@
 """The four analytic routes and their cross-checks at desk scale."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -15,6 +16,7 @@ from indexdensity.density import (
     singleton_sum,
     valuation_density,
 )
+from indexdensity.arith import factorize, moebius
 from indexdensity.artin import corner_terms, euler_product
 from indexdensity.errors import UnsupportedScopeError
 from indexdensity.exact import Interval
@@ -85,6 +87,48 @@ def test_hooley_series_rejects_higher_rank():
         hooley_series(G2, LevelMap.identity(), 0)
     with pytest.raises(ValueError, match="truncation"):
         hooley_series(G2, LevelMap.identity(), 10**12)  # refused before allocating
+
+
+SERIES_GROUPS = ("2", "5", "-3", "13", "21", "4", "-4", "8", "27", "45", "12", "9/2", "-1/2")
+SERIES_MAPS = (
+    LevelMap.identity(),
+    LevelMap.times(2),
+    LevelMap.times(6),
+    LevelMap.times_local(12),
+    LevelMap.power(2),
+    LevelMap.prime_powers({2: 3, 3: 2}),
+)
+
+
+@pytest.mark.parametrize("mode", ["generic", "corrected"])
+def test_series_degree_splits_at_the_scope(mode):
+    # D(f(n)) = D(A) phi(B) B, A the part of f(n) on the deficiency scope
+    squarefree = [n for n in range(1, 501) if moebius(n)]
+    for g in SERIES_GROUPS:
+        model = KummerModel(GroupFamily((MultGroup.from_strings(g),)))
+        degree = density._series_degree(model, mode)
+        for level_map in SERIES_MAPS:
+            for n in squarefree:
+                f_n = level_map(n)
+                levels = level_map.factors(factorize(n))
+                assert degree(levels) == model.degree(f_n, (f_n,), mode), (g, n)
+
+
+def test_hooley_series_streams_its_terms():
+    # the Moebius sieve holds about 9 bytes per n; a kept Fraction per term
+    # would add about 90 bytes per squarefree n
+    n = 3 * 10**4
+    hooley_series(G2, LevelMap.identity(), 10)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = hooley_series(G2, LevelMap.identity(), n, "corrected")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * n
+    assert len(rep.ledger) == density.LEDGER_ROW_LIMIT
+    assert "terms=18242" in rep.notes  # the squarefree n <= 30000
 
 
 # zeta(2)zeta(3)/zeta(6) = sum 1/(n phi(n)), OEIS A082695, truncated
