@@ -27,9 +27,8 @@ from functools import cached_property, lru_cache
 from itertools import product
 from math import lcm, prod
 
-import numpy as np
-
-from .arith import factorize, moebius_sieve, primes_up_to
+from .arith import factorize, primes_up_to
+from .empirical import smallest_prime_factors
 from .errors import UnsupportedScopeError
 from .exact import PRECISION_BITS, Interval, round_down, round_up, series_sum
 from .groups import GroupFamily, MultGroup, is_separated, profile_of, rank
@@ -53,7 +52,7 @@ from .artin import (
 from .kummer import KummerModel
 
 LEDGER_ROW_LIMIT = 64
-MAX_TRUNCATION = 10**7  # moebius_sieve holds about 9 bytes per n
+MAX_TRUNCATION = 10**7  # the series' spf table holds 4 bytes per n
 
 
 @dataclass(frozen=True)
@@ -246,13 +245,16 @@ def hooley_series(
 ) -> DensityReport:
     """Sum mu(n)/[Q(zeta_f(n), W^{1/f(n)}):Q] for n up to the truncation.
 
-    Each n is factored once and f(n)'s factorization derived from it. The
-    degree splits as D(f(n)) = D(A) phi(B) B, A the part of f(n) on the
-    model's deficiency scope and B the rest (_series_degree; the proof is
-    _joint_factor's). Only D(A) depends on the mode: exact in corrected
-    mode, generic in generic mode. The terms stream into series_sum and
-    only the first LEDGER_ROW_LIMIT are kept. The reported interval is the
-    partial sum widened by a proved tail bound,
+    One table of smallest prime factors over [1, truncation], sieved for
+    this call and dropped with it, gives each n's primes: the walk down the
+    table stops at a repeated prime, where mu(n) = 0. f(n)'s factorization
+    is derived from n's. The degree splits as D(f(n)) = D(A) phi(B) B, A
+    the part of f(n) on the model's deficiency scope and B the rest
+    (_series_degree; the proof is _joint_factor's). Only D(A) depends on
+    the mode: exact in corrected mode, generic in generic mode. The terms
+    stream into series_sum as integer pairs (mu(n), D(f(n))); only the
+    first LEDGER_ROW_LIMIT become Fractions, in the ledger. The reported
+    interval is the partial sum widened by a proved tail bound,
     |sum_{n>N} mu(n)/D(f(n))| <= c * sum_{n>N} 1/(n phi(n))
     <= c * (zeta(2)zeta(3)/zeta(6) + eps) / N,
     where c (1 for <2>, and 1 in generic mode) bounds how far an exact
@@ -268,18 +270,31 @@ def hooley_series(
     model = KummerModel(GroupFamily((group,)))
     degree = _series_degree(model, mode)
     tail = _tail_constant(model, level_map, degree) * _reciprocal_tail(truncation)
-    mu = moebius_sieve(truncation)
-
+    spf = memoryview(smallest_prime_factors(truncation))  # entries read as ints
     ledger = []
+    count = 0
 
     def terms():
+        nonlocal count
         for n in range(1, truncation + 1):
-            if mu[n]:
-                levels = level_map.factors(factorize(n))
-                term = Fraction(int(mu[n]), degree(levels))
-                if len(ledger) < LEDGER_ROW_LIMIT:
-                    ledger.append((f"n={n} level={level_map(n)}", term))
-                yield term
+            n_factors = {}
+            mu = 1
+            m = n
+            while m > 1:
+                p = spf[m]
+                m //= p
+                if m % p == 0:
+                    break  # p^2 divides n: mu(n) = 0
+                n_factors[p] = 1
+                mu = -mu
+            else:
+                count += 1
+                levels = level_map.factors(n_factors)
+                d = degree(levels)
+                if count <= LEDGER_ROW_LIMIT:
+                    level = prod(ell**k for ell, k in levels.items())
+                    ledger.append((f"n={n} level={level}", Fraction(mu, d)))
+                yield mu, d
 
     lo, hi = series_sum(terms())
     hi = max(Fraction(0), round_up(hi + tail))
@@ -288,7 +303,7 @@ def hooley_series(
         f"f(n)={level_map.label()}",
         f"truncation={truncation}",
         f"mode={mode}",
-        f"terms={np.count_nonzero(mu)}",
+        f"terms={count}",
         f"tail-bound={float(tail):.3e}",
     )
     return DensityReport(Interval(lo, hi), "series", tuple(ledger), notes)

@@ -58,15 +58,20 @@ class SieveRange:
         return cls(2, int(x))
 
 
-@lru_cache(maxsize=2)
-def spf_table(limit: int) -> np.ndarray:
-    """Smallest prime factor for every integer up to limit (int32)."""
+def smallest_prime_factors(limit: int) -> np.ndarray:
+    """Smallest prime factor for every integer up to limit (int32), sieved afresh."""
     if limit > SIEVE_CAP:
         raise ValueError("table limit exceeds the sieve cap")
     spf = np.arange(limit + 1, dtype=np.int32)  # primes, 0 and 1 keep themselves
     for i in reversed(primes_up_to(math.isqrt(limit))):
         spf[i * i :: i] = i  # the smaller primes write last
     return spf
+
+
+@lru_cache(maxsize=2)
+def spf_table(limit: int) -> np.ndarray:
+    """smallest_prime_factors, kept for the next caller with the same limit."""
+    return smallest_prime_factors(limit)
 
 
 @dataclass(frozen=True)

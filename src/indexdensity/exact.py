@@ -7,7 +7,8 @@ operation, low is rounded down and high up to that grid. Every emitted
 interval therefore still rigorously contains the true value, while
 arithmetic stays fast. The long loops (series_sum here, the Euler product
 in artin) keep the two endpoints as plain integers k meaning
-k / 2^PRECISION_BITS and build Fractions only at the end; one-off
+k / 2^PRECISION_BITS and build Fractions only at the end; series_sum also
+takes its terms as integer pairs (numerator, denominator). One-off
 operations go through Interval, round_down and round_up. Both give the
 same endpoints, since floor(x 2^PRECISION_BITS) does not depend on how x
 is written. Decimal rendering rounds low down and high up.
@@ -83,18 +84,19 @@ def _render(scaled: int, places: int) -> str:
 def series_sum(terms) -> tuple[Fraction, Fraction]:
     """Signed bounds on a sum of exact rational terms, rounded outward.
 
-    Each term is added on the 2^-PRECISION_BITS grid as an integer count,
-    floored for low and ceiled for high: the same endpoints as rounding
-    each exact partial sum outward, with no Fraction arithmetic per term.
+    Each term is an integer pair (num, den) with den > 0, meaning num/den.
+    It is added on the 2^-PRECISION_BITS grid as an integer count,
+    floor((num << PRECISION_BITS) / den) for low and the ceiling for high:
+    the same endpoints as rounding each exact partial sum outward, with no
+    Fraction per term.
 
     Returned as a plain (low, high) pair rather than an Interval because
     partial sums of alternating series may dip below zero even when the
     limit is a density; callers clamp once they have added their tail.
     """
     lo = hi = 0
-    for t in terms:
-        t = Fraction(t)
-        scaled = t.numerator << PRECISION_BITS
-        lo += scaled // t.denominator
-        hi -= -scaled // t.denominator
+    for num, den in terms:
+        q, r = divmod(num << PRECISION_BITS, den)
+        lo += q
+        hi += q + (r != 0)
     return (Fraction(lo, _SCALE), Fraction(hi, _SCALE))

@@ -19,7 +19,7 @@ from indexdensity.density import (
 from indexdensity.arith import factorize, moebius
 from indexdensity.artin import corner_terms, euler_product
 from indexdensity.errors import UnsupportedScopeError
-from indexdensity.exact import Interval
+from indexdensity.exact import Interval, round_down, round_up
 from indexdensity.groups import GroupFamily, MultGroup, profile_of
 from indexdensity.kummer import KummerModel
 from indexdensity.index_sets import (
@@ -114,9 +114,51 @@ def test_series_degree_splits_at_the_scope(mode):
                 assert degree(levels) == model.degree(f_n, (f_n,), mode), (g, n)
 
 
+def _series_by_trial_division(group, level_map, truncation, mode):
+    """hooley_series as first written: factorize and moebius for each n,
+    one Fraction per term, each partial sum rounded outward on the grid."""
+    model = KummerModel(GroupFamily((group,)))
+    degree = density._series_degree(model, mode)
+    constant = density._tail_constant(model, level_map, degree)
+    tail = constant * density._reciprocal_tail(truncation)
+    lo = hi = Fraction(0)
+    ledger, terms = [], 0
+    for n in range(1, truncation + 1):
+        mu = moebius(n)
+        if mu:
+            terms += 1
+            term = Fraction(mu, degree(level_map.factors(factorize(n))))
+            if len(ledger) < density.LEDGER_ROW_LIMIT:
+                ledger.append((f"n={n} level={level_map(n)}", term))
+            lo, hi = round_down(lo + term), round_up(hi + term)
+    hi = max(Fraction(0), round_up(hi + tail))
+    lo = min(max(Fraction(0), round_down(lo - tail)), hi)
+    return Interval(lo, hi), tuple(ledger), f"terms={terms}"
+
+
+@pytest.mark.parametrize("mode", ["generic", "corrected"])
+def test_hooley_series_matches_trial_division(mode):
+    # the walk through the smallest-prime-factor table and the integer-pair
+    # sum give the same endpoints, ledger and term count as factoring each n
+    for g, level_map in product(SERIES_GROUPS, SERIES_MAPS):
+        group = MultGroup.from_strings(g)
+        rep = hooley_series(group, level_map, 500, mode)
+        value, ledger, terms = _series_by_trial_division(group, level_map, 500, mode)
+        assert (rep.value, rep.ledger) == (value, ledger), (g, level_map, mode)
+        assert terms in rep.notes
+
+
+def test_hooley_series_encloses_the_literature_values():
+    # Hooley (1967): <2> has density A, <5> has 20A/19 and <-3> has 6A/5
+    for g, ratio in (("2", 1), ("5", Fraction(20, 19)), ("-3", Fraction(6, 5))):
+        rep = hooley_series(MultGroup.from_strings(g), LevelMap.identity(), 10**5, "corrected")
+        assert rep.value.contains(ARTIN * ratio), g
+        assert rep.value.width < Fraction(1, 10**4), g
+
+
 def test_hooley_series_streams_its_terms():
-    # the Moebius sieve holds about 9 bytes per n; a kept Fraction per term
-    # would add about 90 bytes per squarefree n
+    # the smallest-prime-factor table holds 4 bytes per n; a kept Fraction
+    # per term would add about 90 bytes per squarefree n
     n = 3 * 10**4
     hooley_series(G2, LevelMap.identity(), 10)
     tracemalloc.start()
@@ -129,6 +171,21 @@ def test_hooley_series_streams_its_terms():
     assert peak <= 24 * n
     assert len(rep.ledger) == density.LEDGER_ROW_LIMIT
     assert "terms=18242" in rep.notes  # the squarefree n <= 30000
+
+
+def test_hooley_series_keeps_no_table():
+    # the smallest-prime-factor table is sieved for one call and freed with
+    # it: a cache keeping it would hold 4 bytes per n after the call
+    n = 2 * 10**4
+    hooley_series(G2, LevelMap.identity(), 10**4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        hooley_series(G2, LevelMap.identity(), n)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < n
 
 
 # zeta(2)zeta(3)/zeta(6) = sum 1/(n phi(n)), OEIS A082695, truncated
