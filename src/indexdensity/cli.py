@@ -583,10 +583,13 @@ _RUNNERS = {
     "classify": run_classify,
     "paper-examples": run_paper_examples,
 }
+_PARSER = None  # built by the first main call, then reused
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    global _PARSER
+    _PARSER = _PARSER or _build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.command, args)
         if args.command == "compare":

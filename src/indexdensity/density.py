@@ -12,11 +12,12 @@ finitely many primes where Kummer degrees can fall short of the generic
 ones (2, the support and the lattice primes) enter through one joint
 factor built from exact composite degrees, so entanglement between
 primes (sqrt(5) inside Q(zeta_5)) is seen; as it passes through the
-2-part alone, that factor is a product of local sums. All other primes
-use the generic closed forms. The series route splits each degree at
-the same primes: the part of f(n) on them takes its degree exact or
-generic by the mode, and the rest the generic phi(B) B. Non-separated
-families are refused wherever a generic per-tuple value would be unsound.
+2-part and the family's square classes alone, that factor sums products
+of local sums over those classes. All other primes use the generic
+closed forms. The series route splits each degree at the same primes:
+the part of f(n) on them takes its degree exact or generic by the mode,
+and the rest the generic phi(B) B. Non-separated families are refused
+wherever a generic per-tuple value would be unsound.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
 from math import lcm, prod
 
 from .arith import factorize, primes_up_to
@@ -141,11 +141,6 @@ class LevelMap:
         if self.kind == "power":
             return {ell: e * self.k for ell, e in n_factors.items()}
         return {ell: self._exponents.get(ell, 1) for ell in n_factors}
-
-    def __call__(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("level maps take positive integers")
-        return prod(ell**e for ell, e in self.factors(factorize(n)).items())
 
     def label(self) -> str:
         if self.kind == "identity":
@@ -313,7 +308,7 @@ def hooley_series(
 # the joint factor at the primes where degrees can entangle
 
 
-def _joint_factor(model: KummerModel, specs: dict[int, VSpec], degree=None) -> Fraction:
+def _joint_factor(model: KummerModel, specs: dict[int, VSpec]) -> Fraction:
     """Density of primes whose index valuations at each listed ell lie in its spec.
 
     Term by term, it is sum prod_ell c_ell / D(M, N) over one signed corner
@@ -321,36 +316,33 @@ def _joint_factor(model: KummerModel, specs: dict[int, VSpec], degree=None) -> F
     with exact degrees D, so entanglement (sqrt(5) in Q(zeta_5)) counts:
     the character-sum correction of Lenstra, Moree and Stevenhagen (2014).
     In D(M, N) = phi(M) |G| / |G & H| (KummerModel.degree), phi(M) and |G|
-    split over the ell-parts of Q*/Q*^M; H has exponent 2, so G & H depends
-    only on the 2-adic levels and on T, the odd support primes dividing M
-    (disc Q(sqrt z) is made of 2 and support primes). With k_ell = v_ell(M):
-      D(M, N) = D(2^k_2 prod T, N_2) prod_{ell in T} D(ell^k_ell, N_ell)/(ell-1)
-                prod_{other odd ell | M} D(ell^k_ell, N_ell).
-    So the sum is a product over the lattice primes outside the support of
-    sum c/D(ell^max w, ell^w), times the sum over the corners (c, w) at 2 and
-    the sets T of c prod_{ell in T} A_ell prod_{ell not in T} B_ell
-    / D(2^max w prod T, 2^w): A_ell is ell - 1 times the sum over the nonzero
-    corners at ell, B_ell the zero corner's coefficient. degree, if given,
-    stands in for model.degree (a memo shared by calls on one model).
+    split over the ell-parts of Q*/Q*^M. H has exponent 2, so with k = v_2(M)
+    and w the corner at 2, a square class z counts in G & H exactly when its
+    odd primes divide M and chi_(k,w)(z) = 1: z counts at 2^k odd(z)
+    (KummerModel.square_meet). Swap the sum over the odd support primes T
+    dividing M with the sum over z: with L_ell the local sum
+    sum c/D(ell^max w, ell^w) and b_ell the zero corner's coefficient,
+      sum_(c, w) c / (phi(2^k) |G_2(k, w)|) sum_z chi_(k,w)(z)
+        prod_(ell | z) (L_ell - b_ell) prod_(ell not | z) L_ell
+    over the odd support primes, times L_ell for each odd ell outside the
+    support. specs lists 2 and the support, as the model's scope does.
     """
-    degree = degree or model.degree
     corners = {ell: corner_terms(v, len(model.family)) for ell, v in specs.items()}
 
-    def over(c, modulus, ell, w) -> Fraction:  # c / D(modulus, ell^w)
-        return Fraction(c, degree(modulus, tuple(ell**e for e in w), "corrected"))
-
     def local_sum(ell) -> Fraction:
-        terms = (over(c, ell ** max(w), ell, w) for c, w in corners[ell])
+        levels = ((c, tuple(ell**e for e in w)) for c, w in corners[ell])
+        terms = (Fraction(c, model.degree(max(n), n, "corrected")) for c, n in levels)
         return sum(terms, Fraction(0))
 
-    odd = [ell for ell in sorted(specs) if ell != 2 and ell in model.family.support]
+    odd = [ell for ell in model.family.support if ell != 2]
+    sums = {ell: local_sum(ell) for ell in odd}
     b = {ell: sum(c for c, w in corners[ell] if not any(w)) for ell in odd}
-    a = {ell: (ell - 1) * (local_sum(ell) - b[ell]) for ell in odd}
     total = Fraction(0)
-    for (c, w), t in product(corners[2], _subsets(odd)):
-        weight = prod((a[ell] if ell in t else b[ell] for ell in odd), start=c)
-        if weight:
-            total += over(weight, 2 ** max(w) * prod(t), 2, w)
+    for c, w in corners[2]:
+        size, counted = model.square_meet(2 ** max(w), tuple(2**e for e in w))
+        for z in counted:
+            factors = (sums[ell] - (z % ell == 0) * b[ell] for ell in odd)
+            total += prod(factors, start=Fraction(c, size))
     lattice = (local_sum(ell) for ell in specs if ell != 2 and ell not in odd)
     return prod(lattice, start=total)
 
@@ -440,12 +432,11 @@ def _scope_joint(family: GroupFamily):
     """
     model = KummerModel(family)
     scope = model.deficiency_scope()
-    degree = lru_cache(maxsize=None)(model.degree)
 
     @lru_cache(maxsize=None)
     def joint(vs):
         specs = {ell: (v,) for ell, v in zip(scope, vs)}
-        return _joint_factor(model, specs, degree)
+        return _joint_factor(model, specs)
 
     return scope, joint
 

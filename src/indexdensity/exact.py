@@ -46,11 +46,6 @@ class Interval:
         if self.low < 0:
             raise ValueError("negative endpoints unsupported (not needed here)")
 
-    @classmethod
-    def exactly(cls, x) -> "Interval":
-        f = Fraction(x)
-        return cls(f, f)
-
     def times_exact(self, x: Fraction) -> "Interval":
         if x < 0:
             raise ValueError("negative scaling unsupported")
@@ -63,9 +58,6 @@ class Interval:
     def contains(self, x) -> bool:
         x = Fraction(x)
         return self.low <= x <= self.high
-
-    def overlaps(self, other: "Interval") -> bool:
-        return self.low <= other.high and other.low <= self.high
 
     def decimal_bounds(self, places: int = 12) -> tuple[str, str]:
         """(low rounded down, high rounded up) as decimal strings."""

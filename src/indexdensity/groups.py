@@ -157,18 +157,6 @@ def rank(group: MultGroup) -> int:
     return len(hermite_form(group.exponent_rows(group.support)))
 
 
-def in_divisible_hull(x: FactoredRational, group: MultGroup) -> bool:
-    """Does some positive power of x land in the group?
-
-    Signs and roots of unity are absorbed by the hull, so this is exactly
-    membership of x's exponent vector in the Q-span of the generators'.
-    """
-    primes = tuple(sorted(set(group.support) | set(x.support)))
-    rows = group.exponent_rows(primes)
-    base = len(hermite_form(rows))
-    return len(hermite_form(rows + [x.exponent_vector(primes)])) == base
-
-
 @dataclass(frozen=True)
 class GroupFamily:
     """An ordered family (W_1, ..., W_n) of positive-rank groups."""

@@ -8,6 +8,14 @@ over Q (Perucca-Sgobba-Tronto, IJNT 2020): one Hermite form over the
 exponent vectors decides it, including entanglement such as sqrt(5)
 lying in Q(zeta_5) or sqrt(2) in Q(zeta_8).
 
+Entanglement passes through the model's square classes: the squarefree
+z > 0 whose exponent vector mod 2 lies in the image of the saturation
+sat(Lambda) = (Lambda tensor Q) & Z^support of the generators' exponent
+lattice Lambda. Only they can meet G (proof in KummerModel.degree); there
+are 2^rank(Lambda) of them, however large the support. The generators'
+squarefree parts are not enough: that of 4 is 1, yet 4^2 = sqrt(2)^8 is
+an 8th power in Q(zeta_8).
+
 Chebotarev sampling (KummerModel.degree_estimate) stays as an independent
 oracle for the exact degree; no density route calls it. It reads the
 splitting of each prime off the batched index map of `empirical`.
@@ -16,8 +24,7 @@ splitting of each prime off the batched index map of `empirical`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -72,20 +79,29 @@ class DegreeEstimate:
     levels: tuple[int, ...]
 
 
-def _quadratic_discriminant(z: int) -> int:
-    """Discriminant of Q(sqrt z) for a squarefree z > 0 (1 for z = 1)."""
-    return z if z % 4 == 1 else 4 * z
+def _kernel(rows, dim: int) -> list[list[int]]:
+    """A basis of the x in Z^dim with r . x = 0 for every row r: the rows of
+    the Hermite form of [R^T | I], which spans the (R x, x), zero on R x."""
+    n = len(rows)
+    pairs = [[r[i] for r in rows] + [int(i == j) for j in range(dim)] for i in range(dim)]
+    return [v[n:] for v in hermite_form(pairs) if not any(v[:n])]
 
 
-def _in_span(v: list[int], form: list[list[int]]) -> bool:
-    """Is v in the row lattice of a square Hermite form?"""
+def _meets(form: list[list[int]], modulus: int, z: int, bits) -> bool:
+    """Does the class of H for a square class z at M = lcm(modulus, z), an even
+    modulus, lie in a square Hermite form's lattice? It is +z^(M/2) if
+    disc Q(sqrt z) divides M, -z^(M/2) if it divides 2M but not M, else none."""
+    m = lcm(modulus, z)
+    disc = z if z % 4 == 1 else 4 * z
+    if 2 * m % disc:
+        return False
+    v = [int(m % disc != 0)] + [m // 2 * b for b in bits]
     for i, row in enumerate(form):
         q, r = divmod(v[i], row[i])
         if r:
             return False
-        if q:
-            for j in range(i + 1, len(v)):
-                v[j] -= q * row[j]
+        for j in range(i + 1, len(v)):
+            v[j] -= q * row[j]
     return True
 
 
@@ -105,12 +121,13 @@ class KummerModel:
             tuple([g.sign < 0, *g.exponent_vector(support)] for g in group.generators)
             for group in family.groups
         )
-        # (disc Q(sqrt z), exponent vector of z) for squarefree z > 0 over the support
-        self._quadratics = tuple(
-            (_quadratic_discriminant(prod(ps)), [int(p in ps) for p in support])
-            for size in range(len(support) + 1)
-            for ps in combinations(support, size)
-        )
+        # the square classes (z, exponent vector of z): sat(Lambda) is the
+        # kernel of Lambda's kernel, and its basis is independent mod 2
+        classes = [(0,) * len(support)]
+        lattice = [v[1:] for vectors in self._vectors for v in vectors]
+        for v in _kernel(_kernel(lattice, len(support)), len(support)):
+            classes += [tuple((a + b) % 2 for a, b in zip(c, v)) for c in classes]
+        self._squares = [(prod(p**b for p, b in zip(support, c)), c) for c in classes]
         self._estimates: dict[tuple[int, tuple[int, ...]], DegreeEstimate] = {}
 
     def _check_levels(self, modulus: int, levels) -> tuple[int, ...]:
@@ -147,11 +164,11 @@ class KummerModel:
         of rationals that are M-th powers in Q(zeta_M). H is trivial for
         odd M; for even M it holds the classes +z^(M/2) with disc Q(sqrt z)
         dividing M and -z^(M/2) with disc Q(sqrt z) dividing 2M but not M
-        (z > 0 squarefree), so -4 = (1+i)^4 counts at M = 4; only z over
-        the support can meet G. |G| is read off one Hermite form whose rows
-        are the sign bit and exponent vector of every generator of G plus
-        the diagonal (2 if M is even else 1, M, ..., M) that spans Q*^M;
-        the same form decides which classes of H lie in G.
+        (z > 0 squarefree), so -4 = (1+i)^4 counts at M = 4. Only the
+        model's square classes can meet G: if +-z^(M/2) lies in G Q*^M, then
+        (M/2) 1_z = lambda + M y with lambda in Lambda and y integral, so
+        (M/2)(1_z - 2y) lies in Lambda and 1_z - 2y in sat(Lambda). |G| and
+        the square classes in G come from square_meet.
         """
         if mode not in ("generic", "corrected"):
             raise ValueError("mode is 'generic' or 'corrected'")
@@ -162,7 +179,23 @@ class KummerModel:
                 e = tuple(valuation(x, ell) for x in levels)
                 out *= (ell - 1) * ell ** (k - 1 + generic_exponent(e, self.profile))
             return out
+        size, counted = self.square_meet(modulus, levels)
+        return size // sum(2 * modulus % z == 0 for z in counted)
 
+    def square_meet(self, modulus: int, levels: tuple[int, ...]) -> tuple[int, list]:
+        """phi(M) |G| at M = modulus, and each square class z whose class of H
+        at M_z = lcm(M, z) lies in G, taken at M.
+
+        |G| is read off one Hermite form whose rows are the sign bit and
+        exponent vector of every generator of G plus the diagonal (2 if M is
+        even else 1, M, ..., M) that spans Q*^M; the same form decides which
+        square classes lie in G. Where z | 2M, M_z = M and z counts in G & H;
+        for odd M only z = 1 does. Where M = 2^k and the levels are powers of
+        2, z counts in G & H at every modulus 2^k t with t odd and odd(z) | t,
+        and |G| is the same there: G has no odd part, t acts invertibly on its
+        2-part, and the condition on disc Q(sqrt z) reads the same.
+        """
+        levels = self._check_levels(modulus, levels)
         width = len(self.family.support) + 1
         rows = [
             [modulus // n_i * x for x in v]
@@ -174,16 +207,10 @@ class KummerModel:
             rows[-1][i] = modulus if i else 2 - modulus % 2
         form = hermite_form(rows)  # square, since the diagonal has full rank
         index = prod(r[i] for i, r in enumerate(form))
-        size = (2 - modulus % 2) * modulus ** (width - 1) // index
-        meet = 1
-        if modulus % 2 == 0:
-            half = modulus // 2
-            meet = sum(
-                _in_span([int(modulus % disc != 0)] + [half * b for b in z], form)
-                for disc, z in self._quadratics
-                if 2 * modulus % disc == 0
-            )
-        return euler_phi(modulus) * size // meet
+        size = euler_phi(modulus) * (2 - modulus % 2) * modulus ** (width - 1) // index
+        if modulus % 2:
+            return size, [1]
+        return size, [z for z, bits in self._squares if _meets(form, modulus, z, bits)]
 
     # -- sampling -----------------------------------------------------
 

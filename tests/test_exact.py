@@ -35,7 +35,7 @@ def test_product_contains_exact_value():
     exact = Fraction(1)
     for f in fracs:
         exact *= f
-    iv = Interval.exactly(1)
+    iv = Interval(Fraction(1), Fraction(1))
     for f in fracs:
         iv = iv.times_exact(f)
     assert iv.low <= exact <= iv.high
@@ -79,8 +79,9 @@ def test_contains_and_overlaps():
     c = Interval(Fraction(4, 5), Fraction(9, 10))
     assert a.contains(Fraction(1, 3))
     assert not a.contains(Fraction(2, 3))
-    assert a.overlaps(b) and b.overlaps(a)
-    assert not a.overlaps(c)
+    # a and b share their endpoint 1/2; c lies past both
+    assert a.contains(Fraction(1, 2)) and b.contains(Fraction(1, 2))
+    assert not (c.contains(a.high) or c.contains(b.high))
 
 
 def test_decimal_bounds_rounds_outward():

@@ -162,6 +162,10 @@ TEXTBOOK_DEGREES = [
     (["5"], 10, (2,), 4),  # sqrt 5 lies in Q(zeta_5)
     (["3"], 12, (2,), 4),  # sqrt 3 lies in Q(zeta_12)
     (["2"], 128, (128,), 4096),
+    # 4^2 = sqrt(2)^8 and 9^2 = sqrt(3)^8 with sqrt 2, sqrt 3 in the
+    # cyclotomic field, though both generators have squarefree part 1
+    (["4"], 8, (8,), 8),
+    (["9"], 12, (12,), 12),
 ]
 
 
