@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -443,12 +444,21 @@ def run_compare(cfg: dict) -> tuple[dict, int]:
     index_set = _series_set(cfg) if cfg.get("method") == "series" else None
     analytic = run_density(cfg)
     empirical = run_survey(cfg, index_set)
-    verdict = "inconclusive"
+    verdict, sigma, z, resolution = "inconclusive", None, None, None
     if empirical["total"] > 0:
         low, high = (float(Fraction(analytic["value"][end])) for end in ("low", "high"))
-        overlap = low <= empirical["wilson_high"] and empirical["wilson_low"] <= high
-        verdict = "consistent" if overlap else "inconsistent"
+        w_low, w_high = empirical["wilson_low"], empirical["wilson_high"]
+        verdict = "consistent" if low <= w_high and w_low <= high else "inconsistent"
+        # sigma of the estimate, p_hat's distance to the analytic interval in
+        # sigmas (null when sigma is 0 and p_hat lies outside), and the Wilson
+        # half-width: the smallest deviation from the truth this count can flag
+        p_hat = empirical["estimate"]
+        sigma = math.sqrt(p_hat * (1 - p_hat) / empirical["total"])
+        gap = max(low - p_hat, p_hat - high, 0.0)
+        z = gap / sigma if sigma else (0.0 if gap == 0 else None)
+        resolution = (w_high - w_low) / 2
     payload = {"analytic": analytic, "empirical": empirical, "verdict": verdict}
+    payload |= {"sigma": sigma, "z": z, "resolution": resolution}
     exits = {"consistent": EXIT_OK, "inconsistent": EXIT_INCONSISTENT}
     return payload, exits.get(verdict, EXIT_REFUSED)
 

@@ -14,14 +14,18 @@ the cyclic group F_p^* the index of a group is the gcd of its generators'
 indices. Surveys count membership in an index set once per distinct
 index tuple, one block of primes at a time, optionally filtered by a
 congruence class on p, and report Wilson intervals. Observation logs make
-10^7-scale scans reusable across queries.
+a scan reusable across queries: after one text header line, each prime is
+one fixed-width row of little-endian int32 (p, Psi(p)), written and read
+back a block at a time with no text formatting or parsing. A replay
+checks every row (whole rows only, p strictly increasing from the log's
+start, each index a positive divisor of p - 1) and refuses a log that
+fails, or a text log of an older version, with ConfigError.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import warnings
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -35,7 +39,7 @@ from .errors import ConfigError
 from .groups import GroupFamily
 from .index_sets import IndexSet
 
-SIEVE_CAP = 10**8
+SIEVE_CAP = 2**31 - 1
 _CHUNK = 1 << 14  # primes per pass of the index kernel
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -59,9 +63,13 @@ class SieveRange:
 
 
 def smallest_prime_factors(limit: int) -> np.ndarray:
-    """Smallest prime factor for every integer up to limit (int32), sieved afresh."""
-    if limit > SIEVE_CAP:
-        raise ValueError("table limit exceeds the sieve cap")
+    """Smallest prime factor for every integer up to limit (int32), sieved afresh.
+
+    The table takes 4 bytes per integer, so limit stops at 10^8 (400 MB);
+    its callers need 10^7 at most, and scans factor window by window.
+    """
+    if limit > 10**8:
+        raise ValueError("spf table limit exceeds 10^8")
     spf = np.arange(limit + 1, dtype=np.int32)  # primes, 0 and 1 keep themselves
     for i in reversed(primes_up_to(math.isqrt(limit))):
         spf[i * i :: i] = i  # the smaller primes write last
@@ -119,8 +127,8 @@ class IndexObservation:
 # ---------------------------------------------------------------------------
 # the index map, one batch of primes at a time
 #
-# Every residue is below SIEVE_CAP < 2^31, so the product of two residues
-# fits in int64 and the arithmetic below is exact.
+# Every residue is below SIEVE_CAP = 2^31 - 1, so the product of two
+# residues fits in int64 and the arithmetic below is exact.
 
 
 def _powmod(base: np.ndarray, exps: list, mod: np.ndarray) -> list:
@@ -267,7 +275,7 @@ def index_tuple(p, family: GroupFamily, factors: tuple | np.ndarray | None = Non
     (reduction mod p is undefined there). A 1-D int64 array of primes
     outside the support gives an (len(p), n) int64 array, one row per
     prime. The computation is batched in int64 and exact because every
-    prime is at most SIEVE_CAP < 2^31; larger primes raise ValueError.
+    prime is at most SIEVE_CAP = 2^31 - 1; larger primes raise ValueError.
     factors is p - 1 factored as _factorization gives it, or an spf table
     that covers p, or None for trial division. A group's index is the gcd of its
     generators' indices, each found by power-residue tests.
@@ -303,61 +311,75 @@ _WINDOW = 1 << 18  # integers sieved and factored per step of a scan
 
 
 class ObservationLog:
-    """Append-only text log of (p, Psi(p)) rows for one family and range.
+    """Append-only log of (p, Psi(p)) rows for one family and range.
 
-    Header pins the family fingerprint and the range start; the highest
-    scanned prime is implicit in the last row. Reuse requires the same
-    fingerprint and start, and extends the log in place when a caller
-    asks for a higher bound. The rows are read back and written one block
-    at a time, so a stopped scan leaves whole blocks behind and resumes
-    after the last of them.
+    One text header line, "#indexscan-i4<TAB>fingerprint<TAB>low", pins the
+    family and the range start; then each scanned prime is one row of n + 1
+    little-endian int32 (p, psi_1, ..., psi_n), 4 (n + 1) bytes, since p and
+    every index are at most SIEVE_CAP. The highest scanned prime is the last
+    row's. Reuse requires the same fingerprint and start, and extends the
+    log in place when a caller asks for a higher bound. Rows are written and
+    read back one block at a time, so a scan stopped between blocks resumes
+    after the last of them. Each block read is checked: a log that ends in
+    a partial row (a scan stopped mid-write), whose primes do not strictly
+    increase from the start, or with an index that is not a positive
+    divisor of p - 1 is refused with ConfigError, not silently truncated,
+    and so is a text log of an older version.
     """
+
+    MAGIC = "#indexscan-i4"
 
     def __init__(self, path: str, family: GroupFamily, low: int):
         self.path = path
         self.family = family
         self.low = low
+        self.width = len(family.groups) + 1  # int32 entries per row
 
-    def header(self) -> str:
-        return f"#indexscan\t{self.family.fingerprint}\t{self.low}\n"
+    def header(self) -> bytes:
+        return f"{self.MAGIC}\t{self.family.fingerprint}\t{self.low}\n".encode()
 
     def exists(self) -> bool:
         return os.path.exists(self.path)
 
-    def validate(self, line: str):
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 3 or parts[0] != "#indexscan":
-            raise ConfigError(f"{self.path} is not an observation log")
+    def validate(self, line: bytes):
+        parts = line.decode("utf-8", "replace").rstrip("\n").split("\t")
+        if len(parts) != 3 or parts[0] != self.MAGIC:
+            raise ConfigError(
+                f"{self.path} is not an observation log (text logs of older "
+                "versions are not read: delete the file to rescan)"
+            )
         if parts[1] != self.family.fingerprint:
             raise ConfigError(
                 "observation log belongs to a different family "
                 f"({parts[1]} != {self.family.fingerprint})"
             )
-        if int(parts[2]) != self.low:
+        if parts[2] != str(self.low):
             raise ConfigError("observation log starts at a different bound")
 
     def blocks(self):
         """The logged rows (p, Psi(p)) as int64 arrays of at most BLOCK rows."""
-        with open(self.path, encoding="utf-8") as fh:
-            self.validate(fh.readline())
-            while True:
-                with warnings.catch_warnings():  # a read at the end of the log warns
-                    warnings.simplefilter("ignore", UserWarning)
-                    rows = np.loadtxt(fh, dtype=np.int64, ndmin=2, max_rows=BLOCK)
-                if not len(rows):
-                    return
+        size = 4 * self.width * BLOCK
+        last = self.low - 1
+        with open(self.path, "rb") as fh:
+            self.validate(fh.readline(256))
+            while data := fh.read(size):
+                if len(data) % (4 * self.width):
+                    raise ConfigError(f"{self.path} ends in a partial row")
+                rows = np.frombuffer(data, "<i4").astype(np.int64)
+                rows = rows.reshape(-1, self.width)
+                self._check(rows, last)
+                last = int(rows[-1, 0])
                 yield rows
 
-
-def _rows_text(rows: np.ndarray) -> str:
-    """Log lines "p psi_1 ... psi_n" for a block of rows.
-
-    Formatted 4096 rows at a time: the Python ints of a whole block would
-    add megabytes to the peak memory of a logged scan.
-    """
-    line = " ".join(["%d"] * rows.shape[1]) + "\n"
-    parts = np.split(rows, range(4096, len(rows), 4096))
-    return "".join((line * len(part)) % tuple(part.ravel().tolist()) for part in parts)
+    def _check(self, rows: np.ndarray, last: int):
+        """Refuse rows whose p do not climb past last or whose indices do not fit."""
+        p, psi = rows[:, 0], rows[:, 1:]
+        if p[0] < self.low:
+            raise ConfigError(f"{self.path} holds a prime below its start {self.low}")
+        if p[0] <= last or (p[1:] <= p[:-1]).any():
+            raise ConfigError(f"{self.path}: the primes do not strictly increase")
+        if (psi < 1).any() or ((p[:, None] - 1) % psi).any():
+            raise ConfigError(f"{self.path} holds an index that does not divide p - 1")
 
 
 def _window(lo: int, hi: int, small: list[int], skip: list[int]):
@@ -407,7 +429,7 @@ def _scan(family: GroupFamily, srange: SieveRange, log_path: str | None):
     skip = [q for q in family.support if q <= srange.high]
     # small always holds a prime above 16, for _window's strided reads
     small, rest = list(primes_up_to(max(math.isqrt(srange.high), 17))), []
-    log_file = open(log_path, "a", encoding="utf-8") if log else nullcontext()
+    log_file = open(log_path, "ab") if log else nullcontext()
     with log_file as sink:
         if write_header:
             sink.write(log.header())
@@ -422,11 +444,14 @@ def _scan(family: GroupFamily, srange: SieveRange, log_path: str | None):
                 block, factors = _split(factors, BLOCK)
                 psi = index_tuple(primes[:BLOCK], family, block)
                 if sink:
-                    sink.write(_rows_text(np.column_stack([primes[:BLOCK], psi])))
+                    rows = np.empty((len(psi), log.width), "<i4")
+                    rows[:, 0], rows[:, 1:] = primes[:BLOCK], psi
+                    sink.write(rows)
                 yield primes[:BLOCK], psi
                 primes = primes[BLOCK:]
             rest.append(tuple(map(np.copy, (primes, *factors))))
-            primes = factors = block = psi = None  # they would keep the blocks alive
+            # these would keep the blocks alive while the next windows are sieved
+            primes = factors = block = psi = rows = None
 
 
 def observations(

@@ -1,13 +1,17 @@
 """End-to-end runs of the command-line harness with temp configs."""
 
 import json
+import math
 from fractions import Fraction
 from math import prod
 
+import numpy as np
 import pytest
 
 from indexdensity import empirical
 from indexdensity.cli import main
+from indexdensity.empirical import wilson_interval
+from indexdensity.groups import GroupFamily
 from test_acceptance import ARTIN
 
 
@@ -198,9 +202,10 @@ def test_unusable_log_path_exits_2(tmp_path, capsys):
 
 
 def test_malformed_log_row_exits_2(tmp_path, capsys, monkeypatch):
-    # small blocks put the bad row in the log's fourth block
+    # small blocks put the bad rows in the log's fourth block
     monkeypatch.setattr(empirical, "BLOCK", 100)
     log_path = tmp_path / "scan.log"
+    fingerprint = GroupFamily.from_strings(["2"]).fingerprint
     cfg = _write_config(
         tmp_path,
         "log.json",
@@ -211,13 +216,24 @@ def test_malformed_log_row_exits_2(tmp_path, capsys, monkeypatch):
             "log_path": str(log_path),
         },
     )
-    assert _run(capsys, "survey", "--config", cfg)[0] == 0
-    with open(log_path, "a", encoding="utf-8") as fh:
-        fh.write("3001 x\n")
+    for tail, message in (
+        (b"\x01\x02\x03", "ends in a partial row"),  # a scan stopped mid-write
+        (np.array([3001, 7], "<i4").tobytes(), "does not divide p - 1"),
+    ):
+        log_path.unlink(missing_ok=True)
+        assert _run(capsys, "survey", "--config", cfg)[0] == 0
+        with open(log_path, "ab") as fh:
+            fh.write(tail)
+        code, payload, err = _run(capsys, "survey", "--config", cfg)
+        assert (code, payload) == (2, None)
+        assert message in err
+        assert "Traceback" not in err
+    # a text log written before the rows were binary
+    log_path.write_text(f"#indexscan\t{fingerprint}\t2\n3 1\n5 1\n")
     code, payload, err = _run(capsys, "survey", "--config", cfg)
-    assert code == 2
-    assert payload is None
-    assert "could not convert string" in err
+    assert (code, payload) == (2, None)
+    assert "is not an observation log" in err
+    assert "Traceback" not in err
 
 
 def test_malformed_set_exits_2(tmp_path, capsys):
@@ -278,6 +294,35 @@ def test_compare_consistent_and_inconsistent(tmp_path, capsys):
     code, payload, _ = _run(capsys, "compare", "--config", bad)
     assert code == 4
     assert payload["result"]["verdict"] == "inconsistent"
+
+
+def test_compare_states_its_resolution(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path,
+        "resolution.json",
+        {"groups": [["2"]], "set": EQ1, "cutoff": 2000, "sieve_bound": 20000},
+    )
+    code, payload, _ = _run(capsys, "compare", "--config", cfg)
+    result = payload["result"]
+    assert (code, result["verdict"]) == (0, "consistent")
+    # 840 of the 2261 odd primes below 20000 have 2 as a primitive root
+    assert (result["empirical"]["hits"], result["empirical"]["total"]) == (840, 2261)
+    p_hat, (w_low, w_high) = 840 / 2261, wilson_interval(840, 2261)
+    sigma = math.sqrt(p_hat * (1 - p_hat) / 2261)
+    assert result["sigma"] == pytest.approx(sigma, rel=1e-12)
+    assert result["resolution"] == pytest.approx((w_high - w_low) / 2, rel=1e-12)
+    low = float(Fraction(result["analytic"]["value"]["low"]))
+    assert p_hat < low  # 840/2261 = 0.3715... lies below A = 0.3739...
+    assert result["z"] == pytest.approx((low - p_hat) / sigma, rel=1e-9)
+    assert 0.2 < result["z"] < 0.3
+    assert result["z"] * sigma < result["resolution"]
+
+    # 4 is a square: no prime has index 1, so sigma is 0, and so is the gap
+    square = {"groups": [["4"]], "set": EQ1, "cutoff": 2000, "sieve_bound": 20000}
+    cfg = _write_config(tmp_path, "square.json", square)
+    code, payload, _ = _run(capsys, "compare", "--config", cfg)
+    result = payload["result"]
+    assert (result["verdict"], result["sigma"], result["z"]) == ("consistent", 0.0, 0.0)
 
 
 def test_series_compare_surveys_the_set_of_its_level_map(tmp_path, capsys):

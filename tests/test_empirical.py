@@ -22,7 +22,7 @@ from indexdensity.empirical import (
     survey_many,
     wilson_interval,
 )
-from indexdensity.arith import primes_up_to, valuation
+from indexdensity.arith import is_prime, primes_up_to, valuation
 from indexdensity.errors import ConfigError
 from indexdensity.groups import GroupFamily
 from indexdensity.index_sets import Divides, Equals, KFree, PrimesSet
@@ -187,10 +187,15 @@ def test_log_extended_from_inside_a_window(tmp_path, monkeypatch):
     srange = SieveRange.up_to(30000)
     rows = [(obs.p, obs.psi) for obs in observations(family, srange, log_path=path)]
     _assert_scan_is_exact(rows, gen_lists, srange)
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        logged = [tuple(map(int, line.split())) for line in fh]
+    logged = [tuple(row) for row in _log_rows(path, 3)[1].tolist()]
     assert logged == [(p, *psi) for p, psi in rows]
+
+
+def _log_rows(path, width):
+    """The log's header line, then its body as int32 rows of width entries."""
+    with open(path, "rb") as fh:
+        header = fh.readline().decode()
+        return header, np.fromfile(fh, "<i4").reshape(-1, width)
 
 
 def _survey_peak(bound):
@@ -222,18 +227,28 @@ def test_counts_match_independent_prime_counts():
 
 @functools.cache
 def _primes_below_the_cap():
-    return [p for p in range(SIEVE_CAP - 2000, SIEVE_CAP + 1) if _factor(p) == {p: 1}]
+    return [p for p in range(SIEVE_CAP - 2000, SIEVE_CAP + 1) if is_prime(p)]
 
 
 @pytest.mark.parametrize("gen_lists", ORACLE_FAMILIES, ids=str)
 def test_index_map_stays_exact_at_the_sieve_cap(gen_lists):
     family = GroupFamily.from_strings(*gen_lists)
     primes = _primes_below_the_cap()
-    assert len(primes) == 99
+    assert len(primes) == 87 and primes[-1] == SIEVE_CAP == 2**31 - 1
     batch = index_tuple(np.array(primes, dtype=np.int64), family)
-    assert batch.shape == (99, len(gen_lists))
+    assert batch.shape == (87, len(gen_lists))
     for p, row in zip(primes, batch.tolist()):
         assert tuple(row) == index_tuple(p, family) == _oracle_psi(p, gen_lists), p
+
+
+def test_scan_below_the_sieve_cap_matches_the_index_map():
+    # the windows' sieve and factors of p - 1 against trial division
+    srange = SieveRange(SIEVE_CAP - 2 * 10**5, SIEVE_CAP)
+    family = GroupFamily.from_strings(["2"], ["-3/10", "7"])
+    blocks = list(empirical._scan(family, srange, None))
+    primes = np.concatenate([p for p, _ in blocks])
+    assert primes.size == 9316 and primes[-1] == SIEVE_CAP
+    assert (np.concatenate([psi for _, psi in blocks]) == index_tuple(primes, family)).all()
 
 
 def test_index_map_reduces_generators_beyond_int64():
@@ -404,9 +419,7 @@ def test_array_consumers_match_a_per_prime_tally(family, sets, tmp_path, monkeyp
             assert {rep.total for rep in reports} == {sum(c for _, c in buckets)}
             dist = distribution(family, srange, ell, 2, cong, log_path=log_path)
             assert dist.buckets == buckets
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        logged = [int(line.split()[0]) for line in fh]
+    logged = _log_rows(path, len(family.groups) + 1)[1][:, 0].tolist()
     assert logged == [obs.p for obs in observations(family, srange)]
 
 
@@ -451,16 +464,12 @@ def test_distribution_tracks_generic_local_law():
 def test_observation_log_replay_and_extension(tmp_path):
     path = str(tmp_path / "scan.log")
     first = survey(FAM2, SieveRange.up_to(3000), Equals((1,)), log_path=path)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        body = fh.read()
-    assert header.startswith("#indexscan\t")
+    header, body = _log_rows(path, 2)
+    assert header.startswith("#indexscan-i4\t")
 
     replay = survey(FAM2, SieveRange.up_to(3000), Equals((1,)), log_path=path)
     assert replay == first
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        assert fh.read() == body
+    assert _log_rows(path, 2)[1].tolist() == body.tolist()
 
     extended = survey(FAM2, SieveRange.up_to(8000), Equals((1,)), log_path=path)
     fresh = survey(FAM2, SieveRange.up_to(8000), Equals((1,)))
@@ -468,6 +477,30 @@ def test_observation_log_replay_and_extension(tmp_path):
 
     shrunk = survey(FAM2, SieveRange.up_to(1000), Equals((1,)), log_path=path)
     assert shrunk == survey(FAM2, SieveRange.up_to(1000), Equals((1,)))
+
+
+@pytest.mark.parametrize(
+    "low, rows, message",
+    [
+        (2, [[3, 1], [5, 1], [5, 1]], "do not strictly increase"),
+        (2, [[5, 1], [3, 2]], "do not strictly increase"),
+        (5, [[3, 1], [5, 1]], "below its start"),
+        (2, [[3, 1], [5, 0]], "does not divide"),
+        (2, [[3, 1], [7, 4]], "does not divide"),
+    ],
+)
+def test_observation_log_refuses_rows_that_break_the_checks(
+    low, rows, message, tmp_path, monkeypatch
+):
+    # blocks of two rows: the first case repeats a prime across blocks
+    monkeypatch.setattr(empirical, "BLOCK", 2)
+    path = tmp_path / "scan.log"
+    path.write_bytes(
+        f"#indexscan-i4\t{FAM2.fingerprint}\t{low}\n".encode()
+        + np.array(rows, "<i4").tobytes()
+    )
+    with pytest.raises(ConfigError, match=message):
+        survey(FAM2, SieveRange(low, 1000), Equals((1,)), log_path=str(path))
 
 
 def test_observation_log_rejects_mismatches(tmp_path):
