@@ -450,12 +450,15 @@ def run_compare(cfg: dict) -> tuple[dict, int]:
         w_low, w_high = empirical["wilson_low"], empirical["wilson_high"]
         verdict = "consistent" if low <= w_high and w_low <= high else "inconsistent"
         # sigma of the estimate, p_hat's distance to the analytic interval in
-        # sigmas (null when sigma is 0 and p_hat lies outside), and the Wilson
-        # half-width: the smallest deviation from the truth this count can flag
-        p_hat = empirical["estimate"]
-        sigma = math.sqrt(p_hat * (1 - p_hat) / empirical["total"])
+        # sigmas, and the Wilson half-width: the smallest deviation from the
+        # truth this count can flag. When no or every prime is a hit, sigma is
+        # 0, so the gap is measured in the sigma of the nearest endpoint e
+        p_hat, total = empirical["estimate"], empirical["total"]
+        sigma = math.sqrt(p_hat * (1 - p_hat) / total)
         gap = max(low - p_hat, p_hat - high, 0.0)
-        z = gap / sigma if sigma else (0.0 if gap == 0 else None)
+        e = low if p_hat < low else high
+        spread = sigma or math.sqrt(e * (1 - e) / total)
+        z = gap / spread if spread else (0.0 if gap == 0 else None)
         resolution = (w_high - w_low) / 2
     payload = {"analytic": analytic, "empirical": empirical, "verdict": verdict}
     payload |= {"sigma": sigma, "z": z, "resolution": resolution}

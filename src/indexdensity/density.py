@@ -22,6 +22,7 @@ wherever a generic per-tuple value would be unsound.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -308,7 +309,29 @@ def hooley_series(
 # the joint factor at the primes where degrees can entangle
 
 
-def _joint_factor(model: KummerModel, specs: dict[int, VSpec]) -> Fraction:
+def _joint_piece(model: KummerModel, ell: int, spec: VSpec):
+    """What _joint_factor needs of the spec at one scope prime ell.
+
+    At 2, one (c / (phi(2^k) |G_2(k, w)|), counted square classes) pair per
+    corner (c, w); at any other ell, the local sum L_ell and L_ell - b_ell,
+    b_ell the zero corner's coefficient.
+    """
+    corners = corner_terms(spec, len(model.family))
+    if ell == 2:
+        meets = (
+            (c, model.square_meet(2 ** max(w), tuple(2**e for e in w)))
+            for c, w in corners
+        )
+        return tuple((Fraction(c, size), counted) for c, (size, counted) in meets)
+    levels = ((c, tuple(ell**e for e in w)) for c, w in corners)
+    terms = (Fraction(c, model.degree(max(n), n, "corrected")) for c, n in levels)
+    local = sum(terms, Fraction(0))
+    return local, local - sum(c for c, w in corners if not any(w))
+
+
+def _joint_factor(
+    model: KummerModel, specs: dict[int, VSpec], piece=_joint_piece
+) -> Fraction:
     """Density of primes whose index valuations at each listed ell lie in its spec.
 
     Term by term, it is sum prod_ell c_ell / D(M, N) over one signed corner
@@ -325,25 +348,20 @@ def _joint_factor(model: KummerModel, specs: dict[int, VSpec]) -> Fraction:
       sum_(c, w) c / (phi(2^k) |G_2(k, w)|) sum_z chi_(k,w)(z)
         prod_(ell | z) (L_ell - b_ell) prod_(ell not | z) L_ell
     over the odd support primes, times L_ell for each odd ell outside the
-    support. specs lists 2 and the support, as the model's scope does.
+    support. specs lists 2 and the support, as the model's scope does. The
+    pieces come from piece(model, ell, spec) (_joint_piece, which a caller
+    may memoize), and each z's product over the odd support primes is
+    taken once, however many corners count it.
     """
-    corners = {ell: corner_terms(v, len(model.family)) for ell, v in specs.items()}
-
-    def local_sum(ell) -> Fraction:
-        levels = ((c, tuple(ell**e for e in w)) for c, w in corners[ell])
-        terms = (Fraction(c, model.degree(max(n), n, "corrected")) for c, n in levels)
-        return sum(terms, Fraction(0))
-
+    pieces = {ell: piece(model, ell, spec) for ell, spec in specs.items()}
     odd = [ell for ell in model.family.support if ell != 2]
-    sums = {ell: local_sum(ell) for ell in odd}
-    b = {ell: sum(c for c, w in corners[ell] if not any(w)) for ell in odd}
-    total = Fraction(0)
-    for c, w in corners[2]:
-        size, counted = model.square_meet(2 ** max(w), tuple(2**e for e in w))
-        for z in counted:
-            factors = (sums[ell] - (z % ell == 0) * b[ell] for ell in odd)
-            total += prod(factors, start=Fraction(c, size))
-    lattice = (local_sum(ell) for ell in specs if ell != 2 and ell not in odd)
+    classes = {z for _, counted in pieces[2] for z in counted}
+    over = {z: prod(pieces[ell][z % ell == 0] for ell in odd) for z in classes}
+    total = sum(
+        (weight * sum(over[z] for z in counted) for weight, counted in pieces[2]),
+        Fraction(0),
+    )
+    lattice = (pieces[ell][0] for ell in specs if ell != 2 and ell not in odd)
     return prod(lattice, start=total)
 
 
@@ -428,15 +446,18 @@ def _scope_joint(family: GroupFamily):
     """The Kummer model's scope S and a memoized joint factor.
 
     joint(vs) is the density of primes whose index valuations at the i-th
-    prime of S are exactly vs[i].
+    prime of S are exactly vs[i]. The pieces of the joint factor are
+    memoized per (ell, valuation tuple), so a new vs only multiplies
+    pieces already built; both memos live as long as the returned closure.
     """
     model = KummerModel(family)
     scope = model.deficiency_scope()
+    piece = lru_cache(maxsize=None)(_joint_piece)
 
     @lru_cache(maxsize=None)
     def joint(vs):
         specs = {ell: (v,) for ell, v in zip(scope, vs)}
-        return _joint_factor(model, specs)
+        return _joint_factor(model, specs, piece)
 
     return scope, joint
 
@@ -477,9 +498,14 @@ def singleton_sum(
 
     Each tuple contributes the index-one constant times its multiplicative
     correction; both use the joint factor over the Kummer model's scope,
-    so every prime is priced with exact degrees. Monotone in both the
-    enumeration bound and the smoothness modulus, which is the observable
-    shape of the truncation lattice the ledger reports. Refuses
+    so every prime is priced with exact degrees. The corrections stay
+    exact in the ledger, but their sum runs on the 2^-PRECISION_BITS grid
+    (series_sum), in one pass over the members by max(h), and the value is
+    the base times [low, high] rounded outward: an exact sum's denominator
+    grows with every member. Monotone in both the enumeration bound and the
+    smoothness modulus, which is the observable shape of the truncation
+    lattice the ledger reports, as the grid lower bounds of the prefix
+    sums at geometric sub-bounds. Refuses
     non-separated families: for those, per-tuple densities are not
     products of local factors and a generic value here would be silently
     wrong.
@@ -501,21 +527,27 @@ def singleton_sum(
 
     members = index_set.members(bound, smooth)
     corrections = [(h, _tuple_correction(h, profile, scope, joint)) for h in members]
-    total = sum((m_h for _, m_h in corrections), Fraction(0))
     ledger = [(f"h={h}", m_h) for h, m_h in corrections[:LEDGER_ROW_LIMIT]]
 
-    # truncation lattice: partial correction sums at geometric sub-bounds
+    # one grid sum over the members by max(h): the truncation lattice's
+    # partial sums at geometric sub-bounds are its prefix sums
+    subs = []
     sub = bound
-    lattice = []
-    while sub >= 1:
-        s = sum((m_h for h, m_h in corrections if max(h) <= sub), Fraction(0))
-        lattice.append((f"sum(max h <= {sub})", s))
-        if sub == 1:
-            break
+    while sub:
+        subs.append(sub)
         sub //= 4
-    ledger.extend(reversed(lattice))
+    by_max = sorted(corrections, key=lambda hm: max(hm[0]))
+    tops = [max(h) for h, _ in by_max]
+    lo = hi = Fraction(0)
+    start = 0
+    for sub in reversed(subs):
+        stop = bisect_right(tops, sub)
+        band = series_sum((m.numerator, m.denominator) for _, m in by_max[start:stop])
+        lo, hi = lo + band[0], hi + band[1]
+        start = stop
+        ledger.append((f"sum(max h <= {sub})", lo))
 
-    value = base_value.times_exact(total)
+    value = Interval(round_down(base_value.low * lo), round_up(base_value.high * hi))
     notes = (
         f"set={index_set.label()}",
         f"bound={bound}",

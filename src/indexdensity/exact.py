@@ -5,10 +5,12 @@ blow up denominator sizes if accumulated naively. Instead every endpoint
 lives on the grid of multiples of 2^-PRECISION_BITS: after each exact
 operation, low is rounded down and high up to that grid. Every emitted
 interval therefore still rigorously contains the true value, while
-arithmetic stays fast. The long loops (series_sum here, the Euler product
-in artin) keep the two endpoints as plain integers k meaning
-k / 2^PRECISION_BITS and build Fractions only at the end; series_sum also
-takes its terms as integer pairs (numerator, denominator). One-off
+arithmetic stays fast. The long loops (series_sum here, which sums the
+Moebius series and singleton_sum's per-tuple corrections in density, and
+the Euler product in artin) keep the two endpoints as plain integers k
+meaning k / 2^PRECISION_BITS and build Fractions only at the end;
+series_sum also takes its terms as integer pairs (numerator,
+denominator). One-off
 operations go through Interval, round_down and round_up. Both give the
 same endpoints, since floor(x 2^PRECISION_BITS) does not depend on how x
 is written. Decimal rendering rounds low down and high up.

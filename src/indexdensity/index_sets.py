@@ -275,6 +275,10 @@ class IndexSet(ABC):
         self, bound: int, smooth: SquarefreeModulus | None = None
     ) -> list[IndexTuple]:
         """All members with entries <= bound (and smooth, if given), lex order."""
+        return [h for h in self._candidate_tuples(bound, smooth) if self.contains(h)]
+
+    def _candidate_tuples(self, bound: int, smooth: SquarefreeModulus | None):
+        """The tuples of coordinate candidates, once their count is checked."""
         if bound < 1:
             raise ValueError("bound must be >= 1")
         cands = self.coordinate_candidates(bound, smooth)
@@ -286,7 +290,7 @@ class IndexSet(ABC):
                     f"enumeration would visit > {ENUMERATION_CAP} tuples; "
                     "lower the bound or pass a smoothness modulus"
                 )
-        return [h for h in iproduct(*cands) if self.contains(h)]
+        return iproduct(*cands)
 
 
 @dataclass(frozen=True)
@@ -499,8 +503,13 @@ class PrimesSet(IndexSet):
     def coordinate_candidates(self, bound, smooth):
         ps = list(primes_up_to(bound))
         if smooth is not None:
-            ps = [p for p in ps if p in set(smooth.primes)]
+            allowed = set(smooth.primes)
+            ps = [p for p in ps if p in allowed]
         return [ps]
+
+    def members(self, bound, smooth=None):
+        """The candidates are already the primes up to the bound: no test runs."""
+        return list(self._candidate_tuples(bound, smooth))
 
     def label(self):
         return "primes"

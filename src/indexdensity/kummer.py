@@ -108,8 +108,9 @@ def _meets(form: list[list[int]], modulus: int, z: int, bits) -> bool:
 class KummerModel:
     """Degree oracle for one group family: exact, generic and sampled.
 
-    Holds the family's rank profile and an in-memory memo of its sampling
-    runs, keyed by modulus and levels.
+    Holds the family's rank profile and two in-memory memos keyed by
+    modulus and levels: one of its sampling runs, and one of square_meet,
+    so each distinct corner builds its Hermite form once per model.
     """
 
     def __init__(self, family: GroupFamily):
@@ -129,6 +130,7 @@ class KummerModel:
             classes += [tuple((a + b) % 2 for a, b in zip(c, v)) for c in classes]
         self._squares = [(prod(p**b for p, b in zip(support, c)), c) for c in classes]
         self._estimates: dict[tuple[int, tuple[int, ...]], DegreeEstimate] = {}
+        self._square_meets: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
     def _check_levels(self, modulus: int, levels) -> tuple[int, ...]:
         levels = tuple(int(x) for x in levels)
@@ -182,7 +184,9 @@ class KummerModel:
         size, counted = self.square_meet(modulus, levels)
         return size // sum(2 * modulus % z == 0 for z in counted)
 
-    def square_meet(self, modulus: int, levels: tuple[int, ...]) -> tuple[int, list]:
+    def square_meet(
+        self, modulus: int, levels: tuple[int, ...]
+    ) -> tuple[int, tuple[int, ...]]:
         """phi(M) |G| at M = modulus, and each square class z whose class of H
         at M_z = lcm(M, z) lies in G, taken at M.
 
@@ -194,8 +198,12 @@ class KummerModel:
         2, z counts in G & H at every modulus 2^k t with t odd and odd(z) | t,
         and |G| is the same there: G has no odd part, t acts invertibly on its
         2-part, and the condition on disc Q(sqrt z) reads the same.
+        Memoized on the model by (modulus, levels).
         """
         levels = self._check_levels(modulus, levels)
+        key = (modulus, levels)
+        if key in self._square_meets:
+            return self._square_meets[key]
         width = len(self.family.support) + 1
         rows = [
             [modulus // n_i * x for x in v]
@@ -208,9 +216,13 @@ class KummerModel:
         form = hermite_form(rows)  # square, since the diagonal has full rank
         index = prod(r[i] for i, r in enumerate(form))
         size = euler_phi(modulus) * (2 - modulus % 2) * modulus ** (width - 1) // index
-        if modulus % 2:
-            return size, [1]
-        return size, [z for z, bits in self._squares if _meets(form, modulus, z, bits)]
+        counted = (1,)
+        if modulus % 2 == 0:
+            counted = tuple(
+                z for z, bits in self._squares if _meets(form, modulus, z, bits)
+            )
+        self._square_meets[key] = (size, counted)
+        return size, counted
 
     # -- sampling -----------------------------------------------------
 

@@ -11,6 +11,7 @@ import pytest
 from indexdensity import empirical
 from indexdensity.cli import main
 from indexdensity.empirical import wilson_interval
+from indexdensity.exact import PRECISION_BITS
 from indexdensity.groups import GroupFamily
 from test_acceptance import ARTIN
 
@@ -108,6 +109,26 @@ def test_generic_series_at_default_truncation_is_rounded(tmp_path, capsys):
     assert (1 << 128) % low.denominator == 0
     assert (1 << 128) % high.denominator == 0
     assert low <= ARTIN <= high
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"set": {"kind": "equals", "tuple": [1]}, "method": "euler"},
+        {"method": "series", "mode": "corrected", "truncation": 3000},
+        # at this bound the exact sum of the m_h has a denominator of more
+        # than 4,300 digits, which cannot be printed
+        {"set": {"kind": "primes"}, "method": "singletons", "bound": 10**4},
+    ],
+    ids=["euler", "series", "singletons"],
+)
+def test_every_route_emits_endpoints_on_the_grid(tmp_path, capsys, extra):
+    cfg = _write_config(tmp_path, "route.json", {"groups": [["2"]], **extra})
+    code, payload, _ = _run(capsys, "density", "--config", cfg)
+    assert code == 0
+    value = payload["result"]["value"]
+    for end in ("low", "high"):
+        assert (1 << PRECISION_BITS) % Fraction(value[end]).denominator == 0
 
 
 EQ1 = {"kind": "equals", "tuple": [1]}
@@ -323,6 +344,25 @@ def test_compare_states_its_resolution(tmp_path, capsys):
     code, payload, _ = _run(capsys, "compare", "--config", cfg)
     result = payload["result"]
     assert (result["verdict"], result["sigma"], result["z"]) == ("consistent", 0.0, 0.0)
+
+    # the generic series on <4> claims about A for index one, and no prime
+    # is a hit: sigma is 0, so z is measured at the nearest analytic endpoint
+    generic = {
+        "groups": [["4"]],
+        "set": EQ1,
+        "method": "series",
+        "mode": "generic",
+        "truncation": 2000,
+        "sieve_bound": 20000,
+    }
+    cfg = _write_config(tmp_path, "generic.json", generic)
+    code, payload, _ = _run(capsys, "compare", "--config", cfg)
+    result = payload["result"]
+    assert (code, result["verdict"], result["sigma"]) == (4, "inconsistent", 0.0)
+    assert (result["empirical"]["hits"], result["empirical"]["total"]) == (0, 2261)
+    low = float(Fraction(result["analytic"]["value"]["low"]))
+    assert result["z"] == pytest.approx(low / math.sqrt(low * (1 - low) / 2261))
+    assert 30 < result["z"] < math.inf
 
 
 def test_series_compare_surveys_the_set_of_its_level_map(tmp_path, capsys):

@@ -289,6 +289,28 @@ def test_singleton_sum_monotone_in_bound_and_smoothness():
     assert q_large.value.low <= ceiling.value.high + slack
 
 
+@pytest.mark.parametrize("bound", [10, 60, 360, 1000])
+def test_singleton_grid_sum_encloses_the_exact_sum(bound):
+    # the sum of the m_h runs on the 2^-128 grid; the reported interval must
+    # hold the exact sum S times the base, each end rounded outward
+    fam23 = GroupFamily.from_strings(["2"], ["3"])
+    cases = [
+        (FAM2, PrimesSet()),
+        (FAM2, KFree((2,))),
+        (FAM2, Divides((12,))),
+        (fam23, Divides((12, 12))),
+    ]
+    for family, index_set in cases:
+        one = FiniteSet(((1,) * len(family),))  # S = m((1, ..., 1)) = 1
+        base = singleton_sum(family, one, cutoff=2000).value
+        members = index_set.members(bound)
+        exact = sum((correction_ratio(h, family).value for h in members), Fraction(0))
+        got = singleton_sum(family, index_set, bound=bound, cutoff=2000).value
+        assert got.low <= round_down(base.low * exact), index_set.label()
+        assert round_up(base.high * exact) <= got.high, index_set.label()
+        assert got.width < Fraction(1, 10**30), index_set.label()
+
+
 def test_singleton_partial_sums_stay_below_one():
     prev = Fraction(0)
     for b in (5, 15, 40):
