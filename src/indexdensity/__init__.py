@@ -23,7 +23,6 @@ from .arith import (
 )
 from .artin import (
     EulerProduct,
-    LocalSeries,
     ProbEstimate,
     corner_degree,
     euler_product,
@@ -113,7 +112,6 @@ __all__ = [
     "KFree",
     "KummerModel",
     "LevelMap",
-    "LocalSeries",
     "MultGroup",
     "PredicateSet",
     "PrimesSet",

@@ -44,6 +44,7 @@ from .kummer import generic_exponent
 
 CROSSCHECK_BOX_LIMIT = 4096
 ENUMERATION_ATOM_LIMIT = 4_000_000
+_SAMPLE_CHUNK = 1 << 19  # monte-carlo samples drawn per pass
 
 
 def _subsets(indices):
@@ -208,15 +209,6 @@ def _shape(spec: VSpec, profile: RankProfile) -> Shape:
     return shape
 
 
-@dataclass(frozen=True)
-class LocalSeries:
-    """Exact sum of local factors over one prime's allowed tuples."""
-
-    value: Fraction
-    ell: int
-    spec: VSpec
-
-
 def _series_ratio(ell: int, spec: VSpec, profile: RankProfile) -> tuple[int, int]:
     """The local series as an unreduced (numerator, denominator > 0) pair."""
     if isinstance(spec, ValuationPattern):
@@ -232,8 +224,8 @@ def _series_ratio(ell: int, spec: VSpec, profile: RankProfile) -> tuple[int, int
     return numerator, denominator
 
 
-def local_series(ell: int, spec: VSpec, profile: RankProfile) -> LocalSeries:
-    """Sum F(v) over a finite tuple list or a product-form pattern.
+def local_series(ell: int, spec: VSpec, profile: RankProfile) -> Fraction:
+    """Sum F(v) over a finite tuple list or a product-form pattern, exactly.
 
     Patterns telescope: summing the alternating corner sum over a box
     (coordinates below given bounds, other coordinates free) leaves only
@@ -244,7 +236,7 @@ def local_series(ell: int, spec: VSpec, profile: RankProfile) -> LocalSeries:
     """
     if not isinstance(spec, ValuationPattern):
         spec = tuple(spec)
-    return LocalSeries(Fraction(*_series_ratio(ell, spec, profile)), ell, spec)
+    return Fraction(*_series_ratio(ell, spec, profile))
 
 
 def local_factor(ell: int, v_I, profile: RankProfile) -> Fraction:
@@ -253,7 +245,7 @@ def local_factor(ell: int, v_I, profile: RankProfile) -> Fraction:
     The local series of the one tuple v_I, whose shape is checked once
     against both displayed closed forms as an identity in ell.
     """
-    return local_series(ell, (v_I,), profile).value
+    return local_series(ell, (v_I,), profile)
 
 
 # ---------------------------------------------------------------------------
@@ -544,16 +536,15 @@ class ProbEstimate:
     value: float
     sigma: float
     hits: int
-    kept: int
     samples: int
 
     def agrees_with(self, target, sigmas: float = 3.0) -> bool:
         """Binomial consistency check against an exact target density."""
         t = float(target)
-        if self.kept == 0:
+        if self.samples == 0:
             return False
-        null_sigma = math.sqrt(t * (1 - t) / self.kept)
-        return abs(self.value - t) <= sigmas * null_sigma + 1.0 / self.kept
+        null_sigma = math.sqrt(t * (1 - t) / self.samples)
+        return abs(self.value - t) <= sigmas * null_sigma + 1.0 / self.samples
 
 
 def _torsion_free_basis(family: GroupFamily):
@@ -593,7 +584,6 @@ def prob_model_oracle(
     *,
     samples: int = 10**6,
     seed: int = 0,
-    chunk: int = 1 << 19,
 ):
     """Independent estimate of the local factor from the splitting model.
 
@@ -645,7 +635,7 @@ def prob_model_oracle(
     hits = 0
     left = samples
     while left > 0:
-        size = min(chunk, left)
+        size = min(_SAMPLE_CHUNK, left)
         left -= size
         logs = rng.integers(0, modulus, size=(size, len(support)), dtype=np.int64)
         combo = (logs @ coeffs) % modulus
@@ -665,4 +655,4 @@ def prob_model_oracle(
 
     p = hits / samples
     sigma = math.sqrt(p * (1 - p) / samples) if 0 < p < 1 else 1.0 / samples
-    return ProbEstimate(p, sigma, hits, samples, samples)
+    return ProbEstimate(p, sigma, hits, samples)

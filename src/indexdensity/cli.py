@@ -359,7 +359,7 @@ def run_artin_oracle(cfg: dict) -> dict:
         )
         payload["oracle"] = est.value
         payload["sigma"] = est.sigma
-        payload["kept"] = est.kept
+        payload["kept"] = est.samples
         payload["agrees"] = est.agrees_with(target)
     return payload
 

@@ -43,7 +43,6 @@ from .index_sets import (
     valuations_at,
 )
 from .artin import (
-    _subsets,
     _zeta_bounds,
     corner_terms,
     euler_product,
@@ -224,10 +223,25 @@ def _tail_constant(model: KummerModel, level_map: LevelMap, degree) -> Fraction:
     and t prime to S: f(n) has the same S-part as f(s), so
     f(n) phi(f(n)) / D(f(n)) <= c. As n divides f(n) for every level map,
     1/D(f(n)) <= c / (f(n) phi(f(n))) <= c / (n phi(n)).
+
+    The maximum sits at s = P or s = 2P, P the product of the odd primes
+    of S, so two degrees give c. For the rank-one group,
+    A phi(A) / D(A) = A |G & H| / |G|, and |G| splits over the ell | A
+    (KummerModel.degree). For odd ell, -1 is an ell^k-th power, so G_ell is
+    cyclic of order ell^(k - min(k, d_ell)), d_ell the ell-adic content of
+    the exponent lattice: its factor ell^min(k, d_ell) grows with k. At a
+    fixed 2-part 2^k, |G_2| is fixed and |G & H| grows with the odd part,
+    as a class z counts at every 2^k t with odd(z) | t
+    (KummerModel.square_meet). Every level map raises ell's exponent when
+    ell joins n and leaves the other primes alone, so whether or not 2 | s,
+    the full odd part gives the largest ratio. The 2-part is not monotone:
+    for <-1, 2> and f(n) = n, s = 1 gives 1 but s = 2 gives 1/2, as -1
+    doubles |G_2|.
     """
+    odd = dict.fromkeys((ell for ell in model.deficiency_scope() if ell != 2), 1)
     best = Fraction(0)
-    for primes in _subsets(model.deficiency_scope()):
-        levels = level_map.factors(dict.fromkeys(primes, 1))
+    for s in (odd, {2: 1} | odd):
+        levels = level_map.factors(s)
         size = prod((ell - 1) * ell ** (2 * k - 1) for ell, k in levels.items())
         best = max(best, Fraction(size, degree(levels)))
     return best
@@ -253,8 +267,8 @@ def hooley_series(
     interval is the partial sum widened by a proved tail bound,
     |sum_{n>N} mu(n)/D(f(n))| <= c * sum_{n>N} 1/(n phi(n))
     <= c * (zeta(2)zeta(3)/zeta(6) + eps) / N,
-    where c (1 for <2>, and 1 in generic mode) bounds how far an exact
-    degree falls below f(n) phi(f(n)).
+    where c (1 for <2>, and 1 in generic mode; two exact degrees give it,
+    _tail_constant) bounds how far an exact degree falls below f(n) phi(f(n)).
     """
     if not 1 <= truncation <= MAX_TRUNCATION:
         raise ValueError(f"truncation must be between 1 and {MAX_TRUNCATION}")
@@ -414,7 +428,7 @@ def valuation_density(
     scope = model.deficiency_scope()
     specs = {ell: vmap.spec_at(ell) for ell in scope}
     ledger = [
-        (f"ell={ell} generic", local_series(ell, spec, profile).value)
+        (f"ell={ell} generic", local_series(ell, spec, profile))
         for ell, spec in specs.items()
     ]
     joint = _joint_factor(model, specs)

@@ -271,23 +271,20 @@ def _indices(primes: np.ndarray, residues: np.ndarray, slots) -> np.ndarray:
 def index_tuple(p, family: GroupFamily, factors: tuple | np.ndarray | None = None):
     """Psi(p): the index of each group's reduction in F_p^*.
 
-    An int p gives a tuple, or None when p is in the support of the family
-    (reduction mod p is undefined there). A 1-D int64 array of primes
-    outside the support gives an (len(p), n) int64 array, one row per
+    p is a 1-D int array of primes outside the support of the family
+    (reduction mod p is undefined there, and a support prime raises
+    ValueError); the result is a (len(p), n) int64 array, one row per
     prime. The computation is batched in int64 and exact because every
     prime is at most SIEVE_CAP = 2^31 - 1; larger primes raise ValueError.
     factors is p - 1 factored as _factorization gives it, or an spf table
     that covers p, or None for trial division. A group's index is the gcd of its
     generators' indices, each found by power-residue tests.
     """
-    batch = isinstance(p, np.ndarray)
-    if (int(p.max(initial=0)) if batch else p) > SIEVE_CAP:
+    if int(p.max(initial=0)) > SIEVE_CAP:
         raise ValueError(f"primes above the sieve cap {SIEVE_CAP} overflow int64")
-    primes = p.astype(np.int64, copy=False) if batch else np.array([p], np.int64)
+    primes = p.astype(np.int64, copy=False)
     support = [q for q in family.support if q <= SIEVE_CAP]
     if np.isin(primes, support).any():
-        if not batch:
-            return None
         raise ValueError("the batch holds primes in the support of the family")
     psi = np.empty((primes.size, len(family.groups)), dtype=np.int64)
     first = np.cumsum([0] + [len(group.generators) for group in family.groups])[:-1]
@@ -300,7 +297,7 @@ def index_tuple(p, family: GroupFamily, factors: tuple | np.ndarray | None = Non
         order, slots = _slots(*chunk_factors)
         index = _indices(chunk[order], _residues(chunk[order], family), slots)
         psi[start + order] = np.gcd.reduceat(index, first).T
-    return psi if batch else tuple(int(x) for x in psi[0])
+    return psi
 
 
 # ---------------------------------------------------------------------------

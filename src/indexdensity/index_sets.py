@@ -230,10 +230,10 @@ class ValuationMap:
 
 @dataclass(frozen=True)
 class Classification:
-    kind: str  # cut | almost-cut | determined | none-of-these | unknown
+    kind: str  # cut | almost-cut | determined | unknown
     witness: int | None = None  # Q_0 for almost-cut
 
-    KINDS = ("cut", "almost-cut", "determined", "none-of-these", "unknown")
+    KINDS = ("cut", "almost-cut", "determined", "unknown")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:

@@ -143,13 +143,13 @@ def test_criterion_03_normalization():
             prof = profile_of(_indep_family(ranks))
             for ell in primes_up_to(50):
                 whole = local_series(ell, ValuationPattern.anything(n), prof)
-                assert whole.value == 1, (ranks, ell)
+                assert whole == 1, (ranks, ell)
                 box = local_series(ell, ValuationPattern((3,) * n), prof)
                 explicit = sum(
                     (local_factor(ell, v, prof) for v in product(range(3), repeat=n)),
                     Fraction(0),
                 )
-                assert box.value == explicit, (ranks, ell)
+                assert box == explicit, (ranks, ell)
                 checked += 1
     _verdict(3, "normalization", True, f"{checked} (profile, ell) pairs, exact")
 

@@ -3,7 +3,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import lcm, prod
 
 import pytest
@@ -203,6 +203,63 @@ KAPPA = Fraction(19435964368207592050570703625747634, 10**34)
 def test_the_series_tail_constant_bounds_kappa_from_above():
     bound = density._kappa_bound()
     assert KAPPA <= bound < KAPPA + Fraction(1, 10**30)
+
+
+def _subset_tail_constant(model, level_map, degree):
+    """c as first defined: the maximum over every squarefree s | prod S."""
+    scope = model.deficiency_scope()
+    best = Fraction(0)
+    for r in range(len(scope) + 1):
+        for primes in combinations(scope, r):
+            levels = level_map.factors(dict.fromkeys(primes, 1))
+            size = prod((ell - 1) * ell ** (2 * k - 1) for ell, k in levels.items())
+            best = max(best, Fraction(size, degree(levels)))
+    return best
+
+
+TAIL_GROUPS = ("-1,2", "-1,6", "9", "1/2") + SERIES_GROUPS
+TAIL_MAPS = (
+    (LevelMap.identity(),)
+    + tuple(LevelMap.times(t) for t in (2, 3, 4, 5, 6, 8, 12))
+    + tuple(LevelMap.times_local(t) for t in (2, 4, 6, 12, 45))
+    + tuple(LevelMap.power(k) for k in (2, 3, 4))
+    + tuple(
+        LevelMap.prime_powers(table)
+        for table in ({2: 2}, {2: 3, 3: 2}, {3: 2}, {5: 3}, {2: 2, 3: 3, 5: 2})
+    )
+)
+
+
+@pytest.mark.parametrize("mode", ["generic", "corrected"])
+def test_the_tail_constant_is_the_subset_maximum(mode):
+    # the maximum over every subset of the scope sits at the full odd part,
+    # with or without 2; <-1, 2> at f(n) = n gives 1 at s = 1, 1/2 at s = 2
+    for g in TAIL_GROUPS:
+        model = KummerModel(GroupFamily((MultGroup.from_strings(*g.split(",")),)))
+        degree = density._series_degree(model, mode)
+        for level_map in TAIL_MAPS:
+            expected = _subset_tail_constant(model, level_map, degree)
+            got = density._tail_constant(model, level_map, degree)
+            assert got == expected, (g, level_map, mode)
+    model = KummerModel(GroupFamily.from_strings(["-1", "2"]))
+    degree = density._series_degree(model, "corrected")
+    assert density._tail_constant(model, LevelMap.identity(), degree) == 1
+
+
+@pytest.mark.parametrize("g", ["2", "45", "-1,6", str(prod(primes_up_to(41)[1:]))])
+def test_the_tail_constant_takes_two_degrees(g):
+    # one degree at s = P and one at s = 2P, P the odd scope primes'
+    # product, however many primes the scope holds
+    model = KummerModel(GroupFamily((MultGroup.from_strings(*g.split(",")),)))
+    degree = density._series_degree(model, "corrected")
+    calls = []
+
+    def counted(levels):
+        calls.append(levels)
+        return degree(levels)
+
+    density._tail_constant(model, LevelMap.identity(), counted)
+    assert len(calls) == 2
 
 
 def test_valuation_density_squarefree_agrees_with_series():
@@ -433,21 +490,38 @@ def test_non_separated_identities(groups, index, scope, ratio):
 ODD_PRIMES = primes_up_to(200)[1:]
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("k", [1, 2, 5, 13, 30])
-def test_index_one_encloses_hooley_over_many_support_primes(k, sign):
-    # Hooley (1967): for squarefree d = +-3*5*...*p_k, index one has density
-    # A (1 - mu(|d|) / prod_{p | d} (p^2 - p - 1)) if d = 1 mod 4, else A
+def _hooley(k, sign):
+    """Hooley (1967): for squarefree d = +-3*5*...*p_k, index one has density
+    A (1 - mu(|d|) / prod_{p | d} (p^2 - p - 1)) if d = 1 mod 4, else A."""
     primes = ODD_PRIMES[:k]
     d = sign * prod(primes)
     ratio = Fraction(1)
     if d % 4 == 1:
         ratio -= Fraction((-1) ** k, prod(p * p - p - 1 for p in primes))
+    return d, ARTIN * ratio
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("k", [1, 2, 5, 13, 30])
+def test_index_one_encloses_hooley_over_many_support_primes(k, sign):
+    d, target = _hooley(k, sign)
     family = GroupFamily.from_strings([str(d)])
     value = valuation_density(family, Equals((1,))).value
     slack = Fraction(1, 10**36)  # A is truncated
-    assert value.low - slack <= ARTIN * ratio <= value.high + slack
+    assert value.low - slack <= target <= value.high + slack
     assert value.width < Fraction(1, 10**30)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("k", [1, 2, 5, 13, 30])
+def test_the_series_encloses_hooley_over_many_support_primes(k, sign):
+    # the tail constant takes two exact degrees, so a 30-prime scope costs
+    # no more of them than <2>'s
+    d, target = _hooley(k, sign)
+    group = MultGroup.from_strings(str(d))
+    value = hooley_series(group, LevelMap.identity(), 1000, "corrected").value
+    slack = Fraction(1, 10**36)  # A is truncated
+    assert value.low - slack <= target <= value.high + slack
 
 
 def test_a_model_over_forty_support_primes_stays_small():

@@ -1,10 +1,12 @@
 """The package's public surface."""
 
+import ast
 import importlib
 import importlib.util
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import indexdensity
@@ -13,19 +15,60 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
 
 
+def _traced_layers():
+    """bench/tracing.py's LAYERS: module name -> the names it wraps there."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.LAYERS
+
+
+def _used_names(path):
+    """The names a file's code uses: its NAME tokens (so not docstrings or
+    comments), less those in import statements and in the top-level def or
+    class that a name's own definition spans."""
+    tree = ast.parse(path.read_text())
+    imports = {
+        line
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+    spans = {
+        node.name: range(node.lineno, node.end_lineno + 1)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    with tokenize.open(path) as f:
+        tokens = list(tokenize.generate_tokens(f.readline))
+    return {
+        t.string
+        for t in tokens
+        if t.type == tokenize.NAME
+        and t.start[0] not in imports
+        and t.start[0] not in spans.get(t.string, ())
+    }
+
+
 def test_every_export_resolves():
     missing = [name for name in indexdensity.__all__ if not hasattr(indexdensity, name)]
     assert missing == []
     assert len(set(indexdensity.__all__)) == len(indexdensity.__all__)
 
 
+def test_every_export_has_a_use():
+    # a public name kept alive only by its own tests is dead code; the names
+    # the bench tracer wraps are used by the bench
+    files = [p for p in (ROOT / "src" / "indexdensity").glob("*.py") if p.name != "__init__.py"]
+    used = set().union(*map(_used_names, files + list((ROOT / "demos").glob("*.py"))))
+    traced = {name for names in _traced_layers().values() for name in names}
+    assert sorted(set(indexdensity.__all__) - used - traced) == []
+
+
 def test_every_traced_layer_resolves():
     # the bench tracer wraps these names with getattr; a deleted one breaks it
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
     missing = []
-    for module_name, names in tracing.LAYERS.items():
+    for module_name, names in _traced_layers().items():
         module = importlib.import_module(f"indexdensity.{module_name}")
         for name in names:
             owner = module
