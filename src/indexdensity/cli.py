@@ -1,11 +1,12 @@
 """Command-line harness: config in, deterministic result files out.
 
-Config is JSON (inline flags override file values, and each command
-rejects every key it does not read), rationals serialize as "num/den"
-strings so nothing is lost to floating point, and every command writes the
-same payload it printed when an output path is given (--output or the
-config's "output" key). Exit codes: 0 success, 2 bad config, 3 refused or
-inconclusive scope, 4 compare found an inconsistency.
+Config is JSON (a command has flags only for keys it reads, they override
+file values, and it rejects every key it does not read), rationals
+serialize as "num/den" strings so nothing is lost to floating point, and
+every command writes the same payload it printed when an output path is
+given (--output or the config's "output" key). Exit codes: 0 success, 2
+bad config, 3 refused or inconclusive scope, 4 compare found an
+inconsistency.
 """
 
 from __future__ import annotations
@@ -94,33 +95,9 @@ def report_payload(report: DensityReport) -> dict:
 # config handling
 
 
-# The keys each runner reads, plus "output", which main reads for all.
-_DENSITY_KEYS = {
-    "groups",
-    "set",
-    "congruence",
-    "mode",
-    "method",
-    "truncation",
-    "cutoff",
-    "bound",
-    "smooth",
-    "level_map",
-}
-_SURVEY_KEYS = {"groups", "set", "congruence", "sieve_bound", "log_path"}
-
-_COMMAND_KEYS = {
-    "degree": {"groups", "mode", "modulus", "levels"},
-    "artin-oracle": {"groups", "ell", "v", "method", "samples", "seed"},
-    "density": _DENSITY_KEYS,
-    "survey": _SURVEY_KEYS,
-    "compare": _DENSITY_KEYS | _SURVEY_KEYS,
-    "classify": {"groups", "set"},
-    "paper-examples": {"sieve_bound"},
-}
-
-
 def load_config(command: str, args) -> dict:
+    """The config file, overridden by the command's flags, checked against
+    the keys its runner reads; "mode" defaults to corrected where read."""
     cfg: dict = {}
     if args.config:
         try:
@@ -132,24 +109,21 @@ def load_config(command: str, args) -> dict:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
-    for key in ("mode", "output", "log_path"):
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
+    for key, value in vars(args).items():
+        if key not in ("command", "config") and value is not None:
             cfg[key] = value
-    for key in ("seed", "cutoff", "truncation", "bound", "sieve_bound", "samples"):
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    allowed = _COMMAND_KEYS[command] | {"output"}
-    unknown = sorted(set(cfg) - allowed)
+    keys = _COMMANDS[command][1]
+    unknown = sorted(set(cfg) - keys - {"output"})
     if unknown:
         raise ConfigError(
             f"unknown config keys for {command}: {', '.join(unknown)}"
         )
     if not isinstance(cfg.get("output", ""), str):
         raise ConfigError("'output' must be a file path")
-    if cfg.get("mode", "generic") not in ("generic", "corrected"):
-        raise ConfigError("'mode' is 'generic' or 'corrected'")
+    if "mode" in keys:
+        cfg.setdefault("mode", "corrected")
+        if cfg["mode"] not in ("generic", "corrected"):
+            raise ConfigError("'mode' is 'generic' or 'corrected'")
     return cfg
 
 
@@ -319,7 +293,7 @@ def _require_trivial_congruence(congruence: Congruence):
 
 def run_degree(cfg: dict) -> dict:
     family = build_family(cfg)
-    mode = cfg.get("mode", "generic")
+    mode = cfg["mode"]
     modulus = _int(cfg, "modulus", 0)
     try:
         levels = tuple(int(x) for x in cfg.get("levels", ()))
@@ -369,7 +343,7 @@ def run_density(cfg: dict) -> dict:
     _require_trivial_congruence(build_congruence(cfg))
     method = cfg.get("method", "euler")
     exact_only = method in ("euler", "singletons")
-    if exact_only and cfg.get("mode", "corrected") != "corrected":
+    if exact_only and cfg["mode"] != "corrected":
         raise ConfigError(
             f"method {method} uses exact degrees at every prime; "
             "'mode': 'generic' applies only to the series method"
@@ -381,7 +355,7 @@ def run_density(cfg: dict) -> dict:
             family.groups[0],
             build_level_map(cfg),
             _int(cfg, "truncation", 10**4),
-            cfg.get("mode", "generic"),
+            cfg["mode"],
         )
     elif method == "euler":
         index_set = build_index_set(cfg, len(family))
@@ -546,56 +520,91 @@ def _example_row(name: str, report: DensityReport, freq) -> dict:
 # entry point
 
 
+_DENSITY_KEYS = {
+    "groups",
+    "set",
+    "congruence",
+    "mode",
+    "method",
+    "truncation",
+    "cutoff",
+    "bound",
+    "smooth",
+    "level_map",
+}
+_SURVEY_KEYS = {"groups", "set", "congruence", "sieve_bound", "log_path"}
+
+# Each command's help, the config keys its runner reads (main reads
+# "output" for all), and its runner.
+_COMMANDS = {
+    "degree": (
+        "cyclotomic-Kummer degrees, generic or exact",
+        {"groups", "mode", "modulus", "levels"},
+        run_degree,
+    ),
+    "artin-oracle": (
+        "probabilistic model vs the closed form",
+        {"groups", "ell", "v", "method", "samples", "seed"},
+        run_artin_oracle,
+    ),
+    "density": (
+        "analytic density by series, euler, or singletons",
+        _DENSITY_KEYS,
+        run_density,
+    ),
+    "survey": ("sieve primes and measure index frequencies", _SURVEY_KEYS, run_survey),
+    "compare": (
+        "run density and survey, check consistency",
+        _DENSITY_KEYS | _SURVEY_KEYS,
+        run_compare,
+    ),
+    "classify": ("classify an index set descriptor", {"groups", "set"}, run_classify),
+    "paper-examples": (
+        "run the bundled worked examples",
+        {"sieve_bound"},
+        run_paper_examples,
+    ),
+}
+
+# The config keys that also have a flag, --key with "_" read as "-".
+_FLAGS = {
+    "mode": {
+        "choices": ["generic", "corrected"],
+        "help": "generic or exact (corrected) Kummer degrees, for the series "
+        "method and the degree command (default corrected); the euler and "
+        "singletons methods are always exact and refuse generic",
+    },
+    "seed": {"type": int},
+    "cutoff": {
+        "type": int,
+        "help": "where the crude Euler tail 1 - 2^n/cutoff starts, for a "
+        "default factor with no accelerated tail; the exact product "
+        "otherwise stops at a split of a few hundred, whatever the cutoff",
+    },
+    "truncation": {"type": int},
+    "bound": {"type": int},
+    "sieve_bound": {"type": int},
+    "samples": {"type": int},
+    "log_path": {},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="indexdensity",
         description="Densities of primes filtered by multiplicative index",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "degree": "cyclotomic-Kummer degrees, generic or exact",
-        "artin-oracle": "probabilistic model vs the closed form",
-        "density": "analytic density by series, euler, or singletons",
-        "survey": "sieve primes and measure index frequencies",
-        "compare": "run density and survey, check consistency",
-        "classify": "classify an index set descriptor",
-        "paper-examples": "run the bundled worked examples",
-    }
-    for name, help_text in specs.items():
+    for name, (help_text, keys, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--output", help="write the result payload as JSON")
-        p.add_argument(
-            "--mode",
-            choices=["generic", "corrected"],
-            help="generic or exact (corrected) Kummer degrees, for the series "
-            "method (default generic) and the degree command; the euler and "
-            "singletons methods are always exact and refuse generic",
-        )
-        p.add_argument("--seed", type=int)
-        p.add_argument(
-            "--cutoff",
-            type=int,
-            help="where the crude Euler tail 1 - 2^n/cutoff starts, for a "
-            "default factor with no accelerated tail; the exact product "
-            "otherwise stops at a split of a few hundred, whatever the cutoff",
-        )
-        p.add_argument("--truncation", type=int)
-        p.add_argument("--bound", type=int)
-        p.add_argument("--sieve-bound", dest="sieve_bound", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--log-path", dest="log_path")
+        for key, options in _FLAGS.items():
+            if key in keys:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, **options)
     return parser
 
 
-_RUNNERS = {
-    "degree": run_degree,
-    "artin-oracle": run_artin_oracle,
-    "density": run_density,
-    "survey": run_survey,
-    "classify": run_classify,
-    "paper-examples": run_paper_examples,
-}
 _PARSER = None  # built by the first main call, then reused
 
 
@@ -605,10 +614,8 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.command, args)
-        if args.command == "compare":
-            payload, code = run_compare(cfg)
-        else:
-            payload, code = _RUNNERS[args.command](cfg), EXIT_OK
+        result = _COMMANDS[args.command][2](cfg)
+        payload, code = result if args.command == "compare" else (result, EXIT_OK)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

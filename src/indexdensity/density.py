@@ -251,7 +251,7 @@ def hooley_series(
     group: MultGroup,
     level_map: LevelMap,
     truncation: int = 10**4,
-    mode: str = "generic",
+    mode: str = "corrected",
 ) -> DensityReport:
     """Sum mu(n)/[Q(zeta_f(n), W^{1/f(n)}):Q] for n up to the truncation.
 
@@ -261,7 +261,8 @@ def hooley_series(
     is derived from n's. The degree splits as D(f(n)) = D(A) phi(B) B, A
     the part of f(n) on the model's deficiency scope and B the rest
     (_series_degree; the proof is _joint_factor's). Only D(A) depends on
-    the mode: exact in corrected mode, generic in generic mode. The terms
+    the mode: exact in corrected mode (the default), generic in generic
+    mode. The terms
     stream into series_sum as integer pairs (mu(n), D(f(n))); only the
     first LEDGER_ROW_LIMIT become Fractions, in the ledger. The reported
     interval is the partial sum widened by a proved tail bound,

@@ -65,8 +65,9 @@ class SieveRange:
 def smallest_prime_factors(limit: int) -> np.ndarray:
     """Smallest prime factor for every integer up to limit (int32), sieved afresh.
 
-    The table takes 4 bytes per integer, so limit stops at 10^8 (400 MB);
-    its callers need 10^7 at most, and scans factor window by window.
+    The table takes 4 bytes per integer, so limit stops at 10^8 (400 MB).
+    Only the Moebius series reads it, up to its truncation; scans factor
+    window by window and the index map by trial division without one.
     """
     if limit > 10**8:
         raise ValueError("spf table limit exceeds 10^8")
@@ -78,7 +79,11 @@ def smallest_prime_factors(limit: int) -> np.ndarray:
 
 @lru_cache(maxsize=2)
 def spf_table(limit: int) -> np.ndarray:
-    """smallest_prime_factors, kept for the next caller with the same limit."""
+    """smallest_prime_factors, kept for the next caller with the same limit.
+
+    Nothing in the package calls it: it stays for the benchmark tracer,
+    which wraps it by name.
+    """
     return smallest_prime_factors(limit)
 
 
@@ -179,22 +184,14 @@ def _residues(primes: np.ndarray, family: GroupFamily) -> np.ndarray:
     return out
 
 
-def _factor(pm1: np.ndarray, spf: np.ndarray | None):
-    """The factorization of pm1 as _factorization gives it, by spf or trial division."""
+def _factor(pm1: np.ndarray):
+    """The factorization of pm1 as _factorization gives it, by trial division
+    by every prime up to the square root, 128 at a time."""
+    small = np.array(primes_up_to(math.isqrt(int(pm1.max()))), dtype=np.int64)
     pairs = [(pm1[:0], pm1[:0])]  # no pairs (row, q) when every entry is 1
-    if spf is None:  # every prime up to the square root, 128 at a time
-        small = np.array(primes_up_to(math.isqrt(int(pm1.max()))), dtype=np.int64)
-        for start in range(0, small.size, 128):
-            row, col = np.nonzero(pm1[:, None] % small[start : start + 128] == 0)
-            pairs.append((row, small[start + col]))
-    else:
-        live = np.flatnonzero(pm1 > 1)
-        c = pm1[live]
-        while live.size:  # c is the part of p - 1 left to factor on the live rows
-            q = spf[c].astype(np.int64)
-            c //= _exact_power(c, q)
-            pairs.append((live, q))
-            live, c = live[c > 1], c[c > 1]
+    for start in range(0, small.size, 128):
+        row, col = np.nonzero(pm1[:, None] % small[start : start + 128] == 0)
+        pairs.append((row, small[start + col]))
     return _factorization(pm1, *map(np.concatenate, zip(*pairs)))
 
 
@@ -268,7 +265,7 @@ def _indices(primes: np.ndarray, residues: np.ndarray, slots) -> np.ndarray:
     return index
 
 
-def index_tuple(p, family: GroupFamily, factors: tuple | np.ndarray | None = None):
+def index_tuple(p, family: GroupFamily, factors: tuple | None = None):
     """Psi(p): the index of each group's reduction in F_p^*.
 
     p is a 1-D int array of primes outside the support of the family
@@ -276,8 +273,8 @@ def index_tuple(p, family: GroupFamily, factors: tuple | np.ndarray | None = Non
     ValueError); the result is a (len(p), n) int64 array, one row per
     prime. The computation is batched in int64 and exact because every
     prime is at most SIEVE_CAP = 2^31 - 1; larger primes raise ValueError.
-    factors is p - 1 factored as _factorization gives it, or an spf table
-    that covers p, or None for trial division. A group's index is the gcd of its
+    factors is p - 1 factored as _factorization gives it (a scan's windows
+    do), or None for trial division. A group's index is the gcd of its
     generators' indices, each found by power-residue tests.
     """
     if int(p.max(initial=0)) > SIEVE_CAP:
@@ -290,10 +287,10 @@ def index_tuple(p, family: GroupFamily, factors: tuple | np.ndarray | None = Non
     first = np.cumsum([0] + [len(group.generators) for group in family.groups])[:-1]
     for start in range(0, primes.size, _CHUNK):
         chunk = primes[start : start + _CHUNK]
-        if isinstance(factors, tuple):
-            chunk_factors, factors = _split(factors, _CHUNK)
+        if factors is None:
+            chunk_factors = _factor(chunk - 1)
         else:
-            chunk_factors = _factor(chunk - 1, factors)
+            chunk_factors, factors = _split(factors, _CHUNK)
         order, slots = _slots(*chunk_factors)
         index = _indices(chunk[order], _residues(chunk[order], family), slots)
         psi[start + order] = np.gcd.reduceat(index, first).T
@@ -568,13 +565,11 @@ def survey(
 class DistributionReport:
     """Empirical distribution of one prime's valuation tuples.
 
-    Bucket keys clamp each coordinate at max_v + 1, so the last bucket
-    along a coordinate means "anything larger". Buckets partition the
-    scanned primes: their counts sum to the total exactly.
+    Bucket keys clamp each coordinate at distribution's max_v + 1, so the
+    last bucket along a coordinate means "anything larger". Buckets
+    partition the scanned primes: their counts sum to the total exactly.
     """
 
-    ell: int
-    max_v: int
     total: int
     skipped: int
     buckets: tuple[tuple[tuple[int, ...], int], ...]
@@ -612,6 +607,4 @@ def distribution(
         key = tuple(min(valuation(x, ell), max_v + 1) for x in row)
         counts[key] = counts.get(key, 0) + c
     buckets = tuple(sorted(counts.items()))
-    return DistributionReport(
-        ell, max_v, sum(counts.values()), skipped_in(family, srange), buckets
-    )
+    return DistributionReport(sum(counts.values()), skipped_in(family, srange), buckets)

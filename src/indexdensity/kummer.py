@@ -18,7 +18,9 @@ an 8th power in Q(zeta_8).
 
 Chebotarev sampling (KummerModel.degree_estimate) stays as an independent
 oracle for the exact degree; no density route calls it. It reads the
-splitting of each prime off the batched index map of `empirical`.
+splitting of each prime off one scan of `empirical` per model: p splits
+completely in Q(zeta_M, W_i^{1/N_i}) exactly when p = 1 mod M and N_i
+divides the index of W_i mod p.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from math import lcm, prod
 
 import numpy as np
 
-from .arith import euler_phi, factorize, primes_up_to, valuation
-from .empirical import index_tuple, spf_table
+from .arith import euler_phi, factorize, valuation
+from .empirical import SieveRange, _scan
 from .errors import InconclusiveError, UnsupportedScopeError
 from .groups import (
     GroupFamily,
@@ -75,8 +77,6 @@ class DegreeEstimate:
     hits: int
     total: int
     generic_bound: int
-    modulus: int
-    levels: tuple[int, ...]
 
 
 def _kernel(rows, dim: int) -> list[list[int]]:
@@ -108,9 +108,9 @@ def _meets(form: list[list[int]], modulus: int, z: int, bits) -> bool:
 class KummerModel:
     """Degree oracle for one group family: exact, generic and sampled.
 
-    Holds the family's rank profile and two in-memory memos keyed by
-    modulus and levels: one of its sampling runs, and one of square_meet,
-    so each distinct corner builds its Hermite form once per model.
+    Holds the family's rank profile, a memo of square_meet keyed by
+    modulus and levels, so each distinct corner builds its Hermite form
+    once per model, and the sampler's scan, run on its first call.
     """
 
     def __init__(self, family: GroupFamily):
@@ -129,7 +129,7 @@ class KummerModel:
         for v in _kernel(_kernel(lattice, len(support)), len(support)):
             classes += [tuple((a + b) % 2 for a, b in zip(c, v)) for c in classes]
         self._squares = [(prod(p**b for p, b in zip(support, c)), c) for c in classes]
-        self._estimates: dict[tuple[int, tuple[int, ...]], DegreeEstimate] = {}
+        self._sample: tuple[np.ndarray, np.ndarray] | None = None
         self._square_meets: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
     def _check_levels(self, modulus: int, levels) -> tuple[int, ...]:
@@ -231,16 +231,15 @@ class KummerModel:
 
         An independent oracle for degree(..., "corrected"). A prime splits
         completely exactly when p = 1 mod m and every generator of W_i is
-        an n_i-th power residue. The inverse hit frequency is snapped to
-        the nearest divisor (in log space) of phi(m) * prod n_i^(g_i), with
-        g_i the number of generators of W_i: torsion generators such as -1
-        raise the degree without raising the rank.
+        an n_i-th power residue, that is, n_i divides the index of W_i mod
+        p. The primes up to SAMPLE_BOUND outside the support and their
+        indices come from one scan per model, run on the first call. The
+        inverse hit frequency is snapped to the nearest divisor (in log
+        space) of phi(m) * prod n_i^(g_i), with g_i the number of
+        generators of W_i: torsion generators such as -1 raise the degree
+        without raising the rank.
         """
         levels = self._check_levels(modulus, levels)
-        key = (modulus, levels)
-        if key in self._estimates:
-            return self._estimates[key]
-
         bound = euler_phi(modulus)
         for n_i, group in zip(levels, self.family.groups):
             bound *= n_i ** len(group.generators)
@@ -250,20 +249,19 @@ class KummerModel:
                 f"cap {RELIABILITY_CAP}"
             )
 
-        primes = np.asarray(primes_up_to(SAMPLE_BOUND), dtype=np.int64)
-        skip = [p for p in self.family.support if p <= SAMPLE_BOUND]
-        total = int(primes.size) - len(skip)
+        if self._sample is None:
+            blocks = _scan(self.family, SieveRange.up_to(SAMPLE_BOUND), None)
+            self._sample = tuple(map(np.concatenate, zip(*blocks)))
+        primes, psi = self._sample
+        total = int(primes.size)
         if total // bound < MIN_EXPECTED:
             raise InconclusiveError(
                 f"expected {total // bound} split primes < required {MIN_EXPECTED}",
                 hits=0,
                 total=total,
             )
-
-        # W_i lies in the n_i-th powers mod p exactly when n_i divides its index
-        candidates = primes[((primes - 1) % modulus == 0) & ~np.isin(primes, skip)]
-        psi = index_tuple(candidates, self.family, spf_table(SAMPLE_BOUND))
-        hits = int((psi % np.array(levels) == 0).all(axis=1).sum())
+        split = ((primes - 1) % modulus == 0) & (psi % levels == 0).all(axis=1)
+        hits = int(np.count_nonzero(split))
         if hits == 0:
             raise InconclusiveError(
                 "no split primes found; degree beyond sampling resolution",
@@ -273,6 +271,4 @@ class KummerModel:
         target = np.log(total / hits)
         divisors = (d for d in range(1, bound + 1) if bound % d == 0)
         value = min(divisors, key=lambda d: abs(np.log(d) - target))
-        est = DegreeEstimate(value, hits, total, bound, modulus, levels)
-        self._estimates[key] = est
-        return est
+        return DegreeEstimate(value, hits, total, bound)

@@ -8,7 +8,7 @@ from math import prod
 import numpy as np
 import pytest
 
-from indexdensity import empirical
+from indexdensity import cli, empirical
 from indexdensity.cli import main
 from indexdensity.empirical import wilson_interval
 from indexdensity.exact import PRECISION_BITS
@@ -111,6 +111,17 @@ def test_generic_series_at_default_truncation_is_rounded(tmp_path, capsys):
     assert low <= ARTIN <= high
 
 
+def test_series_defaults_to_exact_degrees(tmp_path, capsys):
+    # sqrt 5 lies in Q(zeta_5): generic degrees give about 0.3738 for <5>
+    # at the default truncation, which misses Hooley's 20A/19 = 0.393638
+    cfg = _write_config(tmp_path, "five.json", {"groups": [["5"]], "method": "series"})
+    code, payload, _ = _run(capsys, "density", "--config", cfg)
+    assert code == 0
+    value = payload["result"]["value"]
+    assert Fraction(value["low"]) <= ARTIN * Fraction(20, 19) <= Fraction(value["high"])
+    assert "mode=corrected" in payload["result"]["notes"]
+
+
 @pytest.mark.parametrize(
     "extra",
     [
@@ -158,6 +169,20 @@ def test_hostile_degree_and_oracle_configs_exit_2(tmp_path, capsys, command, ext
     assert code == 2
     assert payload is None
     assert err.startswith("config error:")
+
+
+def test_each_command_has_flags_only_for_its_keys(capsys):
+    parser = cli._build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    assert set(commands) == set(cli._COMMANDS)
+    for name, sub in commands.items():
+        dests = {a.dest for a in sub._actions} - {"help"}
+        assert dests <= cli._COMMANDS[name][1] | {"config", "output"}, name
+    # a flag for a key the command does not read is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", "--mode", "corrected"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -541,7 +566,7 @@ def test_degree_command_generic_and_corrected(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
         "deg.json",
-        {"groups": [["2"]], "modulus": 8, "levels": [8]},
+        {"groups": [["2"]], "modulus": 8, "levels": [8], "mode": "generic"},
     )
     code, payload, _ = _run(capsys, "degree", "--config", cfg)
     assert code == 0

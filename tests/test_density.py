@@ -84,7 +84,9 @@ def test_hooley_series_square_generator_collapses_in_corrected_mode():
     # misses this completely
     assert rep.value.low == 0
     assert rep.value.high < Fraction(1, 100)
-    generic = hooley_series(MultGroup.from_strings("4"), LevelMap.identity(), 1000)
+    generic = hooley_series(
+        MultGroup.from_strings("4"), LevelMap.identity(), 1000, "generic"
+    )
     assert generic.value.low > Fraction(1, 3)
 
 

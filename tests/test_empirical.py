@@ -297,16 +297,17 @@ def test_index_map_at_65537():
 
 def test_index_map_temporaries_stay_small():
     # 8 MiB: the 7.95 MiB that the order-descent kernel needed here, rounded up
-    spf = empirical.spf_table(10**7)
     low = 10**7 - (1 << 21)  # the last 2^16 primes below 10^7 lie above this
-    tail = np.arange(low, spf.size, dtype=np.int64)
-    primes = tail[spf[low:] == tail][-(1 << 16) :]
+    small = primes_up_to(math.isqrt(10**7))
+    primes, *factors = empirical._window(low, 10**7, small, [])
+    k = primes.size - (1 << 16)
+    primes, factors = primes[k:], empirical._split(factors, k)[1]
     assert primes.size == 1 << 16
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        index_tuple(primes, FAM2, spf)
+        index_tuple(primes, FAM2, factors)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

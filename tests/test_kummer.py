@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+from indexdensity import kummer
 from indexdensity.arith import euler_phi, valuation
 from indexdensity.errors import InconclusiveError
 from indexdensity.groups import GroupFamily, profile_of
@@ -113,6 +114,21 @@ def test_degree_estimate_divides_generic_bound():
         assert est.generic_bound % est.value == 0
         assert est.value % euler_phi(m) == 0
         assert est.hits > 0 and est.total >= est.hits
+
+
+def test_a_model_scans_once_for_all_its_estimates(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    scan = kummer._scan
+    monkeypatch.setattr(kummer, "_scan", counted)
+    model = KummerModel(_fam(["3"]))
+    assert model.degree_estimate(8, (2,)).value == 8
+    assert model.degree_estimate(12, (2,)).value == 4  # sqrt 3 lies in Q(zeta_12)
+    assert len(calls) == 1
 
 
 def test_degree_estimate_needs_enough_expected_splits():
