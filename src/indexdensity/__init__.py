@@ -4,11 +4,11 @@ Given finitely generated subgroups W_1, ..., W_n of Q*, each prime p (away
 from finitely many) yields an index tuple: the i-th entry is the index of
 W_i's reduction inside the full multiplicative group mod p. The package
 computes the natural densities of primes whose index tuple lands in a
-given set, four independent ways (Moebius series, Euler products of local
-factors, per-tuple singleton sums, and a probabilistic splitting model),
-uses exact cyclotomic-Kummer degrees at the finitely many primes where
-the generic formulas can be off (entanglement such as sqrt(5) inside
-Q(zeta_5) included), and checks everything against direct sieve counts.
+given set by three analytic routes (Moebius series, Euler products of
+local factors, per-tuple singleton sums), uses exact cyclotomic-Kummer
+degrees at the finitely many primes where the generic formulas can be off
+(entanglement such as sqrt(5) inside Q(zeta_5) included), and checks
+every route against direct sieve counts (the survey).
 """
 
 from .arith import (
@@ -23,12 +23,10 @@ from .arith import (
 )
 from .artin import (
     EulerProduct,
-    ProbEstimate,
     corner_degree,
     euler_product,
     local_factor,
     local_series,
-    prob_model_oracle,
 )
 from .density import (
     CorrectionRatio,
@@ -115,7 +113,6 @@ __all__ = [
     "MultGroup",
     "PredicateSet",
     "PrimesSet",
-    "ProbEstimate",
     "RankProfile",
     "SieveRange",
     "SizeLimitError",
@@ -143,7 +140,6 @@ __all__ = [
     "named_predicate",
     "observations",
     "parse_rational",
-    "prob_model_oracle",
     "primes_up_to",
     "profile_of",
     "rank",

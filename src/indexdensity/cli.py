@@ -17,8 +17,6 @@ import math
 import sys
 from fractions import Fraction
 
-from .arith import is_prime
-from .artin import local_factor, prob_model_oracle
 from .density import (
     DensityReport,
     LevelMap,
@@ -29,7 +27,7 @@ from .density import (
 from .empirical import Congruence, SieveRange, survey, survey_many
 from .errors import ConfigError, UnsupportedScopeError
 from .exact import Interval
-from .groups import GroupFamily, profile_of
+from .groups import GroupFamily
 from .index_sets import (
     Divides,
     Equals,
@@ -271,13 +269,6 @@ def build_level_map(cfg: dict) -> LevelMap:
     raise ConfigError(f"unknown level map kind {kind!r}")
 
 
-def _prime_ell(value, command: str) -> int:
-    ell = int(value)
-    if not is_prime(ell):
-        raise ConfigError(f"{command} needs a prime 'ell'")
-    return ell
-
-
 def _require_trivial_congruence(congruence: Congruence):
     if not congruence.is_trivial():
         raise UnsupportedScopeError(
@@ -303,39 +294,6 @@ def run_degree(cfg: dict) -> dict:
         raise ConfigError("degree needs 'modulus' and 'levels'")
     value = KummerModel(family).degree(modulus, levels, mode)
     return {"modulus": modulus, "levels": list(levels), "mode": mode, "degree": value}
-
-
-def run_artin_oracle(cfg: dict) -> dict:
-    family = build_family(cfg)
-    profile = profile_of(family)
-    ell = _prime_ell(_int(cfg, "ell", 0), "artin-oracle")
-    try:
-        v = tuple(int(x) for x in cfg.get("v", ()))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("'v' is a list of integers") from exc
-    if len(v) != profile.n:
-        raise ConfigError(f"'v' must have {profile.n} coordinates")
-    method = cfg.get("method", "exact")
-    target = local_factor(ell, v, profile)
-    payload = {"ell": ell, "v": list(v), "target": frac_str(target)}
-    if method == "exact":
-        value = prob_model_oracle(ell, v, family, "exact")
-        payload["oracle"] = frac_str(value)
-        payload["agrees"] = value == target
-    else:
-        est = prob_model_oracle(
-            ell,
-            v,
-            family,
-            "monte-carlo",
-            samples=_int(cfg, "samples", 10**6),
-            seed=_int(cfg, "seed", 0),
-        )
-        payload["oracle"] = est.value
-        payload["sigma"] = est.sigma
-        payload["kept"] = est.samples
-        payload["agrees"] = est.agrees_with(target)
-    return payload
 
 
 def run_density(cfg: dict) -> dict:
@@ -542,11 +500,6 @@ _COMMANDS = {
         {"groups", "mode", "modulus", "levels"},
         run_degree,
     ),
-    "artin-oracle": (
-        "probabilistic model vs the closed form",
-        {"groups", "ell", "v", "method", "samples", "seed"},
-        run_artin_oracle,
-    ),
     "density": (
         "analytic density by series, euler, or singletons",
         _DENSITY_KEYS,
@@ -574,7 +527,6 @@ _FLAGS = {
         "method and the degree command (default corrected); the euler and "
         "singletons methods are always exact and refuse generic",
     },
-    "seed": {"type": int},
     "cutoff": {
         "type": int,
         "help": "where the crude Euler tail 1 - 2^n/cutoff starts, for a "
@@ -584,7 +536,6 @@ _FLAGS = {
     "truncation": {"type": int},
     "bound": {"type": int},
     "sieve_bound": {"type": int},
-    "samples": {"type": int},
     "log_path": {},
 }
 

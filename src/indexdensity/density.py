@@ -458,12 +458,15 @@ def valuation_density(
 
 
 def _scope_joint(family: GroupFamily):
-    """The Kummer model's scope S and a memoized joint factor.
+    """The Kummer model's scope S, a memoized joint factor and a memoized
+    generic local factor.
 
     joint(vs) is the density of primes whose index valuations at the i-th
     prime of S are exactly vs[i]. The pieces of the joint factor are
     memoized per (ell, valuation tuple), so a new vs only multiplies
-    pieces already built; both memos live as long as the returned closure.
+    pieces already built. local(ell, v) is local_factor at the family's
+    profile, shared by the members that meet ell. Every memo lives as long
+    as the returned closures.
     """
     model = KummerModel(family)
     scope = model.deficiency_scope()
@@ -474,22 +477,25 @@ def _scope_joint(family: GroupFamily):
         specs = {ell: (v,) for ell, v in zip(scope, vs)}
         return _joint_factor(model, specs, piece)
 
-    return scope, joint
+    @lru_cache(maxsize=None)
+    def local(ell, v):
+        return local_factor(ell, v, model.profile)
+
+    return scope, joint, local
 
 
-def _tuple_correction(h, profile, scope, joint) -> Fraction:
+def _tuple_correction(h, n, scope, joint, local) -> Fraction:
     """m(h) = dens({h}) / dens({1}).
 
     A generic ratio F(v_ell(h)) / F(0) at each prime of h outside the
     scope, times one joint ratio over the scope when h meets it.
     """
-    zero = (0,) * profile.n
+    zero = (0,) * n
     primes = sorted(factorize(lcm(*h)))
     ratios = []
     for ell in primes:
         if ell not in scope:
-            top = local_factor(ell, valuations_at(h, ell), profile)
-            ratios.append((top, local_factor(ell, zero, profile)))
+            ratios.append((local(ell, valuations_at(h, ell)), local(ell, zero)))
     if any(ell in scope for ell in primes):
         vs = tuple(valuations_at(h, ell) for ell in scope)
         ratios.append((joint(vs), joint((zero,) * len(scope))))
@@ -532,7 +538,7 @@ def singleton_sum(
             "so the singleton route refuses; use the empirical survey"
         )
     profile = profile_of(family)
-    scope, joint = _scope_joint(family)
+    scope, joint, local = _scope_joint(family)
 
     zero_map = ValuationMap.build(
         profile.n, {}, ValuationPattern.exact_zero(profile.n)
@@ -541,7 +547,9 @@ def singleton_sum(
     base_value = base.interval.times_exact(joint(((0,) * profile.n,) * len(scope)))
 
     members = index_set.members(bound, smooth)
-    corrections = [(h, _tuple_correction(h, profile, scope, joint)) for h in members]
+    corrections = [
+        (h, _tuple_correction(h, profile.n, scope, joint, local)) for h in members
+    ]
     ledger = [(f"h={h}", m_h) for h, m_h in corrections[:LEDGER_ROW_LIMIT]]
 
     # one grid sum over the members by max(h): the truncation lattice's
@@ -598,7 +606,7 @@ def correction_ratio(h, family: GroupFamily) -> CorrectionRatio:
         )
     profile = profile_of(family)
     h = check_index_tuple(h, profile.n)
-    scope, joint = _scope_joint(family)
+    scope, joint, local = _scope_joint(family)
     support = factorize(lcm(*h))
     tag = "corrected" if any(ell in support for ell in scope) else "generic"
-    return CorrectionRatio(_tuple_correction(h, profile, scope, joint), tag)
+    return CorrectionRatio(_tuple_correction(h, profile.n, scope, joint, local), tag)

@@ -302,6 +302,12 @@ def index_tuple(p, family: GroupFamily, factors: tuple | None = None):
 
 BLOCK = 1 << 16  # primes per index_tuple call and per log write
 _WINDOW = 1 << 18  # integers sieved and factored per step of a scan
+LOG_CAP = 1 << 28  # bytes of rows an observation log may grow to
+
+
+def _prime_count_bound(x: int) -> float:
+    """Dusart's (1999) upper bound x / ln x (1 + 1.2762 / ln x) for pi(x), x >= 2."""
+    return x / math.log(x) * (1 + 1.2762 / math.log(x))
 
 
 class ObservationLog:
@@ -318,7 +324,9 @@ class ObservationLog:
     a partial row (a scan stopped mid-write), whose primes do not strictly
     increase from the start, or with an index that is not a positive
     divisor of p - 1 is refused with ConfigError, not silently truncated,
-    and so is a text log of an older version.
+    and so is a text log of an older version. A range whose rows could
+    pass LOG_CAP bytes, by an upper bound for pi at its end, is refused
+    with ConfigError before the log is opened.
     """
 
     MAGIC = "#indexscan-i4"
@@ -408,6 +416,11 @@ def _scan(family: GroupFamily, srange: SieveRange, log_path: str | None):
     the range, as the sieve runs one window at a time.
     """
     log = ObservationLog(log_path, family, srange.low) if log_path else None
+    if log and 4 * log.width * _prime_count_bound(srange.high) > LOG_CAP:
+        raise ConfigError(
+            f"an observation log to {srange.high} could pass {LOG_CAP} bytes; "
+            "survey a shorter range or drop log_path"
+        )
     write_header = log is not None and not log.exists()
     last = srange.low - 1
     if log and not write_header:

@@ -14,12 +14,7 @@ from itertools import combinations, product
 import pytest
 
 from indexdensity.arith import euler_phi, primes_up_to, valuation
-from indexdensity.artin import (
-    euler_product,
-    local_factor,
-    local_series,
-    prob_model_oracle,
-)
+from indexdensity.artin import euler_product, local_factor, local_series
 from indexdensity.density import (
     LevelMap,
     correction_ratio,
@@ -41,6 +36,7 @@ from indexdensity.index_sets import (
     named_predicate,
 )
 from indexdensity.kummer import KummerModel
+from oracles import prob_model_oracle
 
 SCAN_BOUND = 10**7
 FAM2 = GroupFamily.from_strings(["2"])

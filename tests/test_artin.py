@@ -15,12 +15,12 @@ from indexdensity.artin import (
     euler_product,
     local_factor,
     local_series,
-    prob_model_oracle,
 )
 from indexdensity.errors import UnsupportedScopeError
 from indexdensity.exact import PRECISION_BITS, Interval, round_down
 from indexdensity.groups import GroupFamily, is_separated, profile_of
 from indexdensity.index_sets import Equals, KFree, ValuationMap, ValuationPattern
+from oracles import prob_model_oracle
 
 ARTIN_CONSTANT = Fraction(3739558136192022880547280543464164151, 10**37)
 

@@ -149,7 +149,7 @@ EQ1 = {"kind": "equals", "tuple": [1]}
     "command, extra",
     [
         ("degree", {"modulus": 8, "levels": [0]}),
-        ("artin-oracle", {"ell": 4, "v": [1]}),
+        ("degree", {"modulus": 8, "levels": ["x"]}),
         ("degree", {"deficiency": {"ell": 4, "e": [1]}}),
         ("density", {"set": {"kind": "equals", "tuple": 5}}),
         ("density", {"set": EQ1, "cutoff": None}),
@@ -183,6 +183,17 @@ def test_each_command_has_flags_only_for_its_keys(capsys):
         main(["survey", "--mode", "corrected"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --mode" in capsys.readouterr().err
+
+
+def test_the_oracle_command_and_its_flags_are_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["artin-oracle"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'artin-oracle'" in capsys.readouterr().err
+    commands = cli._build_parser()._subparsers._group_actions[0].choices
+    for name, sub in commands.items():
+        flags = {flag for action in sub._actions for flag in action.option_strings}
+        assert not flags & {"--seed", "--samples"}, name
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -245,6 +256,26 @@ def test_unusable_log_path_exits_2(tmp_path, capsys):
             assert payload is None
             assert err.startswith("config error: cannot use the observation log")
             assert "Traceback" not in err
+
+
+def test_a_log_that_could_pass_the_cap_exits_2_unwritten(tmp_path, capsys):
+    # 8 bytes a row for <2>, about 0.85 GB of rows to the sieve cap
+    log_path = tmp_path / "scan.log"
+    cfg = _write_config(
+        tmp_path,
+        "big.json",
+        {
+            "groups": [["2"]],
+            "set": {"kind": "equals", "tuple": [1]},
+            "sieve_bound": empirical.SIEVE_CAP,
+            "log_path": str(log_path),
+        },
+    )
+    code, payload, err = _run(capsys, "survey", "--config", cfg)
+    assert code == 2
+    assert payload is None
+    assert err.startswith("config error: an observation log")
+    assert not log_path.exists()
 
 
 def test_malformed_log_row_exits_2(tmp_path, capsys, monkeypatch):
@@ -585,48 +616,6 @@ def test_degree_command_generic_and_corrected(tmp_path, capsys):
     code, payload, _ = _run(capsys, "degree", "--config", cfg2)
     assert code == 0
     assert payload["result"]["degree"] == 16
-
-
-def test_artin_oracle_seeded_runs_are_identical(tmp_path, capsys):
-    cfg = _write_config(
-        tmp_path,
-        "oracle.json",
-        {
-            "groups": [["2"], ["2"]],
-            "ell": 3,
-            "v": [1, 1],
-            "method": "monte-carlo",
-            "samples": 20000,
-        },
-    )
-    out1 = str(tmp_path / "a.json")
-    out2 = str(tmp_path / "b.json")
-    code, _, _ = _run(
-        capsys, "artin-oracle", "--config", cfg, "--seed", "7", "--output", out1
-    )
-    assert code == 0
-    code, _, _ = _run(
-        capsys, "artin-oracle", "--config", cfg, "--seed", "7", "--output", out2
-    )
-    assert code == 0
-    with open(out1, encoding="utf-8") as fh:
-        text1 = fh.read()
-    with open(out2, encoding="utf-8") as fh:
-        text2 = fh.read()
-    assert text1 == text2
-    assert json.loads(text1)["result"]["agrees"] is True
-
-
-def test_artin_oracle_exact_matches_closed_form(tmp_path, capsys):
-    cfg = _write_config(
-        tmp_path,
-        "oracle_exact.json",
-        {"groups": [["2"]], "ell": 5, "v": [1], "method": "exact"},
-    )
-    code, payload, _ = _run(capsys, "artin-oracle", "--config", cfg)
-    assert code == 0
-    assert payload["result"]["agrees"] is True
-    assert payload["result"]["oracle"] == payload["result"]["target"]
 
 
 def test_classify_command(tmp_path, capsys):

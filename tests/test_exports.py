@@ -65,6 +65,28 @@ def test_every_export_has_a_use():
     assert sorted(set(indexdensity.__all__) - used - traced) == []
 
 
+def test_src_imports_only_what_it_uses():
+    # an imported name the module never uses is a stale import; __init__
+    # imports to re-export. artin binds euler_phi unused because
+    # bench/tests/test_bench.py::test_tracing_restores_every_wrapped_function
+    # asserts that the tracer rewraps it there
+    exempt = {"artin.euler_phi"}
+    stale = []
+    for path in sorted((ROOT / "src" / "indexdensity").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        used = _used_names(path)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        stale.append(f"{path.stem}.{name}")
+    assert sorted(set(stale) - exempt) == []
+
+
 def test_every_traced_layer_resolves():
     # the bench tracer wraps these names with getattr; a deleted one breaks it
     missing = []
