@@ -193,12 +193,10 @@ def _series_degree(model: KummerModel, mode: str):
     """D(f) = [Q(zeta_f, W^{1/f}):Q] for a rank-one model, from f's factorization.
 
     Write f = A*B, with A made of the primes of model.deficiency_scope() and
-    B prime to them. Then D(f) = D(A) phi(B) B: phi(f) and |G| split over
-    the ell-parts of Q*/Q*^f, W is saturated at every ell off the scope (its
-    ell-part of |G| is ell^k), and G & H sees only 2 and the support (the
-    argument in _joint_factor's docstring). D(A) is model.degree(A, (A,),
-    mode), memoized by A: a level map gives at most one A per subset of the
-    scope, whatever the truncation.
+    B prime to them. Then D(f) = D(A) phi(B) B, the ell-part split of
+    KummerModel.degree with the rank-one closed form off the scope taken
+    inline. D(A) is model.degree(A, (A,), mode), memoized by A: a level map
+    gives at most one A per subset of the scope, whatever the truncation.
     """
     scope = frozenset(model.deficiency_scope())
     exact = lru_cache(maxsize=None)(lambda a: model.degree(a, (a,), mode))
@@ -226,17 +224,15 @@ def _tail_constant(model: KummerModel, level_map: LevelMap, degree) -> Fraction:
 
     The maximum sits at s = P or s = 2P, P the product of the odd primes
     of S, so two degrees give c. For the rank-one group,
-    A phi(A) / D(A) = A |G & H| / |G|, and |G| splits over the ell | A
-    (KummerModel.degree). For odd ell, -1 is an ell^k-th power, so G_ell is
+    A phi(A) / D(A) = A |G & H| / |G|, with |G| the product of its ell-parts
+    and G & H read at the 2-part (KummerModel.degree). For odd ell, G_ell is
     cyclic of order ell^(k - min(k, d_ell)), d_ell the ell-adic content of
     the exponent lattice: its factor ell^min(k, d_ell) grows with k. At a
-    fixed 2-part 2^k, |G_2| is fixed and |G & H| grows with the odd part,
-    as a class z counts at every 2^k t with odd(z) | t
-    (KummerModel.square_meet). Every level map raises ell's exponent when
-    ell joins n and leaves the other primes alone, so whether or not 2 | s,
-    the full odd part gives the largest ratio. The 2-part is not monotone:
-    for <-1, 2> and f(n) = n, s = 1 gives 1 but s = 2 gives 1/2, as -1
-    doubles |G_2|.
+    fixed 2-part, |G_2| is fixed and |G & H| grows with the odd part. Every
+    level map raises ell's exponent when ell joins n and leaves the other
+    primes alone, so whether or not 2 | s, the full odd part gives the
+    largest ratio. The 2-part is not monotone: for <-1, 2> and f(n) = n,
+    s = 1 gives 1 but s = 2 gives 1/2, as -1 doubles |G_2|.
     """
     odd = dict.fromkeys((ell for ell in model.deficiency_scope() if ell != 2), 1)
     best = Fraction(0)
@@ -353,11 +349,10 @@ def _joint_factor(
     (c_ell, w_ell) per prime, N_i = prod_ell ell^(w_ell)_i and M = lcm(N),
     with exact degrees D, so entanglement (sqrt(5) in Q(zeta_5)) counts:
     the character-sum correction of Lenstra, Moree and Stevenhagen (2014).
-    In D(M, N) = phi(M) |G| / |G & H| (KummerModel.degree), phi(M) and |G|
-    split over the ell-parts of Q*/Q*^M. H has exponent 2, so with k = v_2(M)
-    and w the corner at 2, a square class z counts in G & H exactly when its
-    odd primes divide M and chi_(k,w)(z) = 1: z counts at 2^k odd(z)
-    (KummerModel.square_meet). Swap the sum over the odd support primes T
+    KummerModel.degree splits D(M, N) into ell-parts, with G & H read at the
+    2-part: with k = v_2(M) and w the corner at 2, a square class z counts
+    exactly when its odd primes divide M and chi_(k,w)(z) = 1, that is, when
+    z counts at 2^k odd(z). Swap the sum over the odd support primes T
     dividing M with the sum over z: with L_ell the local sum
     sum c/D(ell^max w, ell^w) and b_ell the zero corner's coefficient,
       sum_(c, w) c / (phi(2^k) |G_2(k, w)|) sum_z chi_(k,w)(z)

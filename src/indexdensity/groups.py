@@ -56,10 +56,6 @@ class FactoredRational:
         lookup = dict(self.exponents)
         return tuple(lookup.get(p, 0) for p in primes)
 
-    def is_torsion(self) -> bool:
-        """True for +-1: the only torsion in Q*."""
-        return not self.exponents
-
     def __str__(self):
         v = self.value
         return str(v) if v.denominator > 1 else str(v.numerator)
@@ -113,8 +109,9 @@ def hermite_form(rows) -> list[list[int]]:
             pivot = [-x for x in pivot]
         for r in form:
             q = r[col] // pivot[col]
-            for j in range(col, width):
-                r[j] -= q * pivot[j]
+            if q:
+                for j in range(col, width):
+                    r[j] -= q * pivot[j]
         form.append(pivot)
     return form
 
@@ -218,19 +215,6 @@ class RankProfile:
 
     def of(self, subset) -> int:
         return self.ranks[frozenset(subset)]
-
-    @property
-    def group_ranks(self) -> tuple[int, ...]:
-        r = self.ranks
-        return tuple(r[frozenset((i,))] for i in range(1, self.n + 1))
-
-    @property
-    def total(self) -> int:
-        return self.of(range(1, self.n + 1))
-
-    def is_independent(self) -> bool:
-        """True when ranks add across the family (no multiplicative relations)."""
-        return self.total == sum(self.group_ranks)
 
 
 def rank_profile(family: GroupFamily) -> RankProfile:

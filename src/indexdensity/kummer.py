@@ -1,12 +1,22 @@
 """Degrees of cyclotomic-Kummer extensions Q(zeta_M, W_1^{1/N_1}, ..., W_n^{1/N_n}).
 
-Two modes. The generic degree is phi(M) times, for each prime ell of the
-radical levels, ell to an explicit linear form in the levels' ell-adic
-valuations, weighted by rank increments; it is right away from a finite
-set of primes. The corrected degree is exact, from explicit Kummer theory
-over Q (Perucca-Sgobba-Tronto, IJNT 2020): one Hermite form over the
-exponent vectors decides it, including entanglement such as sqrt(5)
-lying in Q(zeta_5) or sqrt(2) in Q(zeta_8).
+The exact degree D(M, N) = phi(M) |G| / |G & H| (KummerModel.degree) is a
+product of prime-power parts, with ell = 2 apart from the odd primes as in
+Perucca-Sgobba-Tronto (explicit Kummer theory over Q, IJNT 2020). By CRT,
+G in Q*/Q*^M splits into ell-parts; with k = v_ell(M) and j_i = v_ell(N_i),
+G_ell is generated by the w^(ell^(k - j_i)), so it depends on ell^k and the
+ell-parts of N alone. H has exponent 2, so a square class z counts in
+G & H at M exactly when it counts at the 2-part and z | 2M:
+
+    D(M, N) = prod_ell phi(ell^k) |G_ell| / #{z counted at (2^k, N_2) : z | 2M}.
+
+At odd ell off the lattice primes (groups.entanglement_primes), -1 is an
+ell^k-th power and every subfamily's lattice is saturated, so over a basis
+adapted to the superlevel sets of j, |G_ell| is ell^(generic exponent), a
+linear form in the j_i weighted by rank increments. At 2 and the lattice
+primes one Hermite form each gives the part (KummerModel.square_meet), so
+entanglement such as sqrt(5) in Q(zeta_5) is seen. Generic mode takes the
+closed form at every ell: right away from a finite set of primes.
 
 Entanglement passes through the model's square classes: the squarefree
 z > 0 whose exponent vector mod 2 lies in the image of the saturation
@@ -129,6 +139,7 @@ class KummerModel:
         for v in _kernel(_kernel(lattice, len(support)), len(support)):
             classes += [tuple((a + b) % 2 for a, b in zip(c, v)) for c in classes]
         self._squares = [(prod(p**b for p, b in zip(support, c)), c) for c in classes]
+        self._lattice = frozenset(entanglement_primes(family))
         self._sample: tuple[np.ndarray, np.ndarray] | None = None
         self._square_meets: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
@@ -151,17 +162,14 @@ class KummerModel:
         between groups) cover the rest. Off S, degrees split into generic
         prime-by-prime factors.
         """
-        return tuple(
-            sorted(
-                set(self.family.support) | {2} | set(entanglement_primes(self.family))
-            )
-        )
+        return tuple(sorted(set(self.family.support) | {2} | self._lattice))
 
-    def degree(self, modulus: int, levels: tuple[int, ...], mode: str = "generic") -> int:
+    def degree(
+        self, modulus: int, levels: tuple[int, ...], mode: str = "corrected"
+    ) -> int:
         """[Q(zeta_M, W_i^{1/N_i}) : Q] for M = modulus and N_i = levels[i].
 
-        Generic mode is phi(M) * prod_l l^(generic exponent). Corrected mode
-        is the exact degree phi(M) * |G| / |G & H|, where G is the image in
+        The exact degree is phi(M) |G| / |G & H|, where G is the image in
         Q*/Q*^M of <w^(M/N_i) : w a generator of W_i> and H is the group
         of rationals that are M-th powers in Q(zeta_M). H is trivial for
         odd M; for even M it holds the classes +z^(M/2) with disc Q(sqrt z)
@@ -169,20 +177,27 @@ class KummerModel:
         (z > 0 squarefree), so -4 = (1+i)^4 counts at M = 4. Only the
         model's square classes can meet G: if +-z^(M/2) lies in G Q*^M, then
         (M/2) 1_z = lambda + M y with lambda in Lambda and y integral, so
-        (M/2)(1_z - 2y) lies in Lambda and 1_z - 2y in sat(Lambda). |G| and
-        the square classes in G come from square_meet.
+        (M/2)(1_z - 2y) lies in Lambda and 1_z - 2y in sat(Lambda).
+
+        The parts of the module docstring's product come from
+        square_meet(ell^k, ell-parts of N) at 2 and the lattice primes and
+        from the closed form (ell - 1) ell^(k - 1 + generic exponent)
+        elsewhere; generic mode takes the closed form at every ell.
         """
         if mode not in ("generic", "corrected"):
             raise ValueError("mode is 'generic' or 'corrected'")
         levels = self._check_levels(modulus, levels)
-        if mode == "generic":
-            out = 1
-            for ell, k in factorize(modulus).items():
-                e = tuple(valuation(x, ell) for x in levels)
+        out, counted = 1, (1,)
+        for ell, k in factorize(modulus).items():
+            e = tuple(valuation(x, ell) for x in levels)
+            if mode == "corrected" and (ell == 2 or ell in self._lattice):
+                size, meets = self.square_meet(ell**k, tuple(ell**j for j in e))
+                out *= size
+                if ell == 2:
+                    counted = meets
+            else:
                 out *= (ell - 1) * ell ** (k - 1 + generic_exponent(e, self.profile))
-            return out
-        size, counted = self.square_meet(modulus, levels)
-        return size // sum(2 * modulus % z == 0 for z in counted)
+        return out // sum(2 * modulus % z == 0 for z in counted)
 
     def square_meet(
         self, modulus: int, levels: tuple[int, ...]
@@ -190,14 +205,16 @@ class KummerModel:
         """phi(M) |G| at M = modulus, and each square class z whose class of H
         at M_z = lcm(M, z) lies in G, taken at M.
 
-        |G| is read off one Hermite form whose rows are the sign bit and
-        exponent vector of every generator of G plus the diagonal (2 if M is
-        even else 1, M, ..., M) that spans Q*^M; the same form decides which
-        square classes lie in G. Where z | 2M, M_z = M and z counts in G & H;
-        for odd M only z = 1 does. Where M = 2^k and the levels are powers of
-        2, z counts in G & H at every modulus 2^k t with t odd and odd(z) | t,
-        and |G| is the same there: G has no odd part, t acts invertibly on its
-        2-part, and the condition on disc Q(sqrt z) reads the same.
+        degree asks it about prime powers M = ell^k only, at 2 and the lattice
+        primes; it stays correct at any modulus. |G| is read off one Hermite
+        form whose rows are the sign bit and exponent vector of every
+        generator of G plus the diagonal (2 if M is even else 1, M, ..., M)
+        that spans Q*^M; the same form decides which square classes lie in G.
+        Where z | 2M, M_z = M and z counts in G & H; for odd M only z = 1
+        does. Where M = 2^k and the levels are powers of 2, z counts in G & H
+        at every modulus 2^k t with t odd and odd(z) | t, and |G| is the same
+        there: G has no odd part, t acts invertibly on its 2-part, and the
+        condition on disc Q(sqrt z) reads the same.
         Memoized on the model by (modulus, levels).
         """
         levels = self._check_levels(modulus, levels)

@@ -44,13 +44,27 @@ class ProbEstimate:
         return abs(self.value - t) <= sigmas * null_sigma + 1.0 / self.samples
 
 
+def _is_torsion(g: FactoredRational) -> bool:
+    """True for +-1: the only torsion in Q*."""
+    return not g.exponents
+
+
+def _group_ranks(profile) -> tuple[int, ...]:
+    return tuple(profile.of((i,)) for i in range(1, profile.n + 1))
+
+
+def _is_independent(profile) -> bool:
+    """True when ranks add across the family (no multiplicative relations)."""
+    return profile.of(range(1, profile.n + 1)) == sum(_group_ranks(profile))
+
+
 def _torsion_free_basis(family: GroupFamily):
     basis: list[FactoredRational] = []
     owner: list[int] = []
     profile = profile_of(family)
     for i, group in enumerate(family.groups):
-        kept = [g for g in group.generators if not g.is_torsion()]
-        if len(kept) != profile.group_ranks[i]:
+        kept = [g for g in group.generators if not _is_torsion(g)]
+        if len(kept) != _group_ranks(profile)[i]:
             raise UnsupportedScopeError(
                 "the probabilistic model needs each group's generators to be "
                 "a basis (torsion aside); reduce the generating set first"
@@ -103,7 +117,7 @@ def prob_model_oracle(
     cols = [[j for j in range(m) if owner[j] == i] for i in range(profile.n)]
 
     if method == "exact":
-        if not profile.is_independent():
+        if not _is_independent(profile):
             raise UnsupportedScopeError(
                 "exact enumeration is only valid for multiplicatively "
                 "independent families; use method='monte-carlo'"

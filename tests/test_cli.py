@@ -163,7 +163,7 @@ EQ1 = {"kind": "equals", "tuple": [1]}
         ("density", {"set": EQ1, "mode": "weird"}),
     ],
 )
-def test_hostile_degree_and_oracle_configs_exit_2(tmp_path, capsys, command, extra):
+def test_hostile_degree_configs_exit_2(tmp_path, capsys, command, extra):
     cfg = _write_config(tmp_path, "hostile.json", {"groups": [["2"]], **extra})
     code, payload, err = _run(capsys, command, "--config", cfg)
     assert code == 2

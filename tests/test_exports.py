@@ -25,8 +25,8 @@ def _traced_layers():
 
 def _used_names(path):
     """The names a file's code uses: its NAME tokens (so not docstrings or
-    comments), less those in import statements and in the top-level def or
-    class that a name's own definition spans."""
+    comments), less those in import statements and in a def or class of
+    the same name, which a name's own definition spans."""
     tree = ast.parse(path.read_text())
     imports = {
         line
@@ -34,11 +34,12 @@ def _used_names(path):
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for line in range(node.lineno, node.end_lineno + 1)
     }
-    spans = {
-        node.name: range(node.lineno, node.end_lineno + 1)
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-    }
+    spans: dict[str, set[int]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            spans.setdefault(node.name, set()).update(
+                range(node.lineno, node.end_lineno + 1)
+            )
     with tokenize.open(path) as f:
         tokens = list(tokenize.generate_tokens(f.readline))
     return {
@@ -63,6 +64,25 @@ def test_every_export_has_a_use():
     used = set().union(*map(_used_names, files + list((ROOT / "demos").glob("*.py"))))
     traced = {name for names in _traced_layers().values() for name in names}
     assert sorted(set(indexdensity.__all__) - used - traced) == []
+
+
+def test_every_public_method_has_a_use():
+    # a public method kept alive only by its own tests is test-only API
+    src = sorted((ROOT / "src" / "indexdensity").glob("*.py"))
+    code = src + sorted((ROOT / "demos").glob("*.py"))
+    code += sorted((ROOT / "bench").glob("*.py"))
+    used = set().union(*map(_used_names, code))
+    unused = [
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path in src
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in used
+    ]
+    assert unused == []
 
 
 def test_src_imports_only_what_it_uses():

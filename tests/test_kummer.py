@@ -2,13 +2,16 @@
 
 import random
 from itertools import permutations
+from math import prod
 
 import pytest
 
 from indexdensity import kummer
-from indexdensity.arith import euler_phi, valuation
+from indexdensity.arith import euler_phi, factorize, primes_up_to, valuation
+from indexdensity.density import LevelMap, hooley_series, valuation_density
 from indexdensity.errors import InconclusiveError
-from indexdensity.groups import GroupFamily, profile_of
+from indexdensity.groups import GroupFamily, MultGroup, profile_of
+from indexdensity.index_sets import Equals
 from indexdensity.kummer import KummerModel, generic_exponent
 
 FAM2 = GroupFamily.from_strings(["2"])
@@ -241,3 +244,75 @@ def test_degree_validates_levels():
     for check in (MODEL2.degree, MODEL2.degree_estimate):
         with pytest.raises(ValueError):
             check(8, (0,))
+
+
+def test_degree_defaults_to_exact():
+    assert MODEL4.degree(8, (8,)) == 8 == MODEL4.degree(8, (8,), "corrected")
+    assert MODEL4.degree(8, (8,), "generic") == 32
+
+
+DEGREE_ATOMS = (
+    "2", "3", "5", "6", "7", "10", "12", "15", "4", "9", "8", "27", "36",
+    "-4", "1/2", "125", "-1", "-3", "-2", "45", "2/3", "49", "-8", "20",
+)
+
+
+def _whole_modulus_degree(model, modulus, levels, mode):
+    """The degree as first written: one Hermite form over the whole modulus
+    (corrected), or the closed form at every ell of it (generic)."""
+    if mode == "corrected":
+        size, counted = model.square_meet(modulus, levels)
+        return size // sum(2 * modulus % z == 0 for z in counted)
+    out = 1
+    for ell, k in factorize(modulus).items():
+        e = tuple(valuation(x, ell) for x in levels)
+        out *= (ell - 1) * ell ** (k - 1 + generic_exponent(e, model.profile))
+    return out
+
+
+def test_degree_is_the_product_of_its_prime_power_parts():
+    # 1-3 groups of 1-2 atoms, moduli over 2, 3, 5, 7 and the support
+    rng = random.Random(22)
+    cases = 0
+    while cases < 2400:
+        sizes = [rng.randint(1, 2) for _ in range(rng.randint(1, 3))]
+        groups = [rng.sample(DEGREE_ATOMS, size) for size in sizes]
+        if any(g == ["-1"] for g in groups):
+            continue  # torsion-only groups are refused
+        family = _fam(*groups)
+        model, reference = KummerModel(family), KummerModel(family)
+        primes = sorted({2, 3, 5, 7} | set(family.support))
+        for _ in range(30):
+            ks = {ell: rng.choice((0, 0, 1, 1, 2, 3)) for ell in rng.sample(primes, 3)}
+            modulus = prod(ell**k for ell, k in ks.items())
+            levels = tuple(
+                prod(ell ** rng.randint(0, k) for ell, k in ks.items()) for _ in groups
+            )
+            for mode in ("generic", "corrected"):
+                expect = _whole_modulus_degree(reference, modulus, levels, mode)
+                assert model.degree(modulus, levels, mode) == expect, (
+                    str(family), modulus, levels, mode
+                )
+            cases += 1
+
+
+def test_wide_supports_build_forms_at_two_and_the_lattice_primes_only(monkeypatch):
+    # two forms for the square classes, then one per 2-corner; one form over
+    # the whole modulus would take one per S-part (350 here) in the series
+    # and one per odd corner (83 here) on the Euler route
+    calls = []
+    form = kummer.hermite_form
+
+    def counted(rows):
+        calls.append(rows)
+        return form(rows)
+
+    monkeypatch.setattr(kummer, "hermite_form", counted)
+    odd = primes_up_to(420)[1:]
+    group = MultGroup.from_strings(f"-{prod(odd[:30])}")
+    hooley_series(group, LevelMap.identity(), 1000)
+    assert len(calls) <= 3
+    calls.clear()
+    family = GroupFamily.from_strings([str(prod(odd[:79]))])
+    valuation_density(family, Equals((1,)))
+    assert len(calls) <= 4
