@@ -26,6 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import islice
 from math import lcm, prod
 
 from .arith import factorize, primes_up_to
@@ -43,7 +44,7 @@ from .index_sets import (
     valuations_at,
 )
 from .artin import (
-    _zeta_bounds,
+    _zeta_enclosures,
     corner_terms,
     euler_product,
     local_factor,
@@ -161,7 +162,7 @@ class LevelMap:
 def _kappa_bound() -> Fraction:
     """An upper bound on kappa = zeta(2)zeta(3)/zeta(6) = prod_p (1 + 1/(p(p-1)))."""
     scale = 1 << PRECISION_BITS
-    z2, z3, z6 = (_zeta_bounds(s, scale) for s in (2, 3, 6))
+    z2, z3, _, _, z6 = islice(_zeta_enclosures(scale), 5)  # s = 2, ..., 6
     return Fraction(-(-z2[1] * z3[1] // z6[0]), scale)
 
 

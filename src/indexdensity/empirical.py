@@ -67,7 +67,7 @@ def smallest_prime_factors(limit: int) -> np.ndarray:
 
     The table takes 4 bytes per integer, so limit stops at 10^8 (400 MB).
     Only the Moebius series reads it, up to its truncation; scans factor
-    window by window and the index map by trial division without one.
+    window by window and hand those factors to the index map.
     """
     if limit > 10**8:
         raise ValueError("spf table limit exceeds 10^8")
@@ -184,17 +184,6 @@ def _residues(primes: np.ndarray, family: GroupFamily) -> np.ndarray:
     return out
 
 
-def _factor(pm1: np.ndarray):
-    """The factorization of pm1 as _factorization gives it, by trial division
-    by every prime up to the square root, 128 at a time."""
-    small = np.array(primes_up_to(math.isqrt(int(pm1.max()))), dtype=np.int64)
-    pairs = [(pm1[:0], pm1[:0])]  # no pairs (row, q) when every entry is 1
-    for start in range(0, small.size, 128):
-        row, col = np.nonzero(pm1[:, None] % small[start : start + 128] == 0)
-        pairs.append((row, small[start + col]))
-    return _factorization(pm1, *map(np.concatenate, zip(*pairs)))
-
-
 def _factorization(pm1: np.ndarray, row: np.ndarray, q: np.ndarray):
     """(omega, q, q^e) from the pairs (row, q), q | pm1[row], in ascending q.
 
@@ -265,7 +254,7 @@ def _indices(primes: np.ndarray, residues: np.ndarray, slots) -> np.ndarray:
     return index
 
 
-def index_tuple(p, family: GroupFamily, factors: tuple | None = None):
+def index_tuple(p, family: GroupFamily, factors: tuple):
     """Psi(p): the index of each group's reduction in F_p^*.
 
     p is a 1-D int array of primes outside the support of the family
@@ -273,9 +262,9 @@ def index_tuple(p, family: GroupFamily, factors: tuple | None = None):
     ValueError); the result is a (len(p), n) int64 array, one row per
     prime. The computation is batched in int64 and exact because every
     prime is at most SIEVE_CAP = 2^31 - 1; larger primes raise ValueError.
-    factors is p - 1 factored as _factorization gives it (a scan's windows
-    do), or None for trial division. A group's index is the gcd of its
-    generators' indices, each found by power-residue tests.
+    factors is p - 1 factored as _factorization gives it, as a scan's
+    windows do. A group's index is the gcd of its generators' indices,
+    each found by power-residue tests.
     """
     if int(p.max(initial=0)) > SIEVE_CAP:
         raise ValueError(f"primes above the sieve cap {SIEVE_CAP} overflow int64")
@@ -287,10 +276,7 @@ def index_tuple(p, family: GroupFamily, factors: tuple | None = None):
     first = np.cumsum([0] + [len(group.generators) for group in family.groups])[:-1]
     for start in range(0, primes.size, _CHUNK):
         chunk = primes[start : start + _CHUNK]
-        if factors is None:
-            chunk_factors = _factor(chunk - 1)
-        else:
-            chunk_factors, factors = _split(factors, _CHUNK)
+        chunk_factors, factors = _split(factors, _CHUNK)
         order, slots = _slots(*chunk_factors)
         index = _indices(chunk[order], _residues(chunk[order], family), slots)
         psi[start + order] = np.gcd.reduceat(index, first).T

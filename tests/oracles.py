@@ -1,6 +1,9 @@
-"""Independent oracles for the closed forms, shared by the tests.
+"""Independent oracles and reference implementations, shared by the tests.
 
 Not a test module (pytest collects test_*.py only): the tests import it.
+Beside the splitting model below, it keeps the straightforward versions
+of two fast paths: the certified Euler tail with zeta(s) evaluated afresh
+for each s, and the factorization of p - 1 by trial division.
 
 The splitting model: each support prime's discrete logarithm is uniform
 ell-adic, a generator's splitting depth is the valuation of the matching
@@ -17,8 +20,11 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from indexdensity.arith import euler_phi
+from indexdensity import artin
+from indexdensity.arith import euler_phi, moebius, primes_up_to
 from indexdensity.artin import _check_tuple
+from indexdensity.empirical import _factorization
+from indexdensity.exact import PRECISION_BITS
 from indexdensity.errors import SizeLimitError, UnsupportedScopeError
 from indexdensity.groups import FactoredRational, GroupFamily, profile_of
 
@@ -167,3 +173,118 @@ def prob_model_oracle(
     p = hits / samples
     sigma = math.sqrt(p * (1 - p) / samples) if 0 < p < 1 else 1.0 / samples
     return ProbEstimate(p, sigma, hits, samples)
+
+
+# ---------------------------------------------------------------------------
+# the certified Euler tail, one Euler-Maclaurin evaluation per s
+
+
+def zeta_bounds(s: int, scale: int) -> tuple[int, int]:
+    """Integers lo <= scale * zeta(s) <= hi, s >= 2, by Euler-Maclaurin.
+
+    zeta(s) = sum_{n < N} n^-s + N^(1-s)/(s-1) + N^-s/2
+              + sum_{j=1}^{J} B_2j/(2j)! (s)_(2j-1) N^(1-s-2j) + R,
+    (s)_m the rising factorial, and |R| is at most the size of the j = J
+    term (the remainder is the integral of a periodic Bernoulli function,
+    at most |B_2J|, against |f^(2J)|). J is the first j whose term is at
+    most one grid step. B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)).
+    """
+    big = artin._EM_START
+    lo = hi = 0
+    for n in range(1, big):
+        lo += scale // n**s
+        hi -= -scale // n**s
+    num, den = (2 * big + s - 1) * scale, 2 * (s - 1) * big**s  # N^(1-s)/(s-1) + N^-s/2
+    lo += num // den
+    hi -= -num // den
+    rising, fact, power = s, 2, big ** (s + 1)  # (s)_(2j-1), (2j)!, N^(s+2j-1)
+    tangents = artin._tangent_numbers(artin._EM_TERMS)
+    for j in range(1, artin._EM_TERMS + 1):
+        num = (-1) ** (j - 1) * 2 * j * tangents[j] * rising * scale
+        den = 4**j * (4**j - 1) * fact * power
+        lo += num // den
+        hi -= -num // den
+        if abs(num) <= den:
+            return lo - 1, hi + 1
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+        fact *= (2 * j + 1) * (2 * j + 2)
+        power *= big * big
+    raise ArithmeticError(f"Euler-Maclaurin for zeta({s}) did not reach the grid")
+
+
+def accelerated_tail(shape) -> tuple[int, int, int] | None:
+    """(L0, low, high) as artin._accelerated_tail gives them, with zeta(s)
+    and prod_{p <= L0} (1 - p^-s) computed from scratch for each s."""
+    c0, terms = shape
+    if c0 != 1 or not terms or terms[0][0] < 1:
+        return None
+    q = [1, -1] + [0] * terms[-1][0]  # Q(x) = 1 - x + sum_e c_e x^(e+1)
+    for e, c in terms:
+        q[e + 1] += c
+    degree = len(q) - 1
+    rho = 1 + max(abs(c) for c in q[1:])
+    split = artin.TAIL_SPLIT_RATIO * rho
+    scale = 1 << PRECISION_BITS
+    small = primes_up_to(split)
+    power_sums = [degree]  # p_0, p_1, ...: Newton's identities for Q
+    log_lo = log_hi = 0
+    s = 1
+    while True:
+        s += 1
+        while len(power_sums) <= s:
+            k = len(power_sums)
+            top = min(k - 1, degree)
+            p_k = -sum(q[j] * power_sums[k - j] for j in range(1, top + 1))
+            power_sums.append(p_k - (k * q[k] if k <= degree else 0))
+        c_s = sum(
+            moebius(s // k) * (1 - power_sums[k])
+            for k in range(1, s + 1)
+            if s % k == 0
+        )
+        # log zeta_{>L0}(s) in [g_lo, g_hi] / scale
+        g_lo = 0
+        g_hi = -(-scale * (s + split) // ((s - 1) * (split + 1) ** s))
+        if g_hi > artin._DIRECT_SLACK:
+            z_lo, z_hi = zeta_bounds(s, scale)
+            num = den = 1  # prod_{p <= L0} (1 - p^-s) = num / den
+            for p in small:
+                num *= p**s - 1
+                den *= p**s
+            z_lo = z_lo * num // den
+            z_hi = -(-z_hi * num // den)
+            g_lo, g_hi = artin._log1p_bounds(max(z_lo - scale, 0), z_hi - scale, scale)
+        lo_end, hi_end = (g_lo, g_hi) if c_s >= 0 else (g_hi, g_lo)
+        log_lo += c_s * lo_end // s
+        log_hi -= -c_s * hi_end // s
+        rest = 2 * (degree + 1) * (s + split + 1) * rho ** (s + 1) * scale
+        rest_den = s * (split + 1) ** (s + 1)
+        if rest <= rest_den:
+            break
+    log_lo -= 1
+    log_hi += 1
+    if max(-log_lo, log_hi) > scale // 2:
+        return None
+    exp_bounds = artin._exp_bounds
+    return split, exp_bounds(log_lo, scale)[0], exp_bounds(log_hi, scale)[1]
+
+
+def kappa_bound() -> Fraction:
+    """density._kappa_bound from three separate zeta evaluations."""
+    scale = 1 << PRECISION_BITS
+    z2, z3, z6 = (zeta_bounds(s, scale) for s in (2, 3, 6))
+    return Fraction(-(-z2[1] * z3[1] // z6[0]), scale)
+
+
+# ---------------------------------------------------------------------------
+# trial division
+
+
+def trial_factors(pm1: np.ndarray):
+    """The factorization of pm1 as empirical._factorization gives it, by
+    trial division by every prime up to the square root, 128 at a time."""
+    small = np.array(primes_up_to(math.isqrt(int(pm1.max()))), dtype=np.int64)
+    pairs = [(pm1[:0], pm1[:0])]  # no pairs (row, q) when every entry is 1
+    for start in range(0, small.size, 128):
+        row, col = np.nonzero(pm1[:, None] % small[start : start + 128] == 0)
+        pairs.append((row, small[start + col]))
+    return _factorization(pm1, *map(np.concatenate, zip(*pairs)))

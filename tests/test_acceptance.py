@@ -22,7 +22,7 @@ from indexdensity.density import (
     singleton_sum,
     valuation_density,
 )
-from indexdensity.empirical import SieveRange, distribution, observations, survey
+from indexdensity.empirical import SieveRange, _scan, distribution, survey
 from indexdensity.errors import UnsupportedScopeError
 from indexdensity.exact import Interval
 from indexdensity.groups import GroupFamily, profile_of
@@ -61,9 +61,8 @@ def _verdict(number, slug, ok, detail):
 def scan2(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("scan2") / "fam2.log")
     t0 = time.time()
-    total = sum(
-        1 for _ in observations(FAM2, SieveRange.up_to(SCAN_BOUND), log_path=path)
-    )
+    blocks = _scan(FAM2, SieveRange.up_to(SCAN_BOUND), path)
+    total = sum(primes.size for primes, _ in blocks)
     return {"path": path, "seconds": time.time() - t0, "total": total}
 
 
@@ -71,9 +70,8 @@ def scan2(tmp_path_factory):
 def scan22(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("scan22") / "fam22.log")
     t0 = time.time()
-    total = sum(
-        1 for _ in observations(FAM22, SieveRange.up_to(SCAN_BOUND), log_path=path)
-    )
+    blocks = _scan(FAM22, SieveRange.up_to(SCAN_BOUND), path)
+    total = sum(primes.size for primes, _ in blocks)
     return {"path": path, "seconds": time.time() - t0, "total": total}
 
 

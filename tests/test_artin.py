@@ -19,8 +19,8 @@ from indexdensity.artin import (
 from indexdensity.errors import UnsupportedScopeError
 from indexdensity.exact import PRECISION_BITS, Interval, round_down
 from indexdensity.groups import GroupFamily, is_separated, profile_of
-from indexdensity.index_sets import Equals, KFree, ValuationMap, ValuationPattern
-from oracles import prob_model_oracle
+from indexdensity.index_sets import Divides, Equals, KFree, ValuationMap, ValuationPattern
+from oracles import accelerated_tail, prob_model_oracle, zeta_bounds
 
 ARTIN_CONSTANT = Fraction(3739558136192022880547280543464164151, 10**37)
 
@@ -244,11 +244,50 @@ ZETA = {
 
 def test_zeta_bounds_enclose_the_literature_values():
     scale = 1 << PRECISION_BITS
-    for s, value in ZETA.items():
-        lo, hi = artin._zeta_bounds(s, scale)
+    for (s, value), (lo, hi) in zip(ZETA.items(), artin._zeta_enclosures(scale)):
         assert Fraction(lo, scale) < value + Fraction(1, 10**36)
         assert value <= Fraction(hi, scale)
         assert hi - lo < 64
+
+
+def test_zeta_enclosures_match_one_evaluation_per_s():
+    scale = 1 << 128
+    for s, bounds in zip(range(2, 60), artin._zeta_enclosures(scale)):
+        assert bounds == zeta_bounds(s, scale), s
+
+
+def _default_shapes():
+    """The euler bench jobs' default shapes, then those of Equals, KFree and
+    Divides on one group of rank 1 to 3 and on 2 and 3 independent groups."""
+    jobs = [(FAM1, Equals((1,))), (FAM_IND, Equals((1, 1))), (FAM1, KFree((2,)))]
+    jobs.append((GroupFamily.from_strings(["5"]), Equals((1,))))
+    families = [FAM1, FAM1R2, GroupFamily.from_strings(["2", "3", "5"]), FAM_IND]
+    families.append(GroupFamily.from_strings(["2"], ["3"], ["5"]))
+    for fam in families:
+        n = len(fam.groups)
+        jobs += [(fam, Equals((1,) * n)), (fam, KFree((2,) * n)), (fam, Divides((6,) * n))]
+    shapes = [artin._shape(s.valuation_map().default, profile_of(fam)) for fam, s in jobs]
+    return list(dict.fromkeys(shapes)) + [(1, ((0, -1),)), (2, ())]
+
+
+@pytest.mark.parametrize("shape", _default_shapes(), ids=str)
+def test_accelerated_tails_match_the_reference(shape):
+    # one zeta pass gives the same (L0, low, high), bit for bit
+    assert artin._accelerated_tail.__wrapped__(shape) == accelerated_tail(shape)
+
+
+def test_one_tail_starts_the_zeta_generator_once(monkeypatch):
+    starts = []
+    enclosures = artin._zeta_enclosures
+
+    def counted(scale):
+        starts.append(scale)
+        return enclosures(scale)
+
+    monkeypatch.setattr(artin, "_zeta_enclosures", counted)
+    shape = artin._shape(Equals((1,)).valuation_map().default, profile_of(FAM1))
+    assert artin._accelerated_tail.__wrapped__(shape) is not None
+    assert len(starts) == 1
 
 
 def test_log_and_exp_bounds_invert_each_other():

@@ -34,6 +34,7 @@ from indexdensity.index_sets import (
     ValuationPattern,
     named_predicate,
 )
+from oracles import kappa_bound
 
 FAM2 = GroupFamily.from_strings(["2"])
 G2 = MultGroup.from_strings("2")
@@ -205,6 +206,7 @@ KAPPA = Fraction(19435964368207592050570703625747634, 10**34)
 def test_the_series_tail_constant_bounds_kappa_from_above():
     bound = density._kappa_bound()
     assert KAPPA <= bound < KAPPA + Fraction(1, 10**30)
+    assert bound == kappa_bound()  # zeta(2), zeta(3) and zeta(6) evaluated apart
 
 
 def _subset_tail_constant(model, level_map, degree):

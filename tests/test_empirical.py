@@ -26,6 +26,7 @@ from indexdensity.arith import is_prime, primes_up_to, valuation
 from indexdensity.errors import ConfigError
 from indexdensity.groups import GroupFamily
 from indexdensity.index_sets import Divides, Equals, KFree, PrimesSet
+from oracles import trial_factors
 
 FAM2 = GroupFamily.from_strings(["2"])
 FAM3 = GroupFamily.from_strings(["3"])
@@ -56,7 +57,8 @@ def _subgroup_size(p, residues):
 
 def _psi(p, family):
     """index_tuple's row for the one prime p, as a tuple."""
-    return tuple(index_tuple(np.array([p]), family)[0].tolist())
+    batch = np.array([p])
+    return tuple(index_tuple(batch, family, trial_factors(batch - 1))[0].tolist())
 
 
 def test_index_tuple_worked_examples():
@@ -154,7 +156,8 @@ def _assert_scan_is_exact(rows, gen_lists, srange):
     primes = [p for p in primes_up_to(srange.high) if p >= srange.low]
     primes = [p for p in primes if p not in family.support]
     assert [p for p, _ in rows] == primes
-    batch = index_tuple(np.array(primes, dtype=np.int64), family).tolist()
+    primes = np.array(primes, dtype=np.int64)
+    batch = index_tuple(primes, family, trial_factors(primes - 1)).tolist()
     for (p, psi), row in zip(rows, batch):
         assert psi == tuple(row) == _oracle_psi(p, gen_lists), p
 
@@ -242,7 +245,8 @@ def test_index_map_stays_exact_at_the_sieve_cap(gen_lists):
     family = GroupFamily.from_strings(*gen_lists)
     primes = _primes_below_the_cap()
     assert len(primes) == 87 and primes[-1] == SIEVE_CAP == 2**31 - 1
-    batch = index_tuple(np.array(primes, dtype=np.int64), family)
+    batch = np.array(primes, dtype=np.int64)
+    batch = index_tuple(batch, family, trial_factors(batch - 1))
     assert batch.shape == (87, len(gen_lists))
     for p, row in zip(primes, batch.tolist()):
         assert tuple(row) == _psi(p, family) == _oracle_psi(p, gen_lists), p
@@ -255,7 +259,8 @@ def test_scan_below_the_sieve_cap_matches_the_index_map():
     blocks = list(empirical._scan(family, srange, None))
     primes = np.concatenate([p for p, _ in blocks])
     assert primes.size == 9316 and primes[-1] == SIEVE_CAP
-    assert (np.concatenate([psi for _, psi in blocks]) == index_tuple(primes, family)).all()
+    psi = index_tuple(primes, family, trial_factors(primes - 1))
+    assert (np.concatenate([psi for _, psi in blocks]) == psi).all()
 
 
 def test_index_map_reduces_generators_beyond_int64():
@@ -264,7 +269,8 @@ def test_index_map_reduces_generators_beyond_int64():
     gen_lists = ([f"{big}/3"], ["-2", big])
     family = GroupFamily.from_strings(*gen_lists)
     primes = [p for p in primes_up_to(3000) if p > 3] + _primes_below_the_cap()
-    batch = index_tuple(np.array(primes, dtype=np.int64), family)
+    batch = np.array(primes, dtype=np.int64)
+    batch = index_tuple(batch, family, trial_factors(batch - 1))
     for p, row in zip(primes, batch.tolist()):
         assert tuple(row) == _oracle_psi(p, gen_lists), p
 
@@ -285,7 +291,8 @@ EXTREME_FAMILIES = [
 def test_index_map_at_extreme_factorisations(gen_lists):
     family = GroupFamily.from_strings(*gen_lists)
     primes = [p for p in EXTREME_PRIMES if p not in family.support]
-    batch = index_tuple(np.array(primes, dtype=np.int64), family)
+    batch = np.array(primes, dtype=np.int64)
+    batch = index_tuple(batch, family, trial_factors(batch - 1))
     for p, row in zip(primes, batch.tolist()):
         assert tuple(row) == _psi(p, family) == _oracle_psi(p, gen_lists), p
 
@@ -315,14 +322,13 @@ def test_index_map_temporaries_stay_small():
 
 
 def test_index_map_refuses_primes_above_the_cap():
-    with pytest.raises(ValueError):
-        _psi(SIEVE_CAP + 7, FAM2)
-    with pytest.raises(ValueError):
-        _psi(2**70, FAM2)
-    with pytest.raises(ValueError):
-        index_tuple(np.array([5, SIEVE_CAP + 7]), FAM2)
+    # each batch is refused before its factors are read: those of 4 and 6 stand in
+    factors = trial_factors(np.array([4, 6]))
+    for batch in ([SIEVE_CAP + 7], [2**70], [5, SIEVE_CAP + 7]):
+        with pytest.raises(ValueError):
+            index_tuple(np.array(batch), FAM2, factors)
     with pytest.raises(ValueError):  # a batch holds no support primes
-        index_tuple(np.array([2, 5]), FAM2)
+        index_tuple(np.array([2, 5]), FAM2, factors)
 
 
 def test_observations_respect_range_and_divisibility():
