@@ -260,76 +260,47 @@ def local_factor(ell: int, v_I, profile: RankProfile) -> Fraction:
 #     = (L0 + 1)^-s (1 + (L0 + 1)/(s - 1)), as sum_{n > L0} n^-s;
 #   with q = rho / (L0 + 1) <= 1/2 (the convergence condition L0 >= 2 rho)
 #     the s-terms past S add at most 2 M (1 + (L0 + 1)/S) q^(S + 1).
-# One Euler-Maclaurin pass per tail encloses zeta(2), zeta(3), ... in turn,
-# and prod_{p <= L0} p^s advances with s; log and exp come from their series
-# with the first omitted term bounding each remainder. All values are
-# integers on the 2^-PRECISION_BITS grid, rounded outward.
+# zeta(2), ..., zeta(17) are read from the table below, prod_{p <= L0} p^s
+# advances with s, and log and exp come from their series with the first
+# omitted term bounding each remainder. All values are integers on the
+# 2^-PRECISION_BITS grid, rounded outward.
 
 # L0 = 64 rho: each s-term of the tail gains six bits. At least 2, the
-# convergence condition above.
+# convergence condition above; much below 64, zeta(s) is needed past the
+# table below.
 TAIL_SPLIT_RATIO = 64
-_EM_START = 32  # Euler-Maclaurin sums n^-s directly below this n
-_EM_TERMS = 24  # Bernoulli terms it may use; 16 reach the grid at s = 2
 # Where T(s) is below this many grid steps, log zeta_{>L0}(s) is taken as
-# [0, T(s)] without evaluating zeta. Each direct evaluation adds a few
-# rounding steps, which C_s / s then multiplies, so the shortcut is both
-# faster and narrower: for the <2> Artin tail (zeta at s = 2..17 of 2..22)
-# 0.7-0.8 ms and width 1.1e-34, against 0.8-0.9 ms and 3.2e-34 evaluating
-# every s (2 vCPU, Python 3.11).
+# [0, T(s)] without reading zeta. Each value read adds a few rounding
+# steps, which C_s / s then multiplies, so the shortcut is narrower, and it
+# skips a product over the small primes and a log series per s: for the
+# <2> Artin tail (zeta at s = 2..17 of 2..22) 0.33-0.37 ms and width
+# 1.1e-34, against 0.42-0.46 ms and 3.2e-34 reading every s (2 vCPU,
+# Python 3.11).
 _DIRECT_SLACK = 256
-
-
-@lru_cache(maxsize=1)
-def _tangent_numbers(count: int) -> tuple[int, ...]:
-    """T_1..T_count (index 0 unused), by the Knuth-Buckholtz recurrence."""
-    t = [0, 1] + [0] * (count - 1)
-    for k in range(2, count + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, count + 1):
-        for j in range(k, count + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return tuple(t)
-
-
-def _zeta_enclosures(scale: int):
-    """Integers lo <= scale * zeta(s) <= hi for s = 2, 3, ..., by Euler-Maclaurin.
-
-    zeta(s) = sum_{n < N} n^-s + N^(1-s)/(s-1) + N^-s/2
-              + sum_{j=1}^{J} B_2j/(2j)! (s)_(2j-1) N^(1-s-2j) + R,
-    (s)_m the rising factorial, and |R| is at most the size of the j = J
-    term (the remainder is the integral of a periodic Bernoulli function,
-    at most |B_2J|, against |f^(2J)|). J is the first j whose term is at
-    most one grid step. B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)); scale
-    B_2j/(2j)! is built once per call, and n^s and N^s gain a factor per s.
-    One divmod floors each term, and hi - lo - 2 counts the inexact ones.
-    """
-    big, tangents, fact, bernoulli = _EM_START, _tangent_numbers(_EM_TERMS), 2, []
-    for j in range(1, _EM_TERMS + 1):  # (numerator, denominator > 0) pairs
-        num = (-1) ** (j - 1) * 2 * j * tangents[j] * scale
-        bernoulli.append((num, 4**j * (4**j - 1) * fact))
-        fact *= (2 * j + 1) * (2 * j + 2)
-    powers, edge = [n * n for n in range(1, big)], big * big  # n^s, N^s
-    for s in count(2):
-        lo = inexact = 0
-        for n, power in enumerate(powers, 1):
-            q, r = divmod(scale, power)
-            lo, inexact = lo + q, inexact + (r > 0)
-            powers[n - 1] = power * n
-        # N^(1-s)/(s-1) + N^-s/2, then the Bernoulli terms
-        q, r = divmod((2 * big + s - 1) * scale, 2 * (s - 1) * edge)
-        lo, inexact = lo + q, inexact + (r > 0)
-        rising, power = s, edge * big  # (s)_(2j-1), N^(s+2j-1)
-        for j, (b_num, b_den) in enumerate(bernoulli, 1):
-            num, den = b_num * rising, b_den * power
-            q, r = divmod(num, den)
-            lo, inexact = lo + q, inexact + (r > 0)
-            if abs(num) <= den:
-                break
-            rising, power = rising * (s + 2 * j - 1) * (s + 2 * j), power * big * big
-        else:
-            raise ArithmeticError(f"Euler-Maclaurin for zeta({s}) did not reach the grid")
-        yield lo - 1, lo + inexact + 1
-        edge *= big
+# Integers lo <= 2^128 zeta(s) <= hi, entry s - 2 for s = 2, ..., 17: the
+# Euler-Maclaurin enclosures that zeta_table in tests/oracles.py prints and
+# the tests check entry by entry. Sixteen reach every tail: q_1 = -1 makes
+# rho >= 2, so L0 = 64 rho >= 128; at L0 = 128, T(s) is within
+# _DIRECT_SLACK grid steps from s = 18 on, and T(s) falls as L0 grows. A
+# tail that needs a value past the table raises ArithmeticError.
+_ZETA_BOUNDS = (
+    (559742057695999706728347712798405794986, 559742057695999706728347712798405795030),
+    (409038768180800056427241407891448561413, 409038768180800056427241407891448561455),
+    (368295511740750160186673360334303292387, 368295511740750160186673360334303292430),
+    (352848230846201241289544183813035214336, 352848230846201241289544183813035214377),
+    (346183905102663364787803988299513878118, 346183905102663364787803988299513878159),
+    (343123478790538619292966735919305731551, 343123478790538619292966735919305731593),
+    (341669819338754721755388317355305487561, 341669819338754721755388317355305487602),
+    (340965787585504752099283879480793785961, 340965787585504752099283879480793785998),
+    (340620803299513096449500218927115666876, 340620803299513096449500218927115666917),
+    (340450530588853589503801855628981222789, 340450530588853589503801855628981222830),
+    (340366105835765541837559931810667244319, 340366105835765541837559931810667244357),
+    (340324124109305263562702024395734965717, 340324124109305263562702024395734965756),
+    (340303208581305732854961292056628178784, 340303208581305732854961292056628178821),
+    (340292775558388953382675519414191995569, 340292775558388953382675519414191995605),
+    (340287567204341939303656147931454996996, 340287567204341939303656147931454997033),
+    (340284965724627330994809719200073789059, 340284965724627330994809719200073789094),
+)
 
 
 def _log1p_bounds(y_lo: int, y_hi: int, scale: int) -> tuple[int, int]:
@@ -396,7 +367,6 @@ def _accelerated_tail(shape: Shape) -> tuple[int, int, int] | None:
     scale = 1 << PRECISION_BITS
     small = primes_up_to(split)
     power_sums, mu = [degree], [0]  # p_k by Newton's identities for Q, and mu(k)
-    zeta = _zeta_enclosures(scale)  # read at s = 2, 3, ... in turn: g_hi falls with s
     prime_powers, primorial = [p * p for p in small], math.prod(small)
     den = primorial * primorial  # prod_{p <= L0} p^s
     log_lo = log_hi = 0
@@ -412,7 +382,9 @@ def _accelerated_tail(shape: Shape) -> tuple[int, int, int] | None:
         g_lo = 0
         g_hi = -(-scale * (s + split) // ((s - 1) * (split + 1) ** s))
         if g_hi > _DIRECT_SLACK:
-            z_lo, z_hi = next(zeta)
+            if s - 2 >= len(_ZETA_BOUNDS):
+                raise ArithmeticError(f"zeta({s}) lies past the table: split {split} too small")
+            z_lo, z_hi = _ZETA_BOUNDS[s - 2]
             num = math.prod(x - 1 for x in prime_powers)  # prod_{p <= L0} (p^s - 1)
             z_lo = z_lo * num // den
             z_hi = -(-z_hi * num // den)

@@ -26,7 +26,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import islice
 from math import lcm, prod
 
 from .arith import factorize, primes_up_to
@@ -44,7 +43,7 @@ from .index_sets import (
     valuations_at,
 )
 from .artin import (
-    _zeta_enclosures,
+    _ZETA_BOUNDS,
     corner_terms,
     euler_product,
     local_factor,
@@ -161,9 +160,8 @@ class LevelMap:
 
 def _kappa_bound() -> Fraction:
     """An upper bound on kappa = zeta(2)zeta(3)/zeta(6) = prod_p (1 + 1/(p(p-1)))."""
-    scale = 1 << PRECISION_BITS
-    z2, z3, _, _, z6 = islice(_zeta_enclosures(scale), 5)  # s = 2, ..., 6
-    return Fraction(-(-z2[1] * z3[1] // z6[0]), scale)
+    z2, z3, z6 = (_ZETA_BOUNDS[s - 2] for s in (2, 3, 6))
+    return Fraction(-(-z2[1] * z3[1] // z6[0]), 1 << PRECISION_BITS)
 
 
 def _reciprocal_tail(truncation: int) -> Fraction:

@@ -67,7 +67,10 @@ def parse_rational(text) -> FactoredRational:
     Factorization happens here, once, with the package work bound; inputs
     whose numerator or denominator cannot be factored are rejected.
     """
-    value = Fraction(text) if not isinstance(text, Fraction) else text
+    try:
+        value = Fraction(text)
+    except (ZeroDivisionError, OverflowError) as exc:  # "2/0", float infinity
+        raise ValueError(f"{text!r} is not a finite rational") from exc
     if value == 0:
         raise ValueError("0 generates no multiplicative subgroup of Q*")
     sign = 1 if value > 0 else -1

@@ -2,8 +2,11 @@
 
 Not a test module (pytest collects test_*.py only): the tests import it.
 Beside the splitting model below, it keeps the straightforward versions
-of two fast paths: the certified Euler tail with zeta(s) evaluated afresh
-for each s, and the factorization of p - 1 by trial division.
+of two fast paths: the certified Euler tail with zeta(s) and the small
+primes' product computed afresh for each s, and the factorization of
+p - 1 by trial division. It also derives zeta(s) by Euler-Maclaurin,
+which artin reads from a frozen table; zeta_table() prints that table's
+source, and the tests check it entry by entry.
 
 The splitting model: each support prime's discrete logarithm is uniform
 ell-adic, a generator's splitting depth is the valuation of the matching
@@ -176,7 +179,21 @@ def prob_model_oracle(
 
 
 # ---------------------------------------------------------------------------
-# the certified Euler tail, one Euler-Maclaurin evaluation per s
+# zeta(s) by Euler-Maclaurin, and the certified Euler tail
+
+EM_START = 32  # Euler-Maclaurin sums n^-s directly below this n
+EM_TERMS = 24  # Bernoulli terms it may use; 16 reach the 2^-128 grid at s = 2
+
+
+def tangent_numbers(count: int) -> tuple[int, ...]:
+    """T_1..T_count (index 0 unused), by the Knuth-Buckholtz recurrence."""
+    t = [0, 1] + [0] * (count - 1)
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(t)
 
 
 def zeta_bounds(s: int, scale: int) -> tuple[int, int]:
@@ -184,12 +201,13 @@ def zeta_bounds(s: int, scale: int) -> tuple[int, int]:
 
     zeta(s) = sum_{n < N} n^-s + N^(1-s)/(s-1) + N^-s/2
               + sum_{j=1}^{J} B_2j/(2j)! (s)_(2j-1) N^(1-s-2j) + R,
-    (s)_m the rising factorial, and |R| is at most the size of the j = J
-    term (the remainder is the integral of a periodic Bernoulli function,
-    at most |B_2J|, against |f^(2J)|). J is the first j whose term is at
-    most one grid step. B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)).
+    (s)_m the rising factorial, N = EM_START, and |R| is at most the size
+    of the j = J term (the remainder is the integral of a periodic
+    Bernoulli function, at most |B_2J|, against |f^(2J)|). J <= EM_TERMS
+    is the first j whose term is at most one grid step.
+    B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)).
     """
-    big = artin._EM_START
+    big = EM_START
     lo = hi = 0
     for n in range(1, big):
         lo += scale // n**s
@@ -198,8 +216,8 @@ def zeta_bounds(s: int, scale: int) -> tuple[int, int]:
     lo += num // den
     hi -= -num // den
     rising, fact, power = s, 2, big ** (s + 1)  # (s)_(2j-1), (2j)!, N^(s+2j-1)
-    tangents = artin._tangent_numbers(artin._EM_TERMS)
-    for j in range(1, artin._EM_TERMS + 1):
+    tangents = tangent_numbers(EM_TERMS)
+    for j in range(1, EM_TERMS + 1):
         num = (-1) ** (j - 1) * 2 * j * tangents[j] * rising * scale
         den = 4**j * (4**j - 1) * fact * power
         lo += num // den
@@ -210,6 +228,13 @@ def zeta_bounds(s: int, scale: int) -> tuple[int, int]:
         fact *= (2 * j + 1) * (2 * j + 2)
         power *= big * big
     raise ArithmeticError(f"Euler-Maclaurin for zeta({s}) did not reach the grid")
+
+
+def zeta_table() -> str:
+    """The source of artin._ZETA_BOUNDS: zeta_bounds(s, 2^PRECISION_BITS)
+    for s = 2..17, one (lo, hi) pair a line."""
+    rows = (zeta_bounds(s, 1 << PRECISION_BITS) for s in range(2, 18))
+    return "_ZETA_BOUNDS = (\n" + "".join(f"    ({lo}, {hi}),\n" for lo, hi in rows) + ")\n"
 
 
 def accelerated_tail(shape) -> tuple[int, int, int] | None:

@@ -1,5 +1,6 @@
 """Local factors, local series, Euler products, and the splitting oracle."""
 
+import inspect
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -20,7 +21,7 @@ from indexdensity.errors import UnsupportedScopeError
 from indexdensity.exact import PRECISION_BITS, Interval, round_down
 from indexdensity.groups import GroupFamily, is_separated, profile_of
 from indexdensity.index_sets import Divides, Equals, KFree, ValuationMap, ValuationPattern
-from oracles import accelerated_tail, prob_model_oracle, zeta_bounds
+from oracles import accelerated_tail, prob_model_oracle, zeta_bounds, zeta_table
 
 ARTIN_CONSTANT = Fraction(3739558136192022880547280543464164151, 10**37)
 
@@ -244,16 +245,20 @@ ZETA = {
 
 def test_zeta_bounds_enclose_the_literature_values():
     scale = 1 << PRECISION_BITS
-    for (s, value), (lo, hi) in zip(ZETA.items(), artin._zeta_enclosures(scale)):
+    for (s, value), (lo, hi) in zip(ZETA.items(), artin._ZETA_BOUNDS):
         assert Fraction(lo, scale) < value + Fraction(1, 10**36)
         assert value <= Fraction(hi, scale)
         assert hi - lo < 64
 
 
-def test_zeta_enclosures_match_one_evaluation_per_s():
-    scale = 1 << 128
-    for s, bounds in zip(range(2, 60), artin._zeta_enclosures(scale)):
-        assert bounds == zeta_bounds(s, scale), s
+def test_the_zeta_table_is_the_euler_maclaurin_enclosures():
+    # entry s - 2 is zeta_bounds(s) on the working grid, and the literal in
+    # artin is the one zeta_table() prints
+    assert len(artin._ZETA_BOUNDS) == 16
+    for s, bounds in enumerate(artin._ZETA_BOUNDS, 2):
+        assert bounds == zeta_bounds(s, 2**128), s
+    assert PRECISION_BITS == 128
+    assert zeta_table() in inspect.getsource(artin)
 
 
 def _default_shapes():
@@ -276,18 +281,23 @@ def test_accelerated_tails_match_the_reference(shape):
     assert artin._accelerated_tail.__wrapped__(shape) == accelerated_tail(shape)
 
 
-def test_one_tail_starts_the_zeta_generator_once(monkeypatch):
-    starts = []
-    enclosures = artin._zeta_enclosures
+def test_the_smallest_possible_split_reads_the_whole_zeta_table(monkeypatch):
+    # the <2> Artin tail has rho = 2, so L0 = 128, the least any shape gets
+    reads = []
 
-    def counted(scale):
-        starts.append(scale)
-        return enclosures(scale)
+    class Recorded(tuple):
+        def __getitem__(self, i):
+            reads.append(i + 2)
+            return super().__getitem__(i)
 
-    monkeypatch.setattr(artin, "_zeta_enclosures", counted)
+    monkeypatch.setattr(artin, "_ZETA_BOUNDS", Recorded(artin._ZETA_BOUNDS))
     shape = artin._shape(Equals((1,)).valuation_map().default, profile_of(FAM1))
-    assert artin._accelerated_tail.__wrapped__(shape) is not None
-    assert len(starts) == 1
+    assert artin._accelerated_tail.__wrapped__(shape)[0] == 128
+    assert reads == list(range(2, 18))
+    # a split below the table's reach is refused, not read out of range
+    monkeypatch.setattr(artin, "TAIL_SPLIT_RATIO", 2)
+    with pytest.raises(ArithmeticError, match="past the table"):
+        artin._accelerated_tail.__wrapped__(shape)
 
 
 def test_log_and_exp_bounds_invert_each_other():
@@ -313,10 +323,13 @@ def test_log_and_exp_bounds_invert_each_other():
 )
 def test_the_smallest_split_agrees_with_the_default(monkeypatch, fam, index_set):
     # at L0 = 2 rho every truncation bound binds hardest; the enclosure
-    # must still hold, so it must meet the default one
+    # must still hold, so it must meet the default one. That split needs
+    # zeta(s) past the table, to s = 51 here, so the oracle extends it.
     vmap, prof = index_set.valuation_map(), profile_of(fam)
     artin._accelerated_tail.cache_clear()
     default = euler_product(vmap, prof, 2000)
+    wider = tuple(zeta_bounds(s, 1 << PRECISION_BITS) for s in range(2, 60))
+    monkeypatch.setattr(artin, "_ZETA_BOUNDS", wider)
     monkeypatch.setattr(artin, "TAIL_SPLIT_RATIO", 2)
     artin._accelerated_tail.cache_clear()
     smallest = euler_product(vmap, prof, 2000)

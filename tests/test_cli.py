@@ -161,6 +161,8 @@ EQ1 = {"kind": "equals", "tuple": [1]}
             {"method": "series", "level_map": {"kind": "prime-powers", "table": [1]}},
         ),
         ("density", {"set": EQ1, "mode": "weird"}),
+        ("density", {"groups": [["2/0"]], "set": EQ1}),
+        ("density", {"groups": [[float("inf")]], "set": EQ1}),
     ],
 )
 def test_hostile_degree_configs_exit_2(tmp_path, capsys, command, extra):
