@@ -12,7 +12,6 @@ from indexdensity import (
     GroupFamily,
     KummerModel,
     LevelMap,
-    entanglement_primes,
     hooley_series,
 )
 
@@ -20,7 +19,7 @@ from indexdensity import (
 def show(family, label):
     model = KummerModel(family)
     print(f"{label}: scope={model.deficiency_scope()}", end="")
-    print(f" lattice primes={entanglement_primes(family)}")
+    print(f" lattice primes={model.profile.lattice_primes}")
     for modulus, levels in ((8, (8,)), (9, (9,)), (25, (5,))):
         generic = model.degree(modulus, levels, "generic")
         corrected = model.degree(modulus, levels, "corrected")

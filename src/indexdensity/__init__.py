@@ -63,7 +63,6 @@ from .groups import (
     GroupFamily,
     MultGroup,
     RankProfile,
-    entanglement_primes,
     is_separated,
     parse_rational,
     profile_of,
@@ -124,7 +123,6 @@ __all__ = [
     "corner_degree",
     "correction_ratio",
     "distribution",
-    "entanglement_primes",
     "euler_phi",
     "euler_product",
     "factorize",

@@ -52,9 +52,13 @@ EXIT_INCONSISTENT = 4
 # serialization
 
 
-def frac_str(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+def _plain(obj):
+    """obj with each Fraction, in dicts and lists too, as "p/q" for json."""
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    return [_plain(v) for v in obj] if isinstance(obj, list) else obj
 
 
 def interval_payload(iv: Interval, *, certified: bool = True) -> dict:
@@ -70,8 +74,8 @@ def interval_payload(iv: Interval, *, certified: bool = True) -> dict:
         places = max(places, len(str(iv.width.denominator // iv.width.numerator)))
     lo, hi = iv.decimal_bounds(places)
     return {
-        "low": frac_str(iv.low),
-        "high": frac_str(iv.high),
+        "low": iv.low,
+        "high": iv.high,
         "decimal_low": lo,
         "decimal_high": hi,
     }
@@ -84,7 +88,7 @@ def report_payload(report: DensityReport) -> dict:
     return {
         "value": interval_payload(report.value, certified=certified),
         "method": report.method,
-        "ledger": [[label, frac_str(x)] for label, x in report.ledger],
+        "ledger": [[label, x] for label, x in report.ledger],
         "notes": list(report.notes),
     }
 
@@ -577,9 +581,15 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    text = json.dumps(
-        {"command": args.command, "result": payload}, indent=2, sort_keys=True
-    )
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if limit:  # exact payloads can pass Python's int-to-str digit limit
+        sys.set_int_max_str_digits(0)
+    try:
+        document = _plain({"command": args.command, "result": payload})
+        text = json.dumps(document, indent=2, sort_keys=True)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     print(text)
     if cfg.get("output"):
         try:

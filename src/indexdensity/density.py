@@ -32,7 +32,7 @@ from .arith import factorize, primes_up_to
 from .empirical import smallest_prime_factors
 from .errors import UnsupportedScopeError
 from .exact import PRECISION_BITS, Interval, round_down, round_up, series_sum
-from .groups import GroupFamily, MultGroup, is_separated, profile_of, rank
+from .groups import GroupFamily, MultGroup, is_separated, profile_of
 from .index_sets import (
     IndexSet,
     SquarefreeModulus,
@@ -268,12 +268,13 @@ def hooley_series(
     """
     if not 1 <= truncation <= MAX_TRUNCATION:
         raise ValueError(f"truncation must be between 1 and {MAX_TRUNCATION}")
-    if rank(group) != 1:
+    torsion = not any(g.exponents for g in group.generators)  # GroupFamily refuses it
+    model = None if torsion else KummerModel(GroupFamily((group,)))
+    if model is None or model.profile.of({1}) != 1:
         raise UnsupportedScopeError(
             "the series route is for rank-1 groups; higher ranks go through "
             "valuation_density or singleton_sum"
         )
-    model = KummerModel(GroupFamily((group,)))
     degree = _series_degree(model, mode)
     tail = _tail_constant(model, level_map, degree) * _reciprocal_tail(truncation)
     spf = memoryview(smallest_prime_factors(truncation))  # entries read as ints

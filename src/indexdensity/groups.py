@@ -11,7 +11,7 @@ never through floating point.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -207,10 +207,19 @@ class GroupFamily:
 
 @dataclass(frozen=True)
 class RankProfile:
-    """rank(W_J) for every subset J of {1..n}, keyed by frozenset."""
+    """rank(W_J) for every subset J of {1..n}, keyed by frozenset, and data
+    read off the same Hermite forms: the lattice primes, where some
+    subfamily's exponent lattice is unsaturated (8 has a rational cube
+    root; 2*27 and 2 share a cube root field), the only odd primes off the
+    support where Kummer degrees can fall short of the generic formula,
+    and a basis of the saturation (Lambda tensor Q) & Z^support of the
+    family's lattice Lambda. Neither is compared: caches see ranks alone.
+    """
 
     n: int
     table: tuple[tuple[frozenset, int], ...]
+    lattice_primes: tuple[int, ...] = field(compare=False)
+    saturation: tuple[tuple[int, ...], ...] = field(compare=False)
 
     @cached_property
     def ranks(self) -> dict:
@@ -221,18 +230,32 @@ class RankProfile:
 
 
 def rank_profile(family: GroupFamily) -> RankProfile:
+    """Two Hermite forms per nonempty subfamily J: F_J of J's exponent
+    rows, with rank(W_J) rows, and B_J of F_J's transpose, a square upper
+    triangular basis of the lattice C_J that F_J's columns span. Its
+    determinant [Z^rank : C_J] is the gcd of F_J's maximal minors, so the
+    lattice primes are its prime factors. The whole family's saturation
+    is {aF : aF integral} = {aF : a in C*}, with the basis B^-T F.
+    """
     n = len(family)
     primes = family.support
     rows_by_group = [g.exponent_rows(primes) for g in family.groups]
-    table = []
-    indices = list(range(1, n + 1))
-    for size in range(n + 1):
-        for js in combinations(indices, size):
-            rows: list[tuple[int, ...]] = []
-            for j in js:
-                rows.extend(rows_by_group[j - 1])
-            table.append((frozenset(js), len(hermite_form(rows))))
-    return RankProfile(n, tuple(table))
+    table = [(frozenset(), 0)]
+    bad: set[int] = set()
+    for size in range(1, n + 1):
+        for js in combinations(range(1, n + 1), size):
+            form = hermite_form([r for j in js for r in rows_by_group[j - 1]])
+            columns = hermite_form(zip(*form))
+            table.append((frozenset(js), len(form)))
+            bad.update(factorize(prod(r[i] for i, r in enumerate(columns))))
+    saturation = []
+    for i, v in enumerate(form):  # the whole family's F and B come last
+        for j, s in enumerate(saturation):
+            v = [a - columns[j][i] * b for a, b in zip(v, s)]
+        if any(a % columns[i][i] for a in v):
+            raise ArithmeticError("the saturation basis is not integral")
+        saturation.append(tuple(a // columns[i][i] for a in v))
+    return RankProfile(n, tuple(table), tuple(sorted(bad)), tuple(saturation))
 
 
 @lru_cache(maxsize=256)
@@ -251,40 +274,3 @@ def is_separated(family: GroupFamily) -> bool:
     full = frozenset(range(1, len(family) + 1))
     total = prof.of(full)
     return all(prof.of(full - {i}) < total for i in full)
-
-
-def lattice_invariant_primes(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """Primes at which the row lattice is a proper sublattice of its saturation.
-
-    The lattice loses rank mod p exactly when p divides every maximal minor,
-    so the answer is the set of prime divisors of the gcd of those minors.
-    Row operations keep that gcd, and for the Hermite form (full row rank
-    r) it is the index in Z^r of the lattice its columns span: the product
-    of the pivots of the transpose's Hermite form.
-    """
-    form = hermite_form(rows)
-    columns = hermite_form(zip(*form))
-    return tuple(sorted(factorize(prod(r[i] for i, r in enumerate(columns)))))
-
-
-def entanglement_primes(family: GroupFamily) -> tuple[int, ...]:
-    """Primes where some subfamily's joint exponent lattice is unsaturated.
-
-    At such a prime ell an unexpected ell-th root can be rational (8 has a
-    rational cube root) or can tie groups together (2*27 and 2 share a cube
-    root field), so Kummer degrees may fall short of the generic rank
-    formula. Away from these primes, the support, and 2, the generic
-    formula is exact.
-    """
-    support = family.support
-    bad: set[int] = set()
-    for size in range(1, len(family.groups) + 1):
-        for sel in combinations(family.groups, size):
-            rows = [
-                g.exponent_vector(support)
-                for grp in sel
-                for g in grp.generators
-                if g.exponents
-            ]
-            bad.update(lattice_invariant_primes(rows))
-    return tuple(sorted(bad))

@@ -269,6 +269,7 @@ class IndexSet(ABC):
             base = range(1, bound + 1)
         else:
             base = smooth.smooth_numbers(bound)
+        _check_box(len(base) ** self.n)  # before any list is built
         return [list(base) for _ in range(self.n)]
 
     def members(
@@ -282,15 +283,16 @@ class IndexSet(ABC):
         if bound < 1:
             raise ValueError("bound must be >= 1")
         cands = self.coordinate_candidates(bound, smooth)
-        size = 1
-        for c in cands:
-            size *= len(c)
-            if size > ENUMERATION_CAP:
-                raise SizeLimitError(
-                    f"enumeration would visit > {ENUMERATION_CAP} tuples; "
-                    "lower the bound or pass a smoothness modulus"
-                )
+        _check_box(math.prod(len(c) for c in cands))
         return iproduct(*cands)
+
+
+def _check_box(size: int) -> None:
+    if size > ENUMERATION_CAP:
+        raise SizeLimitError(
+            f"enumeration would visit > {ENUMERATION_CAP} tuples; "
+            "lower the bound or pass a smoothness modulus"
+        )
 
 
 @dataclass(frozen=True)
@@ -501,11 +503,10 @@ class PrimesSet(IndexSet):
         return Classification("determined")
 
     def coordinate_candidates(self, bound, smooth):
-        ps = list(primes_up_to(bound))
         if smooth is not None:
-            allowed = set(smooth.primes)
-            ps = [p for p in ps if p in allowed]
-        return [ps]
+            return [[p for p in smooth.primes if p <= bound]]
+        _check_box(bound)  # the sieve visits every entry up to the bound
+        return [list(primes_up_to(bound))]
 
     def members(self, bound, smooth=None):
         """The candidates are already the primes up to the bound: no test runs."""

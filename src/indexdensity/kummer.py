@@ -10,7 +10,7 @@ G & H at M exactly when it counts at the 2-part and z | 2M:
 
     D(M, N) = prod_ell phi(ell^k) |G_ell| / #{z counted at (2^k, N_2) : z | 2M}.
 
-At odd ell off the lattice primes (groups.entanglement_primes), -1 is an
+At odd ell off the lattice primes (RankProfile.lattice_primes), -1 is an
 ell^k-th power and every subfamily's lattice is saturated, so over a basis
 adapted to the superlevel sets of j, |G_ell| is ell^(generic exponent), a
 linear form in the j_i weighted by rank increments. At 2 and the lattice
@@ -22,9 +22,11 @@ Entanglement passes through the model's square classes: the squarefree
 z > 0 whose exponent vector mod 2 lies in the image of the saturation
 sat(Lambda) = (Lambda tensor Q) & Z^support of the generators' exponent
 lattice Lambda. Only they can meet G (proof in KummerModel.degree); there
-are 2^rank(Lambda) of them, however large the support. The generators'
-squarefree parts are not enough: that of 4 is 1, yet 4^2 = sqrt(2)^8 is
-an 8th power in Q(zeta_8).
+are 2^rank(Lambda) of them, however large the support. With F Lambda's
+Hermite form, aF is integral exactly when a lies in the dual C* of the
+lattice C that F's columns span: sat(Lambda) = C* F (groups.rank_profile).
+The generators' squarefree parts are not enough: that of 4 is 1, yet
+4^2 = sqrt(2)^8 is an 8th power in Q(zeta_8).
 
 Chebotarev sampling (KummerModel.degree_estimate) stays as an independent
 oracle for the exact degree; no density route calls it. It reads the
@@ -43,13 +45,7 @@ import numpy as np
 from .arith import euler_phi, factorize, valuation
 from .empirical import SieveRange, _scan
 from .errors import InconclusiveError, UnsupportedScopeError
-from .groups import (
-    GroupFamily,
-    RankProfile,
-    entanglement_primes,
-    hermite_form,
-    profile_of,
-)
+from .groups import GroupFamily, RankProfile, hermite_form, profile_of
 
 RELIABILITY_CAP = 512  # largest degree bound the sampler resolves
 MIN_EXPECTED = 400  # split primes a sampling run must expect
@@ -89,14 +85,6 @@ class DegreeEstimate:
     generic_bound: int
 
 
-def _kernel(rows, dim: int) -> list[list[int]]:
-    """A basis of the x in Z^dim with r . x = 0 for every row r: the rows of
-    the Hermite form of [R^T | I], which spans the (R x, x), zero on R x."""
-    n = len(rows)
-    pairs = [[r[i] for r in rows] + [int(i == j) for j in range(dim)] for i in range(dim)]
-    return [v[n:] for v in hermite_form(pairs) if not any(v[:n])]
-
-
 def _meets(form: list[list[int]], modulus: int, z: int, bits) -> bool:
     """Does the class of H for a square class z at M = lcm(modulus, z), an even
     modulus, lie in a square Hermite form's lattice? It is +z^(M/2) if
@@ -132,14 +120,11 @@ class KummerModel:
             tuple([g.sign < 0, *g.exponent_vector(support)] for g in group.generators)
             for group in family.groups
         )
-        # the square classes (z, exponent vector of z): sat(Lambda) is the
-        # kernel of Lambda's kernel, and its basis is independent mod 2
+        # square classes (z, bits of z); sat(Lambda)'s basis is independent mod 2
         classes = [(0,) * len(support)]
-        lattice = [v[1:] for vectors in self._vectors for v in vectors]
-        for v in _kernel(_kernel(lattice, len(support)), len(support)):
+        for v in self.profile.saturation:
             classes += [tuple((a + b) % 2 for a, b in zip(c, v)) for c in classes]
         self._squares = [(prod(p**b for p, b in zip(support, c)), c) for c in classes]
-        self._lattice = frozenset(entanglement_primes(family))
         self._sample: tuple[np.ndarray, np.ndarray] | None = None
         self._square_meets: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
@@ -162,7 +147,7 @@ class KummerModel:
         between groups) cover the rest. Off S, degrees split into generic
         prime-by-prime factors.
         """
-        return tuple(sorted(set(self.family.support) | {2} | self._lattice))
+        return tuple(sorted({2, *self.family.support, *self.profile.lattice_primes}))
 
     def degree(
         self, modulus: int, levels: tuple[int, ...], mode: str = "corrected"
@@ -190,7 +175,7 @@ class KummerModel:
         out, counted = 1, (1,)
         for ell, k in factorize(modulus).items():
             e = tuple(valuation(x, ell) for x in levels)
-            if mode == "corrected" and (ell == 2 or ell in self._lattice):
+            if mode == "corrected" and (ell == 2 or ell in self.profile.lattice_primes):
                 size, meets = self.square_meet(ell**k, tuple(ell**j for j in e))
                 out *= size
                 if ell == 2:

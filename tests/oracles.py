@@ -6,7 +6,10 @@ of two fast paths: the certified Euler tail with zeta(s) and the small
 primes' product computed afresh for each s, and the factorization of
 p - 1 by trial division. It also derives zeta(s) by Euler-Maclaurin,
 which artin reads from a frozen table; zeta_table() prints that table's
-source, and the tests check it entry by entry.
+source, and the tests check it entry by entry. The lattice data that
+groups.rank_profile reads off one pass (the lattice primes and the
+saturation's square classes) are computed here one question at a time:
+a Hermite form pair per subfamily, and the kernel of the kernel.
 
 The splitting model: each support prime's discrete logarithm is uniform
 ell-adic, a generator's splitting depth is the valuation of the matching
@@ -19,17 +22,17 @@ seeded simulation.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import numpy as np
 
 from indexdensity import artin
-from indexdensity.arith import euler_phi, moebius, primes_up_to
+from indexdensity.arith import euler_phi, factorize, moebius, primes_up_to
 from indexdensity.artin import _check_tuple
 from indexdensity.empirical import _factorization
 from indexdensity.exact import PRECISION_BITS
 from indexdensity.errors import SizeLimitError, UnsupportedScopeError
-from indexdensity.groups import FactoredRational, GroupFamily, profile_of
+from indexdensity.groups import FactoredRational, GroupFamily, hermite_form, profile_of
 
 ENUMERATION_ATOM_LIMIT = 4_000_000
 _SAMPLE_CHUNK = 1 << 19  # monte-carlo samples drawn per pass
@@ -313,3 +316,52 @@ def trial_factors(pm1: np.ndarray):
         row, col = np.nonzero(pm1[:, None] % small[start : start + 128] == 0)
         pairs.append((row, small[start + col]))
     return _factorization(pm1, *map(np.concatenate, zip(*pairs)))
+
+
+# ---------------------------------------------------------------------------
+# lattice data, one Hermite form pair per question
+
+
+def kernel(rows, dim: int) -> list[list[int]]:
+    """A basis of the x in Z^dim with r . x = 0 for every row r: the rows of
+    the Hermite form of [R^T | I], which spans the (R x, x), zero on R x."""
+    n = len(rows)
+    pairs = [[r[i] for r in rows] + [int(i == j) for j in range(dim)] for i in range(dim)]
+    return [v[n:] for v in hermite_form(pairs) if not any(v[:n])]
+
+
+def square_classes(family: GroupFamily) -> list[tuple[int, tuple[int, ...]]]:
+    """KummerModel._squares, sorted: the (z, exponent vector of z) whose
+    vector mod 2 lies in the image of sat(Lambda), taken as the kernel of
+    Lambda's kernel."""
+    support = family.support
+    classes = [(0,) * len(support)]
+    lattice = [g.exponent_vector(support) for grp in family.groups for g in grp.generators]
+    for v in kernel(kernel(lattice, len(support)), len(support)):
+        classes += [tuple((a + b) % 2 for a, b in zip(c, v)) for c in classes]
+    return sorted((math.prod(p**b for p, b in zip(support, c)), c) for c in classes)
+
+
+def lattice_invariant_primes(rows) -> tuple[int, ...]:
+    """Primes at which the row lattice is a proper sublattice of its saturation.
+
+    The lattice loses rank mod p exactly when p divides every maximal minor,
+    so the answer is the set of prime divisors of the gcd of those minors.
+    Row operations keep that gcd, and for the Hermite form (full row rank
+    r) it is the index in Z^r of the lattice its columns span: the product
+    of the pivots of the transpose's Hermite form.
+    """
+    form = hermite_form(rows)
+    columns = hermite_form(zip(*form))
+    return tuple(sorted(factorize(math.prod(r[i] for i, r in enumerate(columns)))))
+
+
+def lattice_primes(family: GroupFamily) -> tuple[int, ...]:
+    """RankProfile.lattice_primes, one subfamily at a time."""
+    support = family.support
+    bad: set[int] = set()
+    for size in range(1, len(family.groups) + 1):
+        for sel in combinations(family.groups, size):
+            rows = [g.exponent_vector(support) for grp in sel for g in grp.generators]
+            bad.update(lattice_invariant_primes(rows))
+    return tuple(sorted(bad))

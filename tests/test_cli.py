@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from fractions import Fraction
 from math import prod
 
@@ -10,9 +11,11 @@ import pytest
 
 from indexdensity import cli, empirical
 from indexdensity.cli import main
+from indexdensity.density import valuation_density
 from indexdensity.empirical import wilson_interval
 from indexdensity.exact import PRECISION_BITS
 from indexdensity.groups import GroupFamily
+from indexdensity.index_sets import KFree
 from test_acceptance import ARTIN
 
 
@@ -171,6 +174,25 @@ def test_hostile_degree_configs_exit_2(tmp_path, capsys, command, extra):
     assert code == 2
     assert payload is None
     assert err.startswith("config error:")
+
+
+def test_a_ledger_past_the_digit_limit_is_printed_exactly(tmp_path, capsys):
+    # the local series of a 4097-free index have denominators of some 57,000
+    # bits, past Python's limit on int-to-str conversion (4300 digits)
+    k_free = {"groups": [["2"]], "set": {"kind": "kfree", "k": 4097}}
+    cfg = _write_config(tmp_path, "kfree.json", k_free)
+    limit = sys.get_int_max_str_digits()
+    code, payload, err = _run(capsys, "density", "--config", cfg)
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == limit
+    report = valuation_density(GroupFamily.from_strings(["2"]), KFree((4097,)))
+    assert max(x.denominator for _, x in report.ledger) > 10**limit
+    sys.set_int_max_str_digits(0)
+    try:
+        ledger = [(label, Fraction(x)) for label, x in payload["result"]["ledger"]]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert ledger == list(report.ledger)
 
 
 def test_each_command_has_flags_only_for_its_keys(capsys):

@@ -7,12 +7,12 @@ from itertools import combinations
 import pytest
 
 from indexdensity.groups import (
+    FactoredRational,
     GroupFamily,
     MultGroup,
-    entanglement_primes,
     is_separated,
-    lattice_invariant_primes,
     parse_rational,
+    profile_of,
     rank,
     rank_profile,
 )
@@ -145,7 +145,12 @@ def test_lattice_invariant_primes_against_mod_p_rank():
             tuple(rng.randint(-4, 4) for _ in range(3))
             for _ in range(rng.randint(1, 4))
         ]
-        got = lattice_invariant_primes(rows)
+        # one group whose generators have these exponents over 2, 3 and 5
+        generators = (
+            FactoredRational(1, tuple((p, e) for p, e in zip((2, 3, 5), r) if e))
+            for r in rows
+        )
+        got = rank_profile(GroupFamily((MultGroup(tuple(generators)),))).lattice_primes
         clean = [r for r in rows if any(r)]
         qrank = _rank_q(clean)
         for p in primes_up_to(23):
@@ -187,11 +192,14 @@ def _rank_mod_p(rows, p):
 
 
 def test_entanglement_primes_examples():
-    assert entanglement_primes(GroupFamily.from_strings(["2"])) == ()
-    assert entanglement_primes(GroupFamily.from_strings(["8"])) == (3,)
-    assert entanglement_primes(GroupFamily.from_strings(["4"])) == (2,)
-    assert entanglement_primes(GroupFamily.from_strings(["12"])) == ()
-    assert entanglement_primes(GroupFamily.from_strings(["36"])) == (2,)
+    def lattice_primes(*gens):
+        return profile_of(GroupFamily.from_strings(*gens)).lattice_primes
+
+    assert lattice_primes(["2"]) == ()
+    assert lattice_primes(["8"]) == (3,)
+    assert lattice_primes(["4"]) == (2,)
+    assert lattice_primes(["12"]) == ()
+    assert lattice_primes(["36"]) == (2,)
     # cross-group: 54 = 2*27 shares a cube root field with 2
-    assert entanglement_primes(GroupFamily.from_strings(["2"], ["54"])) == (3,)
-    assert entanglement_primes(GroupFamily.from_strings(["2", "3"], ["3", "5"])) == ()
+    assert lattice_primes(["2"], ["54"]) == (3,)
+    assert lattice_primes(["2", "3"], ["3", "5"]) == ()

@@ -1,11 +1,12 @@
 """Index-set descriptors: membership, taxonomy, valuation projections."""
 
+import time
 from itertools import product as iproduct
 
 import pytest
 
 from indexdensity.arith import factorize, is_prime
-from indexdensity.errors import UnsupportedScopeError
+from indexdensity.errors import SizeLimitError, UnsupportedScopeError
 from indexdensity.index_sets import (
     Divides,
     Equals,
@@ -120,6 +121,22 @@ def test_members_respect_smoothness():
     smooth = SquarefreeModulus.from_int(6)
     got = set(Divides((12,)).members(200, smooth))
     assert got == {(1,), (2,), (3,), (6,), (4,), (12,)}
+    assert PrimesSet().members(10**40, smooth) == [(2,), (3,)]
+    assert PrimesSet().members(2, smooth) == [(2,)]
+
+
+def test_enumeration_cap_refuses_before_building_the_candidates():
+    # checked only after the candidates are built, KFree((2, 2)) would factor
+    # 4*10^5 integers first and PrimesSet would sieve up to the bound
+    for s, bound in ((KFree((2, 2)), 2 * 10**5), (PrimesSet(), 4 * 10**7)):
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError):
+            s.members(bound)
+        assert time.perf_counter() - start < 1, s.label()
+    # sets whose candidates do not grow with the bound work at any bound
+    assert Equals((3, 4)).members(10**30) == [(3, 4)]
+    assert Divides((4,)).members(10**30) == [(1,), (2,), (4,)]
+    assert FiniteSet(((2,), (5,))).members(10**30) == [(2,), (5,)]
 
 
 def test_valuation_pattern_semantics():

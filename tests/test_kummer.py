@@ -1,16 +1,17 @@
 """Degree machinery: exact and generic degrees, and the sampling oracle."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from math import prod
 
 import pytest
 
-from indexdensity import kummer
+import oracles
+from indexdensity import groups, kummer
 from indexdensity.arith import euler_phi, factorize, primes_up_to, valuation
 from indexdensity.density import LevelMap, hooley_series, valuation_density
 from indexdensity.errors import InconclusiveError
-from indexdensity.groups import GroupFamily, MultGroup, profile_of
+from indexdensity.groups import GroupFamily, MultGroup, profile_of, rank
 from indexdensity.index_sets import Equals
 from indexdensity.kummer import KummerModel, generic_exponent
 
@@ -296,10 +297,52 @@ def test_degree_is_the_product_of_its_prime_power_parts():
             cases += 1
 
 
+def test_one_pass_gives_the_ranks_the_lattice_primes_and_the_square_classes():
+    # against the references: one Hermite form pair per subfamily for the
+    # lattice primes, and the kernel of the kernel for the saturation
+    rng = random.Random(25)
+    atoms = (*DEGREE_ATOMS, "54")
+    cases = 0
+    while cases < 500:
+        gens = [rng.sample(atoms, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+        if ["-1"] in gens:
+            continue  # torsion-only groups are refused
+        family = _fam(*gens)
+        model = KummerModel(family)
+        profile = model.profile
+        for size in range(len(gens) + 1):
+            for js in combinations(range(1, len(gens) + 1), size):
+                gens_j = [g for j in js for g in family.groups[j - 1].generators]
+                expect = rank(MultGroup(tuple(gens_j))) if gens_j else 0
+                assert profile.of(js) == expect, (gens, js)
+        assert profile.lattice_primes == oracles.lattice_primes(family), gens
+        assert sorted(model._squares) == oracles.square_classes(family), gens
+        cases += 1
+
+
+@pytest.mark.parametrize("gens", [(["2"],), (["2"], ["3"]), (["2"], ["3"], ["5"])])
+def test_a_model_reduces_each_subfamily_lattice_twice(monkeypatch, gens):
+    # F_J and the form of its transpose per nonempty J give the ranks, the
+    # lattice primes and the saturation; no other pass reduces the lattices
+    family = _fam(*gens)  # its own validation takes one form per group
+    calls = []
+    form = groups.hermite_form
+
+    def counted(rows):
+        calls.append(rows)
+        return form(rows)
+
+    monkeypatch.setattr(groups, "hermite_form", counted)
+    monkeypatch.setattr(kummer, "hermite_form", counted)
+    profile_of.cache_clear()
+    KummerModel(family)
+    assert len(calls) <= 2 * (2 ** len(gens) - 1)
+
+
 def test_wide_supports_build_forms_at_two_and_the_lattice_primes_only(monkeypatch):
-    # two forms for the square classes, then one per 2-corner; one form over
-    # the whole modulus would take one per S-part (350 here) in the series
-    # and one per odd corner (83 here) on the Euler route
+    # one form per 2-corner; one form over the whole modulus would take one
+    # per S-part (350 here) in the series and one per odd corner (83 here)
+    # on the Euler route
     calls = []
     form = kummer.hermite_form
 
@@ -311,8 +354,8 @@ def test_wide_supports_build_forms_at_two_and_the_lattice_primes_only(monkeypatc
     odd = primes_up_to(420)[1:]
     group = MultGroup.from_strings(f"-{prod(odd[:30])}")
     hooley_series(group, LevelMap.identity(), 1000)
-    assert len(calls) <= 3
+    assert len(calls) <= 1
     calls.clear()
     family = GroupFamily.from_strings([str(prod(odd[:79]))])
     valuation_density(family, Equals((1,)))
-    assert len(calls) <= 4
+    assert len(calls) <= 2
