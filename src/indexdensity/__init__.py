@@ -66,7 +66,6 @@ from .groups import (
     is_separated,
     parse_rational,
     profile_of,
-    rank,
     rank_profile,
 )
 from .index_sets import (
@@ -140,7 +139,6 @@ __all__ = [
     "parse_rational",
     "primes_up_to",
     "profile_of",
-    "rank",
     "rank_profile",
     "singleton_sum",
     "squarefree_kernel",

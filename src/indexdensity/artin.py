@@ -13,9 +13,11 @@ rank-weighted exponent form). Everything here is exact rational arithmetic;
 the same alternating-sum structure telescopes over boxes of tuples, which
 is what makes cofinite valuation patterns and certified Euler tails exact.
 Each local series is one rational function of ell for a given valuation
-spec and rank profile. Its shape is derived and checked against the
-displayed closed forms once, as an identity in ell, then evaluated at
-each prime.
+spec and rank profile. Its shape is merged from the series' corner terms,
+where the identities are proved (corner_terms, _shape), and evaluated at
+each prime with a range check. tests/oracles.py tests the shapes against
+the displayed closed forms and the box sums; they are not checked at run
+time.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from .exact import PRECISION_BITS, Interval
 from .groups import RankProfile
 from .index_sets import ValuationMap, ValuationPattern, VSpec
 from .kummer import generic_exponent
-
-CROSSCHECK_BOX_LIMIT = 4096
 
 
 def _subsets(indices):
@@ -69,10 +69,15 @@ def corner_terms(spec: VSpec, n: int) -> list[tuple[int, tuple[int, ...]]]:
     """(c, w) pairs such that the spec's local series is sum c / D(w).
 
     D(w) is the degree of the corner field with radical levels ell^w_i.
-    A pattern telescopes to the corners of its box (coordinates at their
-    bound or zero); a tuple list expands every tuple v into its one-step
-    bumps v + delta_J with sign (-1)^|J|. Equal corners are merged, so
-    cancelling pairs drop out.
+    A tuple list expands every tuple v into its one-step bumps v + delta_J
+    with sign (-1)^|J|, which is F(v) by definition. A pattern telescopes
+    to the corners of its box: F(v) applies the difference g(x) - g(x + 1)
+    in each coordinate to g = 1/D. Summed over x_i < b_i it leaves
+    g(0) - g(b_i), and summed over every x_i it leaves g(0), since 1/D
+    tends to 0 as max w grows. So each corner has its bounded coordinates
+    at their bound or zero and its free ones at zero, with sign
+    (-1)^(number at their bound). Equal corners are merged, so cancelling
+    pairs drop out.
     """
     if isinstance(spec, ValuationPattern):
         bounded = tuple(i for i, b in enumerate(spec.bounds) if b is not None)
@@ -86,46 +91,6 @@ def corner_terms(spec: VSpec, n: int) -> list[tuple[int, tuple[int, ...]]]:
     for sub, w in pairs:
         merged[w] = merged.get(w, 0) + (-1) ** len(sub)
     return [(c, w) for w, c in merged.items() if c]
-
-
-def _zero_form(ell: int, profile: RankProfile) -> Fraction:
-    """The displayed zero-tuple formula, both groupings asserted equal."""
-    terms = [
-        Fraction((-1) ** len(sub), ell ** profile.of(j + 1 for j in sub))
-        for sub in _subsets(range(profile.n))
-    ]  # the empty subset comes first
-    first = Fraction(ell - 2, ell - 1) + Fraction(1, ell - 1) * sum(terms)
-    if first != 1 + Fraction(1, ell - 1) * sum(terms[1:]):
-        raise ArithmeticError("zero-tuple groupings disagree")
-    return first
-
-
-def _general_prefactor_form(ell, v, profile) -> Fraction:
-    vmax = max(v)
-    i_prime = {i for i, x in enumerate(v) if x == vmax}
-    f_v = generic_exponent(v, profile)
-    avoiding = everything = Fraction(0)
-    for sub in _subsets(range(profile.n)):
-        rel = generic_exponent(_bump(v, sub), profile) - f_v
-        term = Fraction((-1) ** len(sub), ell**rel)
-        everything += term
-        if not i_prime & set(sub):
-            avoiding += term
-    prefactor = Fraction(1, (ell - 1) * ell ** (vmax - 1 + f_v))
-    return prefactor * (Fraction(ell - 1, ell) * avoiding + everything / ell)
-
-
-def _general_rewritten_form(ell, v, profile) -> Fraction:
-    vmax = max(v)
-    i_prime = {i for i, x in enumerate(v) if x == vmax}
-    avoiding = everything = Fraction(0)
-    for sub in _subsets(range(profile.n)):
-        f_w = generic_exponent(_bump(v, sub), profile)
-        term = Fraction((-1) ** len(sub), ell**f_w)
-        everything += term
-        if not i_prime & set(sub):
-            avoiding += term
-    return Fraction(1, ell**vmax) * (avoiding + Fraction(1, ell - 1) * everything)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +110,6 @@ def _merged(pairs) -> Shape:
     return c0, tuple(sorted((e, c) for e, c in coeff.items() if c))
 
 
-def _sum_of(shapes) -> Shape:
-    return _merged(p for c0, terms in shapes for p in ((None, c0), *terms))
-
-
 def _evaluate(shape: Shape, ell: int) -> tuple[int, int]:
     """(numerator, (ell - 1) ell^E), E the largest exponent: not reduced."""
     c0, terms = shape
@@ -159,43 +120,19 @@ def _evaluate(shape: Shape, ell: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=4096)
 def _shape(spec: VSpec, profile: RankProfile) -> Shape:
-    """The checked shape of a pattern or of a tuple of valuation tuples.
+    """The shape of a pattern or of a tuple of valuation tuples.
 
-    Several tuples: the sum of their shapes. A finite pattern whose box
-    has at most CROSSCHECK_BOX_LIMIT tuples must telescope to the sum over
-    its box, coefficient by coefficient. One tuple v: the shape, the
-    direct corner sum and the closed forms must agree at K + 2 integers
-    ell >= 2, K = max v + f(v + 1). Each corner w lies between v and
-    v + 1 and f is monotone, so K bounds every ell-exponent in a
-    denominator, and each form times (ell - 1) ell^K is a polynomial in
-    ell of degree at most K + 1. Agreement at K + 2 points is then
-    agreement as rational functions: at every prime, checked or not.
+    The series is sum c / D(w) over its corner terms, and D(w) is 1 at
+    w = 0 and (ell - 1) ell^e otherwise, e = max w - 1 + f(w), so merging
+    the terms by e gives the shape as an identity in ell: at every prime,
+    with nothing checked at run time. A tuple list's corner terms are
+    merged in one pass. tests/oracles.py tests the shapes against the
+    displayed closed forms and boxes against the sum of their tuples.
     """
-    if not isinstance(spec, ValuationPattern) and len(spec) != 1:
-        return _sum_of(_shape((v,), profile) for v in spec)
-    terms = corner_terms(spec, profile.n)
-    shape = _merged(
+    return _merged(
         (max(w) - 1 + generic_exponent(w, profile) if any(w) else None, c)
-        for c, w in terms
+        for c, w in corner_terms(spec, profile.n)
     )
-    if isinstance(spec, ValuationPattern):
-        if spec.is_finite() and math.prod(spec.bounds) <= CROSSCHECK_BOX_LIMIT:
-            if shape != _sum_of(_shape((t,), profile) for t in spec.tuples()):
-                raise ArithmeticError(f"box {spec.bounds} differs from its tuple sum")
-        return shape
-    (v,) = spec
-    top = max(v) + generic_exponent(_bump(v, range(len(v))), profile)
-    for ell in range(2, top + 4):
-        direct = sum(Fraction(c, corner_degree(ell, w, profile)) for c, w in terms)
-        if any(v):
-            closed = _general_prefactor_form(ell, v, profile)
-            if closed != _general_rewritten_form(ell, v, profile):
-                raise ArithmeticError(f"the displayed forms differ at {ell}, {v}")
-        else:
-            closed = _zero_form(ell, profile)
-        if not Fraction(*_evaluate(shape, ell)) == direct == closed:
-            raise ArithmeticError(f"corner sum and closed form differ at {ell}, {v}")
-    return shape
 
 
 def _series_ratio(ell: int, spec: VSpec, profile: RankProfile) -> tuple[int, int]:
@@ -219,9 +156,11 @@ def local_series(ell: int, spec: VSpec, profile: RankProfile) -> Fraction:
     Patterns telescope: summing the alternating corner sum over a box
     (coordinates below given bounds, other coordinates free) leaves only
     the corner evaluations at bound-or-zero tuples, so cofinite patterns
-    get exact values with no truncation at all. The closed forms and the
-    box sum are checked once per shape, as identities in ell; each prime
-    costs one evaluation of the shape and a range check.
+    get exact values with no truncation at all. Each prime costs one
+    evaluation of the shape and a range check. The shape identities are
+    proved in corner_terms and _shape and tested in tests/oracles.py
+    against the closed forms and box sums; they are not checked at run
+    time.
     """
     if not isinstance(spec, ValuationPattern):
         spec = tuple(spec)
@@ -231,8 +170,9 @@ def local_series(ell: int, spec: VSpec, profile: RankProfile) -> Fraction:
 def local_factor(ell: int, v_I, profile: RankProfile) -> Fraction:
     """Density of primes whose index has valuations exactly v_I at ell.
 
-    The local series of the one tuple v_I, whose shape is checked once
-    against both displayed closed forms as an identity in ell.
+    The local series of the one tuple v_I. That its shape equals both
+    displayed closed forms is proved in corner_terms and _shape and tested
+    in tests/oracles.py, not checked at run time.
     """
     return local_series(ell, (v_I,), profile)
 

@@ -123,9 +123,9 @@ def hermite_form(rows) -> list[list[int]]:
 class MultGroup:
     """Subgroup of Q* given by finitely many generators.
 
-    Torsion-only groups (generated by -1) are allowed so that rank can
-    report 0 on them; the positive-rank hypothesis of the density theory
-    is enforced at the family level, not here.
+    Torsion-only groups (generated by -1) are allowed here; the
+    positive-rank hypothesis of the density theory is enforced at the
+    family level.
     """
 
     generators: tuple[FactoredRational, ...]
@@ -152,11 +152,6 @@ class MultGroup:
         return "<" + ", ".join(str(g) for g in self.generators) + ">"
 
 
-def rank(group: MultGroup) -> int:
-    """Rank of the free part: dimension of the exponent span over Q."""
-    return len(hermite_form(group.exponent_rows(group.support)))
-
-
 @dataclass(frozen=True)
 class GroupFamily:
     """An ordered family (W_1, ..., W_n) of positive-rank groups."""
@@ -172,7 +167,7 @@ class GroupFamily:
                 "subset-enumeration budget"
             )
         for i, g in enumerate(self.groups):
-            if rank(g) == 0:
+            if not any(x.exponents for x in g.generators):  # only +-1: rank 0
                 raise ValueError(
                     f"group {i + 1} is torsion-only; the density theory "
                     "requires every group to have positive rank"

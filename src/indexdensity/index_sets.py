@@ -147,14 +147,6 @@ class ValuationPattern:
     def is_trivial(self) -> bool:
         return all(b is None for b in self.bounds)
 
-    def is_finite(self) -> bool:
-        return all(b is not None for b in self.bounds)
-
-    def tuples(self):
-        if not self.is_finite():
-            raise ValueError("infinite pattern cannot be enumerated")
-        return list(iproduct(*(range(b) for b in self.bounds)))
-
 
 # A constraint at one prime is either a pattern or an explicit finite set
 # of valuation tuples (sorted for determinism).
@@ -360,7 +352,10 @@ class Divides(IndexSet):
     def coordinate_candidates(self, bound, smooth):
         out = []
         for t in self.t:
-            divs = [d for d in range(1, min(t, bound) + 1) if t % d == 0]
+            divs = [1]  # t's divisors up to bound, from its factorization
+            for p, e in factorize(t).items():
+                divs = [d * p**j for d in divs for j in range(e + 1) if d * p**j <= bound]
+            divs.sort()
             if smooth is not None:
                 divs = [d for d in divs if smooth.is_smooth(d)]
             out.append(divs)

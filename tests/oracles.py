@@ -1,15 +1,19 @@
 """Independent oracles and reference implementations, shared by the tests.
 
 Not a test module (pytest collects test_*.py only): the tests import it.
-Beside the splitting model below, it keeps the straightforward versions
-of two fast paths: the certified Euler tail with zeta(s) and the small
+It holds the displayed closed forms of the local factor and the checks
+that artin's shapes are the local series as identities in ell, per tuple
+and per finite box, which artin does not repeat at run time. Beside the
+splitting model below, it keeps the straightforward versions of two
+fast paths: the certified Euler tail with zeta(s) and the small
 primes' product computed afresh for each s, and the factorization of
 p - 1 by trial division. It also derives zeta(s) by Euler-Maclaurin,
 which artin reads from a frozen table; zeta_table() prints that table's
 source, and the tests check it entry by entry. The lattice data that
-groups.rank_profile reads off one pass (the lattice primes and the
-saturation's square classes) are computed here one question at a time:
-a Hermite form pair per subfamily, and the kernel of the kernel.
+groups.rank_profile reads off one pass (the ranks, the lattice primes
+and the saturation's square classes) are computed here one question at
+a time: a Hermite form per group, a Hermite form pair per subfamily,
+and the kernel of the kernel.
 
 The splitting model: each support prime's discrete logarithm is uniform
 ell-adic, a generator's splitting depth is the valuation of the matching
@@ -32,10 +36,24 @@ from indexdensity.artin import _check_tuple
 from indexdensity.empirical import _factorization
 from indexdensity.exact import PRECISION_BITS
 from indexdensity.errors import SizeLimitError, UnsupportedScopeError
-from indexdensity.groups import FactoredRational, GroupFamily, hermite_form, profile_of
+from indexdensity.groups import (
+    FactoredRational,
+    GroupFamily,
+    MultGroup,
+    hermite_form,
+    profile_of,
+)
+from indexdensity.index_sets import ValuationPattern
+from indexdensity.kummer import generic_exponent
 
 ENUMERATION_ATOM_LIMIT = 4_000_000
 _SAMPLE_CHUNK = 1 << 19  # monte-carlo samples drawn per pass
+# one-generator groups whose families cover torsion, perfect powers,
+# shared radicals and 2-adic entanglement
+DEGREE_ATOMS = (
+    "2", "3", "5", "6", "7", "10", "12", "15", "4", "9", "8", "27", "36",
+    "-4", "1/2", "125", "-1", "-3", "-2", "45", "2/3", "49", "-8", "20",
+)
 
 
 @dataclass(frozen=True)
@@ -182,6 +200,101 @@ def prob_model_oracle(
 
 
 # ---------------------------------------------------------------------------
+# the displayed closed forms of the local factor, and the shape identities
+# that artin._shape rests on
+
+
+def zero_forms(ell: int, profile) -> tuple[Fraction, Fraction]:
+    """The displayed zero-tuple formula, in both of its groupings."""
+    terms = [
+        Fraction((-1) ** len(sub), ell ** profile.of(j + 1 for j in sub))
+        for size in range(profile.n + 1)
+        for sub in combinations(range(profile.n), size)
+    ]  # the empty subset comes first
+    return (
+        Fraction(ell - 2, ell - 1) + Fraction(1, ell - 1) * sum(terms),
+        1 + Fraction(1, ell - 1) * sum(terms[1:]),
+    )
+
+
+def _bump_sums(ell, v, profile, exponent):
+    """Sums of (-1)^|J| / ell^exponent(v + delta_J) over the bump subsets
+    J avoiding v's maximal coordinates, and over all J."""
+    top = {i for i, x in enumerate(v) if x == max(v)}
+    avoiding = everything = Fraction(0)
+    for size in range(profile.n + 1):
+        for sub in combinations(range(profile.n), size):
+            w = tuple(x + (i in sub) for i, x in enumerate(v))
+            term = Fraction((-1) ** size, ell ** exponent(w))
+            everything += term
+            if not top & set(sub):
+                avoiding += term
+    return avoiding, everything
+
+
+def general_prefactor_form(ell: int, v, profile) -> Fraction:
+    """The displayed formula for v != 0, with the prefactor 1 / D(v)."""
+    f_v = generic_exponent(v, profile)
+    avoiding, everything = _bump_sums(
+        ell, v, profile, lambda w: generic_exponent(w, profile) - f_v
+    )
+    prefactor = Fraction(1, (ell - 1) * ell ** (max(v) - 1 + f_v))
+    return prefactor * (Fraction(ell - 1, ell) * avoiding + everything / ell)
+
+
+def general_rewritten_form(ell: int, v, profile) -> Fraction:
+    """The same formula with the prefactor multiplied in."""
+    avoiding, everything = _bump_sums(
+        ell, v, profile, lambda w: generic_exponent(w, profile)
+    )
+    return Fraction(1, ell ** max(v)) * (avoiding + Fraction(1, ell - 1) * everything)
+
+
+def closed_forms(ell: int, v, profile) -> tuple[Fraction, Fraction]:
+    """Both displayed forms of the local factor F(v) at ell."""
+    if any(v):
+        return general_prefactor_form(ell, v, profile), general_rewritten_form(ell, v, profile)
+    return zero_forms(ell, profile)
+
+
+def shape_sum(shapes):
+    """The shape of a sum of local series, from their shapes."""
+    return artin._merged(p for c0, terms in shapes for p in ((None, c0), *terms))
+
+
+def check_tuple_shape(v, profile) -> None:
+    """Raise ArithmeticError unless artin._shape((v,), profile) is F(v)
+    as a rational function of ell.
+
+    The shape, the direct corner sum and both closed forms must agree at
+    K + 2 integers ell >= 2, K = max v + f(v + 1). Each corner w lies
+    between v and v + 1 and f is monotone, so K bounds every
+    ell-exponent in a denominator, and each form times (ell - 1) ell^K
+    is a polynomial in ell of degree at most K + 1. Agreement at K + 2
+    points is then agreement as rational functions: at every prime.
+    """
+    shape = artin._shape((v,), profile)
+    terms = artin.corner_terms((v,), profile.n)
+    top = max(v) + generic_exponent(tuple(x + 1 for x in v), profile)
+    for ell in range(2, top + 4):
+        direct = sum(Fraction(c, artin.corner_degree(ell, w, profile)) for c, w in terms)
+        first, second = closed_forms(ell, v, profile)
+        if not Fraction(*artin._evaluate(shape, ell)) == direct == first == second:
+            raise ArithmeticError(f"shape, corner sum and closed forms differ at {ell}, {v}")
+
+
+def check_box_shape(bounds, profile) -> None:
+    """Raise ArithmeticError unless the finite pattern below `bounds`
+    telescopes to the sum of its tuples' shapes, coefficient by
+    coefficient, and to the shape of its tuple list."""
+    box = list(iproduct(*map(range, bounds)))
+    by_tuple = shape_sum(artin._shape((t,), profile) for t in box)
+    pattern = artin._shape(ValuationPattern.below(bounds), profile)
+    if not pattern == by_tuple == artin._shape(tuple(box), profile):
+        raise ArithmeticError(f"box {bounds} differs from its tuple sum")
+
+
+# ---------------------------------------------------------------------------
 # zeta(s) by Euler-Maclaurin, and the certified Euler tail
 
 EM_START = 32  # Euler-Maclaurin sums n^-s directly below this n
@@ -320,6 +433,12 @@ def trial_factors(pm1: np.ndarray):
 
 # ---------------------------------------------------------------------------
 # lattice data, one Hermite form pair per question
+
+
+def rank(group: MultGroup) -> int:
+    """Rank of the free part: dimension of the exponent span over Q."""
+    return len(hermite_form(group.exponent_rows(group.support)))
+
 
 
 def kernel(rows, dim: int) -> list[list[int]]:

@@ -1,6 +1,7 @@
 """Local factors, local series, Euler products, and the splitting oracle."""
 
 import inspect
+import random
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -9,8 +10,6 @@ import pytest
 from indexdensity import artin
 from indexdensity.arith import primes_up_to
 from indexdensity.artin import (
-    _general_prefactor_form,
-    _zero_form,
     corner_degree,
     corner_terms,
     euler_product,
@@ -21,6 +20,7 @@ from indexdensity.errors import UnsupportedScopeError
 from indexdensity.exact import PRECISION_BITS, Interval, round_down
 from indexdensity.groups import GroupFamily, is_separated, profile_of
 from indexdensity.index_sets import Divides, Equals, KFree, ValuationMap, ValuationPattern
+import oracles
 from oracles import accelerated_tail, prob_model_oracle, zeta_bounds, zeta_table
 
 ARTIN_CONSTANT = Fraction(3739558136192022880547280543464164151, 10**37)
@@ -114,27 +114,94 @@ def test_normalization_small_sweep():
 
 
 def test_shapes_hold_far_beyond_their_check_points():
-    # each shape is checked at a few small integers ell, as an identity in
-    # ell; it must then hold at primes no check ever visits
+    # the oracle checks each shape at a few small integers ell, as an
+    # identity in ell; it must then hold at primes no check ever visits
     for fam in (FAM1, FAM_IND, FAM_SAME, FAM_DEP):
         prof = profile_of(fam)
         for ell in (1_000_003, 2**31 - 1):
             for v in iproduct(range(3), repeat=prof.n):
-                closed = (
-                    _general_prefactor_form(ell, v, prof) if any(v) else _zero_form(ell, prof)
-                )
+                first, second = oracles.closed_forms(ell, v, prof)
                 direct = sum(
                     Fraction(c, corner_degree(ell, w, prof))
                     for c, w in corner_terms((v,), prof.n)
                 )
-                assert local_factor(ell, v, prof) == closed == direct, (fam, ell, v)
+                assert local_factor(ell, v, prof) == first == second == direct, (fam, ell, v)
 
 
 def test_a_wrong_closed_form_fails_the_shape_check(monkeypatch):
-    monkeypatch.setattr(artin, "_general_rewritten_form", lambda ell, v, prof: Fraction(0))
-    artin._shape.cache_clear()
+    prof = profile_of(FAM_IND)
+    oracles.check_tuple_shape((1, 0), prof)
+    monkeypatch.setattr(oracles, "general_rewritten_form", lambda ell, v, prof: Fraction(0))
     with pytest.raises(ArithmeticError):
-        local_factor(3, (1, 0), profile_of(FAM_IND))
+        oracles.check_tuple_shape((1, 0), prof)
+    # a box whose shape is off by one coefficient fails the box check
+    oracles.check_box_shape((2, 1), prof)
+    box, shape = ValuationPattern.below((2, 1)), artin._shape
+    monkeypatch.setattr(
+        artin, "_shape", lambda spec, p: (0, ()) if spec == box else shape(spec, p)
+    )
+    with pytest.raises(ArithmeticError):
+        oracles.check_box_shape((2, 1), prof)
+
+
+def _grid_profiles():
+    """The named families' profiles, then those of seeded families of one
+    to three groups drawn from the degree atoms, twelve in all."""
+    profiles = dict.fromkeys(profile_of(f) for f in (FAM1, FAM1R2, FAM_IND, FAM_SAME, FAM_DEP))
+    rng = random.Random(26)
+    while len(profiles) < 12:
+        sizes = [rng.randint(1, 2) for _ in range(rng.randint(1, 3))]
+        gens = [rng.sample(oracles.DEGREE_ATOMS, size) for size in sizes]
+        if ["-1"] not in gens:  # torsion-only groups are refused
+            profiles[profile_of(GroupFamily.from_strings(*gens))] = None
+    return list(profiles)
+
+
+BOXES = {1: [(1,), (5,), (64,)], 2: [(1, 1), (3, 7), (2, 1)], 3: [(1, 1, 1), (2, 5, 3)]}
+
+
+def test_shape_identities_hold_over_a_grid():
+    # the shape, the direct corner sum and both closed forms agree as
+    # identities in ell for every tuple with max v <= 6 (a seeded sample of
+    # them at n = 3), and each finite box telescopes to its tuples' sum;
+    # boxes of 4096 tuples, one profile per arity
+    rng = random.Random(26)
+    profiles = _grid_profiles()
+    assert {prof.n for prof in profiles} == {1, 2, 3}
+    for prof in profiles:
+        tuples = list(iproduct(range(7), repeat=prof.n))
+        if prof.n == 3:
+            tuples = [(0, 0, 0), (6, 6, 6), *rng.sample(tuples, 24)]
+        for v in tuples:
+            oracles.check_tuple_shape(v, prof)
+        for bounds in BOXES[prof.n]:
+            oracles.check_box_shape(bounds, prof)
+    first = {prof.n: prof for prof in reversed(profiles)}
+    for bounds in ((4096,), (64, 64), (16, 16, 16)):
+        oracles.check_box_shape(bounds, first[len(bounds)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_k_free_shape_costs_the_same_work_for_every_k(monkeypatch, n):
+    # the default pattern below (k, ..., k) has 2^n corners, and its shape
+    # reads one generic exponent per nonzero corner, whatever k is; no
+    # box of k^n tuples is visited, on either side of 4096 tuples
+    prof = profile_of(GroupFamily.from_strings(*(["2"], ["3"], ["5"])[:n]))
+    calls = []
+    exponent = artin.generic_exponent
+
+    def counted(w, profile):
+        calls.append(w)
+        return exponent(w, profile)
+
+    monkeypatch.setattr(artin, "generic_exponent", counted)
+    counts = []
+    for k in (16, 64, 65, 4097):
+        artin._shape.cache_clear()
+        calls.clear()
+        artin._shape(KFree((k,) * n).valuation_map().default, prof)
+        counts.append(len(calls))
+    assert len(set(counts)) == 1 and counts[0] <= 2**n
     assert artin._shape.cache_info().maxsize is not None
 
 

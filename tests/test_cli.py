@@ -195,6 +195,17 @@ def test_a_ledger_past_the_digit_limit_is_printed_exactly(tmp_path, capsys):
     assert ledger == list(report.ledger)
 
 
+@pytest.mark.parametrize("groups, k", [([["2"], ["3"]], 64), ([["2"]], 5000)])
+def test_large_k_free_euler_densities_are_certified(tmp_path, capsys, groups, k):
+    # a shape is its merged corner terms, whatever the size of its box
+    cfg = {"groups": groups, "set": {"kind": "kfree", "k": k}, "method": "euler"}
+    path = _write_config(tmp_path, "kfree.json", cfg)
+    code, payload, err = _run(capsys, "density", "--config", path)
+    assert code == 0, err
+    value = payload["result"]["value"]
+    assert Fraction(value["high"]) - Fraction(value["low"]) < Fraction(1, 10**30)
+
+
 def test_each_command_has_flags_only_for_its_keys(capsys):
     parser = cli._build_parser()
     commands = parser._subparsers._group_actions[0].choices

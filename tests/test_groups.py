@@ -13,10 +13,10 @@ from indexdensity.groups import (
     is_separated,
     parse_rational,
     profile_of,
-    rank,
     rank_profile,
 )
 from indexdensity.arith import primes_up_to
+from oracles import rank
 
 
 def test_parse_rational_roundtrip():
@@ -126,6 +126,10 @@ def test_is_separated_cross_check_with_hull():
 def test_family_validation():
     with pytest.raises(ValueError):
         GroupFamily.from_strings(["-1"])
+    # rank 0 means every generator is +-1, and the message names the group
+    with pytest.raises(ValueError, match="group 2 is torsion-only"):
+        GroupFamily.from_strings(["2"], ["1", "-1"])
+    assert len(GroupFamily.from_strings(["-1", "1/4"], ["-1", "2"])) == 2
     with pytest.raises(Exception):
         GroupFamily.from_strings(*([["2"]] * 13))
 

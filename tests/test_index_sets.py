@@ -1,5 +1,6 @@
 """Index-set descriptors: membership, taxonomy, valuation projections."""
 
+import random
 import time
 from itertools import product as iproduct
 
@@ -125,6 +126,22 @@ def test_members_respect_smoothness():
     assert PrimesSet().members(2, smooth) == [(2,)]
 
 
+def test_divides_members_match_trial_division():
+    # the candidates come from t's factorization, capped at the bound and
+    # ascending; trial division by every d <= min(t, bound) is the reference
+    rng = random.Random(26)
+    smooth = SquarefreeModulus.from_int(30)
+    for t in [*range(1, 200), *rng.sample(range(200, 10**4 + 1), 150), 10**4, 7560, 9973]:
+        for bound in (1, 12, t // 3 + 1, t, 10**6):
+            divs = [d for d in range(1, min(t, bound) + 1) if t % d == 0]
+            assert Divides((t,)).members(bound) == [(d,) for d in divs], (t, bound)
+            got = Divides((t, 60)).members(bound, smooth)
+            expect = [(d, e) for d in divs for e in range(1, min(60, bound) + 1) if 60 % e == 0]
+            assert got == [h for h in expect if all(smooth.is_smooth(x) for x in h)], (t, bound)
+    # the candidates grow with t's divisors, not with t
+    assert len(Divides((10**8,)).members(10**12)) == 81
+
+
 def test_enumeration_cap_refuses_before_building_the_candidates():
     # checked only after the candidates are built, KFree((2, 2)) would factor
     # 4*10^5 integers first and PrimesSet would sieve up to the bound
@@ -147,8 +164,6 @@ def test_valuation_pattern_semantics():
     assert not ValuationPattern.exact_zero(2).allows((1, 0))
     assert ValuationPattern.anything(2).allows((7, 9))
     assert ValuationPattern.anything(2).is_trivial()
-    assert ValuationPattern.exact_zero(1).is_finite()
-    assert not ValuationPattern((None, 1)).is_finite()
     with pytest.raises(ValueError):
         ValuationPattern((0,))  # bound below 1 excludes everything
 

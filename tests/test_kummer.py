@@ -11,7 +11,7 @@ from indexdensity import groups, kummer
 from indexdensity.arith import euler_phi, factorize, primes_up_to, valuation
 from indexdensity.density import LevelMap, hooley_series, valuation_density
 from indexdensity.errors import InconclusiveError
-from indexdensity.groups import GroupFamily, MultGroup, profile_of, rank
+from indexdensity.groups import GroupFamily, MultGroup, profile_of
 from indexdensity.index_sets import Equals
 from indexdensity.kummer import KummerModel, generic_exponent
 
@@ -252,12 +252,6 @@ def test_degree_defaults_to_exact():
     assert MODEL4.degree(8, (8,), "generic") == 32
 
 
-DEGREE_ATOMS = (
-    "2", "3", "5", "6", "7", "10", "12", "15", "4", "9", "8", "27", "36",
-    "-4", "1/2", "125", "-1", "-3", "-2", "45", "2/3", "49", "-8", "20",
-)
-
-
 def _whole_modulus_degree(model, modulus, levels, mode):
     """The degree as first written: one Hermite form over the whole modulus
     (corrected), or the closed form at every ell of it (generic)."""
@@ -277,7 +271,7 @@ def test_degree_is_the_product_of_its_prime_power_parts():
     cases = 0
     while cases < 2400:
         sizes = [rng.randint(1, 2) for _ in range(rng.randint(1, 3))]
-        groups = [rng.sample(DEGREE_ATOMS, size) for size in sizes]
+        groups = [rng.sample(oracles.DEGREE_ATOMS, size) for size in sizes]
         if any(g == ["-1"] for g in groups):
             continue  # torsion-only groups are refused
         family = _fam(*groups)
@@ -301,7 +295,7 @@ def test_one_pass_gives_the_ranks_the_lattice_primes_and_the_square_classes():
     # against the references: one Hermite form pair per subfamily for the
     # lattice primes, and the kernel of the kernel for the saturation
     rng = random.Random(25)
-    atoms = (*DEGREE_ATOMS, "54")
+    atoms = (*oracles.DEGREE_ATOMS, "54")
     cases = 0
     while cases < 500:
         gens = [rng.sample(atoms, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
@@ -313,7 +307,7 @@ def test_one_pass_gives_the_ranks_the_lattice_primes_and_the_square_classes():
         for size in range(len(gens) + 1):
             for js in combinations(range(1, len(gens) + 1), size):
                 gens_j = [g for j in js for g in family.groups[j - 1].generators]
-                expect = rank(MultGroup(tuple(gens_j))) if gens_j else 0
+                expect = oracles.rank(MultGroup(tuple(gens_j))) if gens_j else 0
                 assert profile.of(js) == expect, (gens, js)
         assert profile.lattice_primes == oracles.lattice_primes(family), gens
         assert sorted(model._squares) == oracles.square_classes(family), gens
