@@ -63,7 +63,6 @@ from .groups import (
     GroupFamily,
     MultGroup,
     RankProfile,
-    is_separated,
     parse_rational,
     profile_of,
     rank_profile,
@@ -129,7 +128,6 @@ __all__ = [
     "hooley_series",
     "index_tuple",
     "is_prime",
-    "is_separated",
     "local_factor",
     "local_series",
     "moebius",

@@ -97,6 +97,14 @@ def report_payload(report: DensityReport) -> dict:
 # config handling
 
 
+def _finite(text: str) -> float:
+    """A JSON number or constant as a float, refused unless finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config numbers are finite, not {text}")
+    return value
+
+
 def load_config(command: str, args) -> dict:
     """The config file, overridden by the command's flags, checked against
     the keys its runner reads; "mode" defaults to corrected where read."""
@@ -104,7 +112,7 @@ def load_config(command: str, args) -> dict:
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                cfg = json.load(fh)
+                cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -300,12 +308,18 @@ def run_degree(cfg: dict) -> dict:
     return {"modulus": modulus, "levels": list(levels), "mode": mode, "degree": value}
 
 
-def run_density(cfg: dict) -> dict:
+def run_density(cfg: dict, survey_keys=frozenset()) -> dict:
+    """The chosen method's report. Refuses the density keys that only other
+    methods read, apart from survey_keys, which compare reads."""
     family = build_family(cfg)
     _require_trivial_congruence(build_congruence(cfg))
     method = cfg.get("method", "euler")
-    exact_only = method in ("euler", "singletons")
-    if exact_only and cfg["mode"] != "corrected":
+    if not isinstance(method, str) or method not in _METHOD_KEYS:
+        raise ConfigError("method is one of series, euler, singletons")
+    unread = sorted((_METHOD_ONLY - _METHOD_KEYS[method] - survey_keys) & set(cfg))
+    if unread:
+        raise ConfigError(f"method {method} does not read {', '.join(unread)}")
+    if method != "series" and cfg["mode"] != "corrected":
         raise ConfigError(
             f"method {method} uses exact degrees at every prime; "
             "'mode': 'generic' applies only to the series method"
@@ -324,7 +338,7 @@ def run_density(cfg: dict) -> dict:
         report = valuation_density(
             family, index_set, cutoff=_int(cfg, "cutoff", 10**5)
         )
-    elif method == "singletons":
+    else:
         index_set = build_index_set(cfg, len(family))
         smooth = _int(cfg, "smooth", 0) if cfg.get("smooth") else 0
         report = singleton_sum(
@@ -334,8 +348,6 @@ def run_density(cfg: dict) -> dict:
             smooth=SquarefreeModulus.from_int(smooth) if smooth else None,
             cutoff=_int(cfg, "cutoff", 10**5),
         )
-    else:
-        raise ConfigError("method is one of series, euler, singletons")
     return report_payload(report)
 
 
@@ -378,7 +390,7 @@ def _series_set(cfg: dict):
 
 def run_compare(cfg: dict) -> tuple[dict, int]:
     index_set = _series_set(cfg) if cfg.get("method") == "series" else None
-    analytic = run_density(cfg)
+    analytic = run_density(cfg, _SURVEY_KEYS)
     empirical = run_survey(cfg, index_set)
     verdict, sigma, z, resolution = "inconclusive", None, None, None
     if empirical["total"] > 0:
@@ -450,19 +462,9 @@ def run_paper_examples(cfg: dict) -> dict:
     fam22 = GroupFamily.from_strings(["2"], ["2"])
     pair = named_predicate("prime-square-pair")
     pair_emp = survey(fam22, srange, pair)
-    try:
-        singleton_sum(fam22, pair, bound=50)
-        refusal = "unexpectedly accepted"
-    except UnsupportedScopeError as exc:
-        refusal = f"refused: {exc}"
-    rows.append(
-        {
-            "example": "impossible pair (q, q^2), equal groups",
-            "analytic": refusal,
-            "empirical": f"{pair_emp.hits}/{pair_emp.total}",
-            "agrees": pair_emp.hits == 0,
-        }
-    )
+    impossible = singleton_sum(fam22, pair, bound=50)
+    name = "impossible pair (q, q^2), equal groups"
+    rows.append(_example_row(name, impossible, pair_emp))
     return {"sieve_bound": bound, "rows": rows}
 
 
@@ -482,18 +484,14 @@ def _example_row(name: str, report: DensityReport, freq) -> dict:
 # entry point
 
 
-_DENSITY_KEYS = {
-    "groups",
-    "set",
-    "congruence",
-    "mode",
-    "method",
-    "truncation",
-    "cutoff",
-    "bound",
-    "smooth",
-    "level_map",
+# the density keys each method reads besides groups, congruence, mode, method
+_METHOD_KEYS = {
+    "series": {"truncation", "level_map"},
+    "euler": {"set", "cutoff"},
+    "singletons": {"set", "cutoff", "bound", "smooth"},
 }
+_METHOD_ONLY = set().union(*_METHOD_KEYS.values())
+_DENSITY_KEYS = {"groups", "congruence", "mode", "method"} | _METHOD_ONLY
 _SURVEY_KEYS = {"groups", "set", "congruence", "sieve_bound", "log_path"}
 
 # Each command's help, the config keys its runner reads (main reads

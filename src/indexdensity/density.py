@@ -16,8 +16,17 @@ primes (sqrt(5) inside Q(zeta_5)) is seen; as it passes through the
 of local sums over those classes. All other primes use the generic
 closed forms. The series route splits each degree at the same primes:
 the part of f(n) on them takes its degree exact or generic by the mode,
-and the rest the generic phi(B) B. Non-separated families are refused
-wherever a generic per-tuple value would be unsound.
+and the rest the generic phi(B) B.
+
+No route asks that no group lie in the divisible hull of the others; the
+paper does not either. KummerModel.degree's
+D(M, N) = prod_ell phi(ell^k) |G_ell| / #{z counted at the 2-part : z | 2M}
+assumes nothing about the family. At an odd ell outside the scope every
+subfamily lattice is ell-saturated, so |G_ell| = ell^(generic exponent)
+whatever the rank increments, zero ones included. So for any family the
+joint factor at the scope times the generic series off it is the
+density, and the same corner sums give 0 to a tuple the family cannot
+reach: for <2> twice, the four corners of F_q(1, 2) cancel.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from .arith import factorize, primes_up_to
 from .empirical import smallest_prime_factors
 from .errors import UnsupportedScopeError
 from .exact import PRECISION_BITS, Interval, round_down, round_up, series_sum
-from .groups import GroupFamily, MultGroup, is_separated, profile_of
+from .groups import GroupFamily, MultGroup, profile_of
 from .index_sets import (
     IndexSet,
     SquarefreeModulus,
@@ -329,10 +338,7 @@ def _joint_piece(model: KummerModel, ell: int, spec: VSpec):
     """
     corners = corner_terms(spec, len(model.family))
     if ell == 2:
-        meets = (
-            (c, model.square_meet(2 ** max(w), tuple(2**e for e in w)))
-            for c, w in corners
-        )
+        meets = ((c, model.square_meet(2, max(w), w)) for c, w in corners)
         return tuple((Fraction(c, size), counted) for c, (size, counted) in meets)
     levels = ((c, tuple(ell**e for e in w)) for c, w in corners)
     terms = (Fraction(c, model.degree(max(n), n, "corrected")) for c, n in levels)
@@ -442,8 +448,6 @@ def valuation_density(
         f"tail-bound={float(ep.tail_bound):.3e}",
         f"zero-at={ep.zero_at if joint else scope}",
     ]
-    if not is_separated(family):
-        notes.append("separated=False (product can deviate; check with a survey)")
     value = ep.interval.times_exact(joint)
     return DensityReport(value, "euler-product", tuple(ledger), tuple(notes))
 
@@ -521,17 +525,11 @@ def singleton_sum(
     grows with every member. Monotone in both the enumeration bound and the
     smoothness modulus, which is the observable shape of the truncation
     lattice the ledger reports, as the grid lower bounds of the prefix
-    sums at geometric sub-bounds. Refuses
-    non-separated families: for those, per-tuple densities are not
-    products of local factors and a generic value here would be silently
-    wrong.
+    sums at geometric sub-bounds. Any family will do (module docstring):
+    for <2> twice, (q, q^2) gets exactly 0. The one refusal is
+    _tuple_correction's, where index one has density zero at the primes
+    of a member, as for (<2>, <4>), whose second index is always even.
     """
-    if not is_separated(family):
-        raise UnsupportedScopeError(
-            "non-separated family: per-tuple densities can deviate from the "
-            "generic product (two groups sharing hull force equal valuations), "
-            "so the singleton route refuses; use the empirical survey"
-        )
     profile = profile_of(family)
     scope, joint, local = _scope_joint(family)
 
@@ -593,12 +591,11 @@ def correction_ratio(h, family: GroupFamily) -> CorrectionRatio:
     Exact. Tagged "generic" when no prime dividing h is in the Kummer
     model's scope, so the generic local ratios alone give the value;
     otherwise tagged "corrected", as the scope primes enter through the
-    joint factor with exact degrees.
+    joint factor with exact degrees. Any family will do (module
+    docstring): for <2> twice, m((h, h)) is <2>'s m((h,)) and m((h, h')) is
+    0 for h != h'. Refused where index one has density zero at the primes
+    of h (_tuple_correction).
     """
-    if not is_separated(family):
-        raise UnsupportedScopeError(
-            "correction ratios assume a separated family"
-        )
     profile = profile_of(family)
     h = check_index_tuple(h, profile.n)
     scope, joint, local = _scope_joint(family)

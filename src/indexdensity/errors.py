@@ -8,8 +8,8 @@ class FactorizationError(ValueError):
 class UnsupportedScopeError(ValueError):
     """A request falls outside what the analytic machinery can answer.
 
-    Typical causes: non-separated group families in singleton mode,
-    nontrivial congruence conditions passed to analytic routines, or
+    Typical causes: correction ratios relative to an index-one density of
+    zero, nontrivial congruence conditions passed to analytic routines, or
     membership-only set descriptors handed to symbolic operations.
     """
 

@@ -258,14 +258,3 @@ def profile_of(family: GroupFamily) -> RankProfile:
     """Cached rank_profile; families are small immutable values."""
     return rank_profile(family)
 
-
-def is_separated(family: GroupFamily) -> bool:
-    """No group sits inside the divisible hull of the others.
-
-    Equivalent, for exponent lattices over Q, to the strict rank increase
-    rank(W_I) > rank(W_{I minus i}) for every i.
-    """
-    prof = profile_of(family)
-    full = frozenset(range(1, len(family) + 1))
-    total = prof.of(full)
-    return all(prof.of(full - {i}) < total for i in full)

@@ -107,7 +107,7 @@ class KummerModel:
     """Degree oracle for one group family: exact, generic and sampled.
 
     Holds the family's rank profile, a memo of square_meet keyed by
-    modulus and levels, so each distinct corner builds its Hermite form
+    (ell, k, exponents), so each distinct corner builds its Hermite form
     once per model, and the sampler's scan, run on its first call.
     """
 
@@ -126,7 +126,7 @@ class KummerModel:
             classes += [tuple((a + b) % 2 for a, b in zip(c, v)) for c in classes]
         self._squares = [(prod(p**b for p, b in zip(support, c)), c) for c in classes]
         self._sample: tuple[np.ndarray, np.ndarray] | None = None
-        self._square_meets: dict[tuple[int, tuple[int, ...]], tuple] = {}
+        self._square_meets: dict[tuple[int, int, tuple[int, ...]], tuple] = {}
 
     def _check_levels(self, modulus: int, levels) -> tuple[int, ...]:
         levels = tuple(int(x) for x in levels)
@@ -165,7 +165,7 @@ class KummerModel:
         (M/2)(1_z - 2y) lies in Lambda and 1_z - 2y in sat(Lambda).
 
         The parts of the module docstring's product come from
-        square_meet(ell^k, ell-parts of N) at 2 and the lattice primes and
+        square_meet(ell, k, v_ell(N)) at 2 and the lattice primes and
         from the closed form (ell - 1) ell^(k - 1 + generic exponent)
         elsewhere; generic mode takes the closed form at every ell.
         """
@@ -176,7 +176,7 @@ class KummerModel:
         for ell, k in factorize(modulus).items():
             e = tuple(valuation(x, ell) for x in levels)
             if mode == "corrected" and (ell == 2 or ell in self.profile.lattice_primes):
-                size, meets = self.square_meet(ell**k, tuple(ell**j for j in e))
+                size, meets = self.square_meet(ell, k, e)
                 out *= size
                 if ell == 2:
                     counted = meets
@@ -185,31 +185,33 @@ class KummerModel:
         return out // sum(2 * modulus % z == 0 for z in counted)
 
     def square_meet(
-        self, modulus: int, levels: tuple[int, ...]
+        self, ell: int, k: int, exponents: tuple[int, ...]
     ) -> tuple[int, tuple[int, ...]]:
-        """phi(M) |G| at M = modulus, and each square class z whose class of H
-        at M_z = lcm(M, z) lies in G, taken at M.
+        """phi(M) |G| at M = ell^k with N_i = ell^exponents[i], and each square
+        class z whose class of H at M_z = lcm(M, z) lies in G, taken at M.
 
-        degree asks it about prime powers M = ell^k only, at 2 and the lattice
-        primes; it stays correct at any modulus. |G| is read off one Hermite
-        form whose rows are the sign bit and exponent vector of every
-        generator of G plus the diagonal (2 if M is even else 1, M, ..., M)
-        that spans Q*^M; the same form decides which square classes lie in G.
-        Where z | 2M, M_z = M and z counts in G & H; for odd M only z = 1
-        does. Where M = 2^k and the levels are powers of 2, z counts in G & H
-        at every modulus 2^k t with t odd and odd(z) | t, and |G| is the same
-        there: G has no odd part, t acts invertibly on its 2-part, and the
-        condition on disc Q(sqrt z) reads the same.
-        Memoized on the model by (modulus, levels).
+        |G| is read off one Hermite form whose rows are the sign bit and
+        exponent vector of every generator of G plus the diagonal
+        (2 if M is even else 1, M, ..., M) that spans Q*^M; the same form
+        decides which square classes lie in G. Where z | 2M, M_z = M and z
+        counts in G & H; for odd M only z = 1 does. At ell = 2, z counts in
+        G & H at every modulus 2^k t with t odd and odd(z) | t, and |G| is
+        the same there: G has no odd part, t acts invertibly on its 2-part,
+        and the condition on disc Q(sqrt z) reads the same.
+        Memoized on the model by (ell, k, exponents).
         """
-        levels = self._check_levels(modulus, levels)
-        key = (modulus, levels)
+        key = (ell, k, exponents)
         if key in self._square_meets:
             return self._square_meets[key]
+        if len(exponents) != len(self.family) or not all(
+            0 <= e <= k for e in exponents
+        ):
+            raise ValueError("one radical exponent per group, each from 0 to k")
+        modulus = ell**k
         width = len(self.family.support) + 1
         rows = [
-            [modulus // n_i * x for x in v]
-            for n_i, vectors in zip(levels, self._vectors)
+            [ell ** (k - e) * x for x in v]
+            for e, vectors in zip(exponents, self._vectors)
             for v in vectors
         ]
         for i in range(width):  # the diagonal that spans Q*^M
@@ -217,7 +219,8 @@ class KummerModel:
             rows[-1][i] = modulus if i else 2 - modulus % 2
         form = hermite_form(rows)  # square, since the diagonal has full rank
         index = prod(r[i] for i, r in enumerate(form))
-        size = euler_phi(modulus) * (2 - modulus % 2) * modulus ** (width - 1) // index
+        phi = (ell - 1) * ell ** (k - 1) if k else 1
+        size = phi * (2 - modulus % 2) * modulus ** (width - 1) // index
         counted = (1,)
         if modulus % 2 == 0:
             counted = tuple(

@@ -13,7 +13,10 @@ source, and the tests check it entry by entry. The lattice data that
 groups.rank_profile reads off one pass (the ranks, the lattice primes
 and the saturation's square classes) are computed here one question at
 a time: a Hermite form per group, a Hermite form pair per subfamily,
-and the kernel of the kernel.
+and the kernel of the kernel. Two references the package has dropped
+live here too: separation, which no route asks for, and one Hermite
+form over a whole composite modulus, which KummerModel.square_meet
+replaced by one form per prime power.
 
 The splitting model: each support prime's discrete logarithm is uniform
 ell-adic, a generator's splitting depth is the valuation of the matching
@@ -44,7 +47,7 @@ from indexdensity.groups import (
     profile_of,
 )
 from indexdensity.index_sets import ValuationPattern
-from indexdensity.kummer import generic_exponent
+from indexdensity.kummer import _meets, generic_exponent
 
 ENUMERATION_ATOM_LIMIT = 4_000_000
 _SAMPLE_CHUNK = 1 << 19  # monte-carlo samples drawn per pass
@@ -484,3 +487,51 @@ def lattice_primes(family: GroupFamily) -> tuple[int, ...]:
             rows = [g.exponent_vector(support) for grp in sel for g in grp.generators]
             bad.update(lattice_invariant_primes(rows))
     return tuple(sorted(bad))
+
+
+def is_separated(family: GroupFamily) -> bool:
+    """No group sits inside the divisible hull of the others.
+
+    Equivalent, for exponent lattices over Q, to the strict rank increase
+    rank(W_I) > rank(W_{I minus i}) for every i.
+    """
+    prof = profile_of(family)
+    full = frozenset(range(1, len(family) + 1))
+    total = prof.of(full)
+    return all(prof.of(full - {i}) < total for i in full)
+
+
+# ---------------------------------------------------------------------------
+# the degree's Hermite form over a whole modulus
+
+
+def square_meet(model, modulus: int, levels: tuple[int, ...]):
+    """phi(M) |G| at M = modulus, and each square class z whose class of H
+    at M_z = lcm(M, z) lies in G, taken at M: KummerModel.square_meet at
+    any modulus, not only at prime powers.
+
+    |G| is read off one Hermite form whose rows are the sign bit and
+    exponent vector of every generator of G plus the diagonal (2 if M is
+    even else 1, M, ..., M) that spans Q*^M; the same form decides which
+    square classes lie in G. Where z | 2M, M_z = M and z counts in G & H;
+    for odd M only z = 1 does.
+    """
+    levels = model._check_levels(modulus, levels)
+    width = len(model.family.support) + 1
+    rows = [
+        [modulus // n_i * x for x in v]
+        for n_i, vectors in zip(levels, model._vectors)
+        for v in vectors
+    ]
+    for i in range(width):  # the diagonal that spans Q*^M
+        rows.append([0] * width)
+        rows[-1][i] = modulus if i else 2 - modulus % 2
+    form = hermite_form(rows)  # square, since the diagonal has full rank
+    index = math.prod(r[i] for i, r in enumerate(form))
+    size = euler_phi(modulus) * (2 - modulus % 2) * modulus ** (width - 1) // index
+    counted = (1,)
+    if modulus % 2 == 0:
+        counted = tuple(
+            z for z, bits in model._squares if _meets(form, modulus, z, bits)
+        )
+    return size, counted

@@ -23,7 +23,6 @@ from indexdensity.density import (
     valuation_density,
 )
 from indexdensity.empirical import SieveRange, _scan, distribution, survey
-from indexdensity.errors import UnsupportedScopeError
 from indexdensity.exact import Interval
 from indexdensity.groups import GroupFamily, profile_of
 from indexdensity.index_sets import (
@@ -344,23 +343,32 @@ def test_criterion_07_prime_index_example(scan2):
 
 
 def test_criterion_08_impossible_pair(scan22):
+    # equal groups have equal indices: the pattern (q, q^2) never occurs,
+    # and the corners of each local factor F_q(1, 2) cancel exactly
     pair = named_predicate("prime-square-pair")
     emp = survey(FAM22, SieveRange.up_to(SCAN_BOUND), pair, log_path=scan22["path"])
-    refused = None
-    try:
-        singleton_sum(FAM22, pair, bound=50)
-    except UnsupportedScopeError as exc:
-        refused = str(exc)
-    ok = emp.hits == 0 and emp.total == 664578 and refused and "separated" in refused
+    analytic = singleton_sum(FAM22, pair, bound=50).value
+    ok = emp.hits == 0 and emp.total == 664578 and analytic == Interval(0, 0)
     _verdict(
         8,
         "impossible-pair",
         ok,
-        f"hits={emp.hits}/{emp.total}, refusal={refused!r:.60s}",
+        f"hits={emp.hits}/{emp.total}, analytic={analytic.decimal_bounds(6)}",
     )
     assert emp.hits == 0
     assert emp.total == 664578
-    assert refused is not None and "separated" in refused
+    assert analytic == Interval(0, 0)
+
+
+def test_equal_groups_dividing_12_lie_in_the_scan22_survey(scan22):
+    # a finite set: the singleton sum is its whole density
+    divides = Divides((12, 12))
+    srange = SieveRange.up_to(SCAN_BOUND)
+    emp = survey(FAM22, srange, divides, log_path=scan22["path"])
+    analytic = singleton_sum(FAM22, divides).value
+    w_lo, w_hi = emp.wilson
+    assert analytic.width < Fraction(1, 10**30)
+    assert w_lo <= float(analytic.low) and float(analytic.high) <= w_hi
 
 
 def test_criterion_09_squarefree_index(scan2):

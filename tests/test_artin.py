@@ -18,10 +18,16 @@ from indexdensity.artin import (
 )
 from indexdensity.errors import UnsupportedScopeError
 from indexdensity.exact import PRECISION_BITS, Interval, round_down
-from indexdensity.groups import GroupFamily, is_separated, profile_of
+from indexdensity.groups import GroupFamily, profile_of
 from indexdensity.index_sets import Divides, Equals, KFree, ValuationMap, ValuationPattern
 import oracles
-from oracles import accelerated_tail, prob_model_oracle, zeta_bounds, zeta_table
+from oracles import (
+    accelerated_tail,
+    is_separated,
+    prob_model_oracle,
+    zeta_bounds,
+    zeta_table,
+)
 
 ARTIN_CONSTANT = Fraction(3739558136192022880547280543464164151, 10**37)
 

@@ -146,6 +146,7 @@ def test_every_route_emits_endpoints_on_the_grid(tmp_path, capsys, extra):
 
 
 EQ1 = {"kind": "equals", "tuple": [1]}
+INF = float("inf")
 
 
 @pytest.mark.parametrize(
@@ -165,15 +166,51 @@ EQ1 = {"kind": "equals", "tuple": [1]}
         ),
         ("density", {"set": EQ1, "mode": "weird"}),
         ("density", {"groups": [["2/0"]], "set": EQ1}),
-        ("density", {"groups": [[float("inf")]], "set": EQ1}),
+        ("density", {"groups": [[INF]], "set": EQ1}),
+        # non-finite numbers in every kind of numeric key
+        ("density", {"set": EQ1, "cutoff": INF}),
+        ("density", {"set": EQ1, "cutoff": -INF}),
+        ("density", {"set": EQ1, "cutoff": float("nan")}),
+        ("density", {"method": "series", "truncation": INF}),
+        ("density", {"set": EQ1, "method": "singletons", "bound": INF}),
+        ("density", {"set": EQ1, "method": "singletons", "smooth": INF}),
+        ("survey", {"set": EQ1, "sieve_bound": INF}),
+        ("density", {"method": "series", "level_map": {"kind": "times", "t": INF}}),
+        ("density", {"set": EQ1, "congruence": {"modulus": INF, "residues": [1]}}),
+        ("density", {"set": {"kind": "equals", "tuple": [INF]}}),
+        ("density", {"set": {"kind": "valuations", "map": {"at": {2: [[INF]]}}}}),
+        (
+            "density",
+            {"set": {"kind": "valuations", "map": {"default": {"bounds": [INF]}}}},
+        ),
+        ("degree", {"modulus": INF, "levels": [1]}),
+        ("degree", {"modulus": 8, "levels": [INF]}),
+        # a density key the chosen method does not read
+        ("density", {"set": EQ1, "truncation": "x"}),
+        ("density", {"set": EQ1, "level_map": {"kind": "identity"}}),
+        ("density", {"set": EQ1, "bound": 100}),
+        ("density", {"set": EQ1, "smooth": 6}),
+        ("density", {"method": "series", "set": EQ1}),
+        ("density", {"method": "series", "cutoff": 100}),
+        ("density", {"method": "series", "bound": 100}),
+        ("density", {"method": "series", "smooth": 6}),
+        ("density", {"set": EQ1, "method": "singletons", "truncation": 100}),
+        ("compare", {"set": EQ1, "truncation": 100}),
+        ("compare", {"method": "series", "cutoff": 100}),
+        ("density", {"set": EQ1, "method": ["euler"]}),
     ],
 )
 def test_hostile_degree_configs_exit_2(tmp_path, capsys, command, extra):
-    cfg = _write_config(tmp_path, "hostile.json", {"groups": [["2"]], **extra})
-    code, payload, err = _run(capsys, command, "--config", cfg)
-    assert code == 2
-    assert payload is None
-    assert err.startswith("config error:")
+    # JSON has no infinity, but a number past the float range such as 1e400
+    # parses to one: each non-finite case runs as written and as 1e400
+    text = json.dumps({"groups": [["2"]], **extra})
+    for variant in dict.fromkeys((text, text.replace("Infinity", "1e400"))):
+        path = tmp_path / "hostile.json"
+        path.write_text(variant, encoding="utf-8")
+        code, payload, err = _run(capsys, command, "--config", str(path))
+        assert code == 2, variant
+        assert payload is None
+        assert err.startswith("config error:"), err
 
 
 def test_a_ledger_past_the_digit_limit_is_printed_exactly(tmp_path, capsys):

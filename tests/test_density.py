@@ -298,10 +298,28 @@ def test_valuation_density_routes_and_refusals():
         valuation_density(FAM2, named_predicate("even-omega"), cutoff=100)
 
 
-def test_singleton_sum_refuses_non_separated_families():
+def test_singleton_sum_gives_equal_groups_an_exact_zero():
+    # equal groups have equal indices, so (q, q^2) never occurs; for
+    # (<2>, <4>) the second index is always even, so index one has density
+    # zero at 2 and ratios relative to it are refused
     fam = GroupFamily.from_strings(["2"], ["2"])
-    with pytest.raises(UnsupportedScopeError, match="separated"):
-        singleton_sum(fam, named_predicate("prime-square-pair"))
+    pair = named_predicate("prime-square-pair")
+    for bound in (50, 100, 1000):
+        assert singleton_sum(fam, pair, bound=bound).value == Interval(0, 0)
+    with pytest.raises(UnsupportedScopeError, match="density zero"):
+        singleton_sum(GroupFamily.from_strings(["2"], ["4"]), Divides((6, 12)))
+
+
+def test_equal_groups_have_equal_indices():
+    # for <2> twice, index (h, h) has <2>'s density of index h, and (h, h')
+    # with h != h' has none
+    same = GroupFamily.from_strings(["2"], ["2"])
+    for h in range(1, 13):
+        single = correction_ratio((h,), FAM2).value
+        assert correction_ratio((h, h), same).value == single, h
+        for other in range(1, 13):
+            if other != h:
+                assert correction_ratio((h, other), same).value == 0, (h, other)
 
 
 def test_correction_ratio_values():
@@ -481,14 +499,24 @@ ARTIN = Fraction(3739558136192022880547280543464164151, 10**37)
         # 4 = 2^2 has index exactly 2 whenever 2 is primitive, as p - 1 is
         # even; here the lattice prime is 2 itself
         ([["2"], ["4"]], (1, 2), (2,), Fraction(1)),
+        # for p = 3 mod 4 one of 3 and -3 is a square; for p = 1 mod 4,
+        # -3 = 3^(1 + (p-1)/2) with that exponent prime to p - 1. So both
+        # are primitive when 3 is and p = 1 mod 4, which forces p = 2 mod
+        # 3: probability 1/4 at 2 and 3, where Artin's product has (1/2)(5/6)
+        ([["-3"], ["3"]], (1, 1), (2, 3), Fraction(3, 5)),
+        # 125 = 5^3 is primitive when 5 is and p = 2 mod 3, 1/2 at 3 where
+        # Artin has 5/6; sqrt(5) lies in Q(zeta_5) and does not meet 3, so
+        # Hooley's 20/19 for <5> stays: 3/5 * 20/19
+        ([["5"], ["125"]], (1, 1), (2, 3, 5), Fraction(12, 19)),
     ],
 )
 def test_non_separated_identities(groups, index, scope, ratio):
     family = GroupFamily.from_strings(*groups)
     assert KummerModel(family).deficiency_scope() == scope
-    value = valuation_density(family, Equals(index), cutoff=3000).value
+    report = valuation_density(family, Equals(index), cutoff=3000)
     slack = Fraction(1, 10**36)  # A is truncated
-    assert value.low - slack <= ARTIN * ratio <= value.high + slack
+    assert report.value.low - slack <= ARTIN * ratio <= report.value.high + slack
+    assert not any("separat" in note for note in report.notes)
 
 
 ODD_PRIMES = primes_up_to(200)[1:]

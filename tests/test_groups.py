@@ -10,13 +10,12 @@ from indexdensity.groups import (
     FactoredRational,
     GroupFamily,
     MultGroup,
-    is_separated,
     parse_rational,
     profile_of,
     rank_profile,
 )
 from indexdensity.arith import primes_up_to
-from oracles import rank
+from oracles import is_separated, rank
 
 
 def test_parse_rational_roundtrip():

@@ -256,7 +256,7 @@ def _whole_modulus_degree(model, modulus, levels, mode):
     """The degree as first written: one Hermite form over the whole modulus
     (corrected), or the closed form at every ell of it (generic)."""
     if mode == "corrected":
-        size, counted = model.square_meet(modulus, levels)
+        size, counted = oracles.square_meet(model, modulus, levels)
         return size // sum(2 * modulus % z == 0 for z in counted)
     out = 1
     for ell, k in factorize(modulus).items():
