@@ -12,6 +12,7 @@ from indexdensity import (
     GroupFamily,
     KummerModel,
     LevelMap,
+    euler_phi,
     hooley_series,
 )
 
@@ -20,9 +21,10 @@ def show(family, label):
     model = KummerModel(family)
     print(f"{label}: scope={model.deficiency_scope()}", end="")
     print(f" lattice primes={model.profile.lattice_primes}")
+    rank = model.profile.of({1})
     for modulus, levels in ((8, (8,)), (9, (9,)), (25, (5,))):
-        generic = model.degree(modulus, levels, "generic")
-        corrected = model.degree(modulus, levels, "corrected")
+        generic = euler_phi(modulus) * levels[0] ** rank
+        corrected = model.degree(modulus, levels)
         flag = "  <- below generic" if generic != corrected else ""
         print(
             f"  Q(zeta_{modulus}, W^(1/{levels[0]})): generic {generic:>5},"

@@ -1,12 +1,12 @@
 """Command-line harness: config in, deterministic result files out.
 
 Config is JSON (a command has flags only for keys it reads, they override
-file values, and it rejects every key it does not read), rationals
-serialize as "num/den" strings so nothing is lost to floating point, and
-every command writes the same payload it printed when an output path is
-given (--output or the config's "output" key). Exit codes: 0 success, 2
-bad config, 3 refused or inconclusive scope, 4 compare found an
-inconsistency.
+file values, and it rejects every key it does not read) with integer
+numbers, rationals serialize as "num/den" strings so nothing is lost to
+floating point, and every command writes the same payload it printed when
+an output path is given (--output or the config's "output" key). Exit
+codes: 0 success, 2 bad config, 3 refused or inconclusive scope, 4
+compare found an inconsistency.
 """
 
 from __future__ import annotations
@@ -97,12 +97,9 @@ def report_payload(report: DensityReport) -> dict:
 # config handling
 
 
-def _finite(text: str) -> float:
-    """A JSON number or constant as a float, refused unless finite."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ConfigError(f"config numbers are finite, not {text}")
-    return value
+def _no_float(text: str):
+    """Refuses a JSON number with a fraction or exponent part, or a constant."""
+    raise ConfigError(f"config numbers are integers, not {text}")
 
 
 def load_config(command: str, args) -> dict:
@@ -112,7 +109,7 @@ def load_config(command: str, args) -> dict:
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
+                cfg = json.load(fh, parse_float=_no_float, parse_constant=_no_float)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -128,8 +125,9 @@ def load_config(command: str, args) -> dict:
         raise ConfigError(
             f"unknown config keys for {command}: {', '.join(unknown)}"
         )
-    if not isinstance(cfg.get("output", ""), str):
-        raise ConfigError("'output' must be a file path")
+    for key in ("output", "log_path"):
+        if not isinstance(cfg.get(key, ""), str):
+            raise ConfigError(f"'{key}' must be a file path")
     if "mode" in keys:
         cfg.setdefault("mode", "corrected")
         if cfg["mode"] not in ("generic", "corrected"):
@@ -137,11 +135,22 @@ def load_config(command: str, args) -> dict:
     return cfg
 
 
+def _integer(value, name: str) -> int:
+    """value, refused unless it is a JSON integer (true and false are not)."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer")
+    return value
+
+
+def _integers(value, name: str) -> tuple[int, ...]:
+    """value as a tuple, refused unless it is a JSON list of integers."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of integers")
+    return tuple(_integer(x, name) for x in value)
+
+
 def _int(cfg: dict, key: str, default: int) -> int:
-    try:
-        return int(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{key}' must be an integer") from exc
+    return _integer(cfg.get(key, default), f"'{key}'")
 
 
 def build_family(cfg: dict) -> GroupFamily:
@@ -166,20 +175,16 @@ def _parse_pattern(obj, n: int) -> ValuationPattern:
         raise ConfigError("pattern bounds are a list")
     if len(bounds) != n:
         raise ConfigError(f"pattern arity {len(bounds)} != {n}")
-    try:
-        return ValuationPattern(tuple(None if b is None else int(b) for b in bounds))
-    except TypeError as exc:
-        raise ConfigError(f"bad pattern bound: {exc}") from exc
+    return ValuationPattern(
+        tuple(None if b is None else _integer(b, "a pattern bound") for b in bounds)
+    )
 
 
 def _parse_vspec(obj, n: int):
     if isinstance(obj, dict):
         return _parse_pattern(obj, n)
     if isinstance(obj, list):
-        try:
-            return tuple(tuple(int(x) for x in t) for t in obj)
-        except TypeError as exc:
-            raise ConfigError(f"bad valuation tuple list: {exc}") from exc
+        return tuple(_integers(t, "a valuation tuple") for t in obj)
     raise ConfigError("a valuation spec is a pattern object or a tuple list")
 
 
@@ -217,17 +222,14 @@ def build_index_set(cfg: dict, n: int):
         raise ConfigError(f"unknown set keys: {sorted(extra)}")
     try:
         if kind == "equals":
-            return Equals(tuple(int(x) for x in desc["tuple"]))
+            return Equals(_integers(desc["tuple"], "'tuple'"))
         if kind == "divides":
-            return Divides(tuple(int(x) for x in desc["tuple"]))
+            return Divides(_integers(desc["tuple"], "'tuple'"))
         if kind == "kfree":
             k = desc["k"]
-            ks = (int(k),) * n if isinstance(k, int) else tuple(map(int, k))
-            return KFree(ks)
+            return KFree(_integers(k if isinstance(k, list) else [k] * n, "'k'"))
         if kind == "finite":
-            return FiniteSet(
-                tuple(tuple(int(x) for x in t) for t in desc["tuples"])
-            )
+            return FiniteSet(tuple(_integers(t, "a member") for t in desc["tuples"]))
         if kind == "primes":
             return PrimesSet()
         if kind == "valuations":
@@ -248,7 +250,8 @@ def build_congruence(cfg: dict) -> Congruence:
     if not isinstance(obj, dict) or set(obj) != {"modulus", "residues"}:
         raise ConfigError("congruence is {'modulus': m, 'residues': [...]}")
     try:
-        return Congruence(int(obj["modulus"]), frozenset(map(int, obj["residues"])))
+        residues = frozenset(_integers(obj["residues"], "'residues'"))
+        return Congruence(_integer(obj["modulus"], "'modulus'"), residues)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad congruence: {exc}") from exc
 
@@ -264,16 +267,18 @@ def build_level_map(cfg: dict) -> LevelMap:
         if kind == "identity":
             return LevelMap.identity()
         if kind == "times":
-            return LevelMap.times(int(obj["t"]))
+            return LevelMap.times(_integer(obj["t"], "'t'"))
         if kind == "times-local":
-            return LevelMap.times_local(int(obj["t"]))
+            return LevelMap.times_local(_integer(obj["t"], "'t'"))
         if kind == "power":
-            return LevelMap.power(int(obj["k"]))
+            return LevelMap.power(_integer(obj["k"], "'k'"))
         if kind == "prime-powers":
             table = obj["table"]
             if not isinstance(table, dict):
                 raise ConfigError("a prime-powers table maps primes to exponents")
-            return LevelMap.prime_powers({int(ell): int(k) for ell, k in table.items()})
+            return LevelMap.prime_powers(
+                {int(ell): _integer(k, "an exponent") for ell, k in table.items()}
+            )
     except KeyError as exc:
         raise ConfigError(f"level map missing {exc}") from exc
     except TypeError as exc:
@@ -296,16 +301,12 @@ def _require_trivial_congruence(congruence: Congruence):
 
 def run_degree(cfg: dict) -> dict:
     family = build_family(cfg)
-    mode = cfg["mode"]
     modulus = _int(cfg, "modulus", 0)
-    try:
-        levels = tuple(int(x) for x in cfg.get("levels", ()))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("'levels' is a list of integers") from exc
+    levels = _integers(cfg.get("levels", []), "'levels'")
     if modulus < 1 or not levels:
         raise ConfigError("degree needs 'modulus' and 'levels'")
-    value = KummerModel(family).degree(modulus, levels, mode)
-    return {"modulus": modulus, "levels": list(levels), "mode": mode, "degree": value}
+    value = KummerModel(family).degree(modulus, levels)
+    return {"modulus": modulus, "levels": list(levels), "degree": value}
 
 
 def run_density(cfg: dict, survey_keys=frozenset()) -> dict:
@@ -340,7 +341,7 @@ def run_density(cfg: dict, survey_keys=frozenset()) -> dict:
         )
     else:
         index_set = build_index_set(cfg, len(family))
-        smooth = _int(cfg, "smooth", 0) if cfg.get("smooth") else 0
+        smooth = _int(cfg, "smooth", 0) if cfg.get("smooth") is not None else 0
         report = singleton_sum(
             family,
             index_set,
@@ -498,8 +499,8 @@ _SURVEY_KEYS = {"groups", "set", "congruence", "sieve_bound", "log_path"}
 # "output" for all), and its runner.
 _COMMANDS = {
     "degree": (
-        "cyclotomic-Kummer degrees, generic or exact",
-        {"groups", "mode", "modulus", "levels"},
+        "exact cyclotomic-Kummer degrees",
+        {"groups", "modulus", "levels"},
         run_degree,
     ),
     "density": (
@@ -525,9 +526,9 @@ _COMMANDS = {
 _FLAGS = {
     "mode": {
         "choices": ["generic", "corrected"],
-        "help": "generic or exact (corrected) Kummer degrees, for the series "
-        "method and the degree command (default corrected); the euler and "
-        "singletons methods are always exact and refuse generic",
+        "help": "generic or exact (corrected) Kummer degrees for the series "
+        "method (default corrected); the euler and singletons methods are "
+        "always exact and refuse generic",
     },
     "cutoff": {
         "type": int,

@@ -15,8 +15,8 @@ primes (sqrt(5) inside Q(zeta_5)) is seen; as it passes through the
 2-part and the family's square classes alone, that factor sums products
 of local sums over those classes. All other primes use the generic
 closed forms. The series route splits each degree at the same primes:
-the part of f(n) on them takes its degree exact or generic by the mode,
-and the rest the generic phi(B) B.
+in corrected mode the part of f(n) on them takes its exact degree, and
+the rest the generic phi(B) B; generic mode takes f(n) phi(f(n)).
 
 No route asks that no group lie in the divisible hull of the others; the
 paper does not either. KummerModel.degree's
@@ -203,11 +203,12 @@ def _series_degree(model: KummerModel, mode: str):
     Write f = A*B, with A made of the primes of model.deficiency_scope() and
     B prime to them. Then D(f) = D(A) phi(B) B, the ell-part split of
     KummerModel.degree with the rank-one closed form off the scope taken
-    inline. D(A) is model.degree(A, (A,), mode), memoized by A: a level map
+    inline. D(A) is model.degree(A, (A,)), memoized by A: a level map
     gives at most one A per subset of the scope, whatever the truncation.
+    Generic mode takes the scope empty, so D(f) = f phi(f).
     """
-    scope = frozenset(model.deficiency_scope())
-    exact = lru_cache(maxsize=None)(lambda a: model.degree(a, (a,), mode))
+    scope = frozenset(model.deficiency_scope() if mode == "corrected" else ())
+    exact = lru_cache(maxsize=None)(lambda a: model.degree(a, (a,)))
 
     def degree(levels: dict[int, int]) -> int:
         a = off = 1
@@ -264,11 +265,11 @@ def hooley_series(
     table stops at a repeated prime, where mu(n) = 0. f(n)'s factorization
     is derived from n's. The degree splits as D(f(n)) = D(A) phi(B) B, A
     the part of f(n) on the model's deficiency scope and B the rest
-    (_series_degree; the proof is _joint_factor's). Only D(A) depends on
-    the mode: exact in corrected mode (the default), generic in generic
-    mode. The terms
-    stream into series_sum as integer pairs (mu(n), D(f(n))); only the
-    first LEDGER_ROW_LIMIT become Fractions, in the ledger. The reported
+    (_series_degree; the proof is _joint_factor's). In generic mode the
+    scope is empty, so D(f(n)) = f(n) phi(f(n)); corrected mode is the
+    default, and any other mode is refused. The terms stream into
+    series_sum as integer pairs (mu(n), D(f(n))); only the first
+    LEDGER_ROW_LIMIT become Fractions, in the ledger. The reported
     interval is the partial sum widened by a proved tail bound,
     |sum_{n>N} mu(n)/D(f(n))| <= c * sum_{n>N} 1/(n phi(n))
     <= c * (zeta(2)zeta(3)/zeta(6) + eps) / N,
@@ -284,6 +285,8 @@ def hooley_series(
             "the series route is for rank-1 groups; higher ranks go through "
             "valuation_density or singleton_sum"
         )
+    if mode not in ("generic", "corrected"):
+        raise ValueError("mode is 'generic' or 'corrected'")
     degree = _series_degree(model, mode)
     tail = _tail_constant(model, level_map, degree) * _reciprocal_tail(truncation)
     spf = memoryview(smallest_prime_factors(truncation))  # entries read as ints
@@ -337,12 +340,10 @@ def _joint_piece(model: KummerModel, ell: int, spec: VSpec):
     b_ell the zero corner's coefficient.
     """
     corners = corner_terms(spec, len(model.family))
+    parts = [(c, model.part(ell, max(w), w)) for c, w in corners]
     if ell == 2:
-        meets = ((c, model.square_meet(2, max(w), w)) for c, w in corners)
-        return tuple((Fraction(c, size), counted) for c, (size, counted) in meets)
-    levels = ((c, tuple(ell**e for e in w)) for c, w in corners)
-    terms = (Fraction(c, model.degree(max(n), n, "corrected")) for c, n in levels)
-    local = sum(terms, Fraction(0))
+        return tuple((Fraction(c, size), counted) for c, (size, counted) in parts)
+    local = sum((Fraction(c, size) for c, (size, _) in parts), Fraction(0))
     return local, local - sum(c for c, w in corners if not any(w))
 
 

@@ -14,9 +14,8 @@ At odd ell off the lattice primes (RankProfile.lattice_primes), -1 is an
 ell^k-th power and every subfamily's lattice is saturated, so over a basis
 adapted to the superlevel sets of j, |G_ell| is ell^(generic exponent), a
 linear form in the j_i weighted by rank increments. At 2 and the lattice
-primes one Hermite form each gives the part (KummerModel.square_meet), so
-entanglement such as sqrt(5) in Q(zeta_5) is seen. Generic mode takes the
-closed form at every ell: right away from a finite set of primes.
+primes one Hermite form each gives the part, so entanglement such as
+sqrt(5) in Q(zeta_5) is seen. KummerModel.part prices every part.
 
 Entanglement passes through the model's square classes: the squarefree
 z > 0 whose exponent vector mod 2 lies in the image of the saturation
@@ -104,11 +103,11 @@ def _meets(form: list[list[int]], modulus: int, z: int, bits) -> bool:
 
 
 class KummerModel:
-    """Degree oracle for one group family: exact, generic and sampled.
+    """Degree oracle for one group family: exact and sampled.
 
-    Holds the family's rank profile, a memo of square_meet keyed by
-    (ell, k, exponents), so each distinct corner builds its Hermite form
-    once per model, and the sampler's scan, run on its first call.
+    Holds the family's rank profile, a memo of part's Hermite forms keyed
+    by (ell, k, exponents), so each distinct corner builds its form once
+    per model, and the sampler's scan, run on its first call.
     """
 
     def __init__(self, family: GroupFamily):
@@ -126,7 +125,7 @@ class KummerModel:
             classes += [tuple((a + b) % 2 for a, b in zip(c, v)) for c in classes]
         self._squares = [(prod(p**b for p, b in zip(support, c)), c) for c in classes]
         self._sample: tuple[np.ndarray, np.ndarray] | None = None
-        self._square_meets: dict[tuple[int, int, tuple[int, ...]], tuple] = {}
+        self._parts: dict[tuple[int, int, tuple[int, ...]], tuple] = {}
 
     def _check_levels(self, modulus: int, levels) -> tuple[int, ...]:
         levels = tuple(int(x) for x in levels)
@@ -149,9 +148,7 @@ class KummerModel:
         """
         return tuple(sorted({2, *self.family.support, *self.profile.lattice_primes}))
 
-    def degree(
-        self, modulus: int, levels: tuple[int, ...], mode: str = "corrected"
-    ) -> int:
+    def degree(self, modulus: int, levels: tuple[int, ...]) -> int:
         """[Q(zeta_M, W_i^{1/N_i}) : Q] for M = modulus and N_i = levels[i].
 
         The exact degree is phi(M) |G| / |G & H|, where G is the image in
@@ -164,49 +161,47 @@ class KummerModel:
         (M/2) 1_z = lambda + M y with lambda in Lambda and y integral, so
         (M/2)(1_z - 2y) lies in Lambda and 1_z - 2y in sat(Lambda).
 
-        The parts of the module docstring's product come from
-        square_meet(ell, k, v_ell(N)) at 2 and the lattice primes and
-        from the closed form (ell - 1) ell^(k - 1 + generic exponent)
-        elsewhere; generic mode takes the closed form at every ell.
+        The parts of the module docstring's product are
+        part(ell, k, v_ell(N)), and the square classes counted at 2 give
+        the divisor.
         """
-        if mode not in ("generic", "corrected"):
-            raise ValueError("mode is 'generic' or 'corrected'")
         levels = self._check_levels(modulus, levels)
         out, counted = 1, (1,)
         for ell, k in factorize(modulus).items():
-            e = tuple(valuation(x, ell) for x in levels)
-            if mode == "corrected" and (ell == 2 or ell in self.profile.lattice_primes):
-                size, meets = self.square_meet(ell, k, e)
-                out *= size
-                if ell == 2:
-                    counted = meets
-            else:
-                out *= (ell - 1) * ell ** (k - 1 + generic_exponent(e, self.profile))
+            size, meets = self.part(ell, k, tuple(valuation(x, ell) for x in levels))
+            out *= size
+            if ell == 2:
+                counted = meets
         return out // sum(2 * modulus % z == 0 for z in counted)
 
-    def square_meet(
+    def part(
         self, ell: int, k: int, exponents: tuple[int, ...]
     ) -> tuple[int, tuple[int, ...]]:
         """phi(M) |G| at M = ell^k with N_i = ell^exponents[i], and each square
         class z whose class of H at M_z = lcm(M, z) lies in G, taken at M.
 
-        |G| is read off one Hermite form whose rows are the sign bit and
-        exponent vector of every generator of G plus the diagonal
-        (2 if M is even else 1, M, ..., M) that spans Q*^M; the same form
-        decides which square classes lie in G. Where z | 2M, M_z = M and z
-        counts in G & H; for odd M only z = 1 does. At ell = 2, z counts in
-        G & H at every modulus 2^k t with t odd and odd(z) | t, and |G| is
-        the same there: G has no odd part, t acts invertibly on its 2-part,
-        and the condition on disc Q(sqrt z) reads the same.
-        Memoized on the model by (ell, k, exponents).
+        Off 2 and the lattice primes, |G| is ell^(generic exponent) and
+        only z = 1 counts. At 2 and the lattice primes, |G| is read off one
+        Hermite form whose rows are the sign bit and exponent vector of
+        every generator of G plus the diagonal (2 if M is even else 1, M,
+        ..., M) that spans Q*^M; the same form decides which square classes
+        lie in G. Where z | 2M, M_z = M and z counts in G & H; for odd M
+        only z = 1 does. At ell = 2, z counts in G & H at every modulus
+        2^k t with t odd and odd(z) | t, and |G| is the same there: G has
+        no odd part, t acts invertibly on its 2-part, and the condition on
+        disc Q(sqrt z) reads the same. The Hermite parts are memoized on
+        the model by (ell, k, exponents).
         """
         key = (ell, k, exponents)
-        if key in self._square_meets:
-            return self._square_meets[key]
+        if key in self._parts:
+            return self._parts[key]
         if len(exponents) != len(self.family) or not all(
             0 <= e <= k for e in exponents
         ):
             raise ValueError("one radical exponent per group, each from 0 to k")
+        phi = (ell - 1) * ell ** (k - 1) if k else 1
+        if ell != 2 and ell not in self.profile.lattice_primes:
+            return phi * ell ** generic_exponent(exponents, self.profile), (1,)
         modulus = ell**k
         width = len(self.family.support) + 1
         rows = [
@@ -219,14 +214,13 @@ class KummerModel:
             rows[-1][i] = modulus if i else 2 - modulus % 2
         form = hermite_form(rows)  # square, since the diagonal has full rank
         index = prod(r[i] for i, r in enumerate(form))
-        phi = (ell - 1) * ell ** (k - 1) if k else 1
         size = phi * (2 - modulus % 2) * modulus ** (width - 1) // index
         counted = (1,)
         if modulus % 2 == 0:
             counted = tuple(
                 z for z, bits in self._squares if _meets(form, modulus, z, bits)
             )
-        self._square_meets[key] = (size, counted)
+        self._parts[key] = (size, counted)
         return size, counted
 
     # -- sampling -----------------------------------------------------
@@ -234,11 +228,11 @@ class KummerModel:
     def degree_estimate(self, modulus: int, levels: tuple[int, ...]) -> DegreeEstimate:
         """[Q(zeta_m, W_i^{1/n_i}) : Q] by counting completely split primes.
 
-        An independent oracle for degree(..., "corrected"). A prime splits
-        completely exactly when p = 1 mod m and every generator of W_i is
-        an n_i-th power residue, that is, n_i divides the index of W_i mod
-        p. The primes up to SAMPLE_BOUND outside the support and their
-        indices come from one scan per model, run on the first call. The
+        An independent oracle for degree. A prime splits completely
+        exactly when p = 1 mod m and every generator of W_i is an n_i-th
+        power residue, that is, n_i divides the index of W_i mod p. The
+        primes up to SAMPLE_BOUND outside the support and their indices
+        come from one scan per model, run on the first call. The
         inverse hit frequency is snapped to the nearest divisor (in log
         space) of phi(m) * prod n_i^(g_i), with g_i the number of
         generators of W_i: torsion generators such as -1 raise the degree

@@ -13,10 +13,11 @@ source, and the tests check it entry by entry. The lattice data that
 groups.rank_profile reads off one pass (the ranks, the lattice primes
 and the saturation's square classes) are computed here one question at
 a time: a Hermite form per group, a Hermite form pair per subfamily,
-and the kernel of the kernel. Two references the package has dropped
-live here too: separation, which no route asks for, and one Hermite
-form over a whole composite modulus, which KummerModel.square_meet
-replaced by one form per prime power.
+and the kernel of the kernel. Three references the package has dropped
+live here too: separation, which no route asks for; one Hermite form
+over a whole composite modulus, which KummerModel.part replaced by one
+form per prime power; and the generic degree, the closed form at every
+ell, which KummerModel.degree took in generic mode.
 
 The splitting model: each support prime's discrete logarithm is uniform
 ell-adic, a generator's splitting depth is the valuation of the matching
@@ -34,7 +35,7 @@ from itertools import combinations, product as iproduct
 import numpy as np
 
 from indexdensity import artin
-from indexdensity.arith import euler_phi, factorize, moebius, primes_up_to
+from indexdensity.arith import euler_phi, factorize, moebius, primes_up_to, valuation
 from indexdensity.artin import _check_tuple
 from indexdensity.empirical import _factorization
 from indexdensity.exact import PRECISION_BITS
@@ -502,7 +503,7 @@ def is_separated(family: GroupFamily) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the degree's Hermite form over a whole modulus
+# the degree's Hermite form over a whole modulus, and the generic degree
 
 
 def square_meet(model, modulus: int, levels: tuple[int, ...]):
@@ -535,3 +536,15 @@ def square_meet(model, modulus: int, levels: tuple[int, ...]):
             z for z, bits in model._squares if _meets(form, modulus, z, bits)
         )
     return size, counted
+
+
+def generic_degree(model, modulus: int, levels: tuple[int, ...]) -> int:
+    """The generic degree: KummerModel.degree with the closed form
+    (ell - 1) ell^(k - 1 + generic exponent) at every ell of the modulus,
+    right away from a finite set of primes."""
+    levels = model._check_levels(modulus, levels)
+    out = 1
+    for ell, k in factorize(modulus).items():
+        e = tuple(valuation(x, ell) for x in levels)
+        out *= (ell - 1) * ell ** (k - 1 + generic_exponent(e, model.profile))
+    return out

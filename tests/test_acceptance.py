@@ -35,7 +35,7 @@ from indexdensity.index_sets import (
     named_predicate,
 )
 from indexdensity.kummer import KummerModel
-from oracles import prob_model_oracle
+from oracles import generic_degree, prob_model_oracle
 
 SCAN_BOUND = 10**7
 FAM2 = GroupFamily.from_strings(["2"])
@@ -276,13 +276,12 @@ def test_criterion_06_degree_oracle():
     got5 = model.degree_estimate(5, (5,))
     got8 = model.degree_estimate(8, (8,))
     cyclo = {m: model.degree_estimate(m, (1,)).value for m in (3, 4, 5, 8, 12)}
-    exact = {m: model.degree(m, (m,), "corrected") for m in (5, 8)}
+    exact = {m: model.degree(m, (m,)) for m in (5, 8)}
     # how far the exact degree of Q(zeta_ell^3, 2^(1/ell)) falls below the
     # generic one, as a power of ell: sqrt 2 lies in Q(zeta_8)
     defs = {
         ell: valuation(
-            model.degree(ell**3, (ell,), "generic")
-            // model.degree(ell**3, (ell,), "corrected"),
+            generic_degree(model, ell**3, (ell,)) // model.degree(ell**3, (ell,)),
             ell,
         )
         for ell in (2, 3, 5)

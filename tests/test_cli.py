@@ -198,6 +198,47 @@ INF = float("inf")
         ("compare", {"set": EQ1, "truncation": 100}),
         ("compare", {"method": "series", "cutoff": 100}),
         ("density", {"set": EQ1, "method": ["euler"]}),
+        # config numbers read as integers are JSON integers: no fraction or
+        # exponent part, no true or false, and no string where a list is read
+        ("density", {"set": EQ1, "method": "singletons", "bound": 100.9}),
+        ("density", {"set": EQ1, "cutoff": 100000.0}),
+        ("density", {"set": EQ1, "cutoff": 1e300}),
+        ("density", {"set": {"kind": "equals", "tuple": [1.5]}}),
+        ("density", {"groups": [[0.1]], "set": EQ1}),
+        ("degree", {"modulus": 8, "levels": [True]}),
+        ("degree", {"modulus": True, "levels": [1]}),
+        ("degree", {"groups": [["2"], ["3"]], "modulus": 12, "levels": "12"}),
+        ("degree", {"modulus": 8, "levels": [8], "mode": "corrected"}),
+        (
+            "density",
+            {"groups": [["2"], ["3"]], "set": {"kind": "equals", "tuple": "11"}},
+        ),
+        ("density", {"set": {"kind": "divides", "tuple": "6"}}),
+        ("density", {"set": {"kind": "kfree", "k": True}}),
+        ("density", {"set": {"kind": "kfree", "k": "2"}}),
+        (
+            "density",
+            {"method": "singletons", "set": {"kind": "finite", "tuples": ["1"]}},
+        ),
+        ("density", {"method": "singletons", "set": {"kind": "finite", "tuples": "1"}}),
+        ("density", {"set": EQ1, "congruence": {"modulus": 1, "residues": "0"}}),
+        ("density", {"set": EQ1, "congruence": {"modulus": True, "residues": [0]}}),
+        ("density", {"set": {"kind": "valuations", "map": {"at": {3: ["0"]}}}}),
+        (
+            "density",
+            {"set": {"kind": "valuations", "map": {"default": {"bounds": [True]}}}},
+        ),
+        ("density", {"set": EQ1, "method": "singletons", "smooth": False}),
+        ("density", {"method": "series", "level_map": {"kind": "times", "t": True}}),
+        ("density", {"method": "series", "level_map": {"kind": "power", "k": 2.0}}),
+        (
+            "density",
+            {
+                "method": "series",
+                "level_map": {"kind": "prime-powers", "table": {2: True}},
+            },
+        ),
+        ("survey", {"set": EQ1, "sieve_bound": True}),
     ],
 )
 def test_hostile_degree_configs_exit_2(tmp_path, capsys, command, extra):
@@ -328,6 +369,22 @@ def test_unusable_log_path_exits_2(tmp_path, capsys):
             assert payload is None
             assert err.startswith("config error: cannot use the observation log")
             assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("log_path", [1, True, ["a"]])
+def test_a_log_path_that_is_not_a_string_exits_2(
+    tmp_path, capsys, monkeypatch, log_path
+):
+    # open() would take 1 and true as file descriptors, stdout for both
+    opened = []
+    monkeypatch.setattr(empirical, "open", opened.append, raising=False)
+    base = {"groups": [["2"]], "set": EQ1, "sieve_bound": 2000, "log_path": log_path}
+    for command, extra in (("survey", {}), ("compare", {"cutoff": 2000})):
+        cfg = _write_config(tmp_path, "log.json", base | extra)
+        code, payload, err = _run(capsys, command, "--config", cfg)
+        assert (code, payload) == (2, None), command
+        assert err.startswith("config error: 'log_path' must be a file path")
+    assert opened == []
 
 
 def test_a_log_that_could_pass_the_cap_exits_2_unwritten(tmp_path, capsys):
@@ -666,28 +723,23 @@ def test_corrected_compare_sees_entanglement(tmp_path, capsys, groups, sieve_bou
 
 
 def test_degree_command_generic_and_corrected(tmp_path, capsys):
-    cfg = _write_config(
-        tmp_path,
-        "deg.json",
-        {"groups": [["2"]], "modulus": 8, "levels": [8], "mode": "generic"},
-    )
+    # the degree command is exact only: a mode is an unknown key, and the
+    # subcommand has no --mode flag
+    degree = {"groups": [["2"]], "modulus": 8, "levels": [8]}
+    for mode in ("generic", "corrected"):
+        cfg = _write_config(tmp_path, "deg.json", {**degree, "mode": mode})
+        code, payload, err = _run(capsys, "degree", "--config", cfg)
+        assert (code, payload) == (2, None)
+        assert "unknown config keys for degree: mode" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["degree", "--config", cfg, "--mode", mode])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
+
+    cfg = _write_config(tmp_path, "deg.json", degree)
     code, payload, _ = _run(capsys, "degree", "--config", cfg)
     assert code == 0
-    assert payload["result"]["degree"] == 32
-
-    cfg2 = _write_config(
-        tmp_path,
-        "deg2.json",
-        {
-            "groups": [["2"]],
-            "modulus": 8,
-            "levels": [8],
-            "mode": "corrected",
-        },
-    )
-    code, payload, _ = _run(capsys, "degree", "--config", cfg2)
-    assert code == 0
-    assert payload["result"]["degree"] == 16
+    assert payload["result"] == {"modulus": 8, "levels": [8], "degree": 16}
 
 
 def test_classify_command(tmp_path, capsys):

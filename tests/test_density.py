@@ -3,12 +3,13 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 from math import lcm, prod
 
 import pytest
 
-from indexdensity import density
+from indexdensity import density, kummer
 from indexdensity.density import (
     LevelMap,
     correction_ratio,
@@ -34,7 +35,7 @@ from indexdensity.index_sets import (
     ValuationPattern,
     named_predicate,
 )
-from oracles import kappa_bound
+from oracles import generic_degree, kappa_bound
 
 FAM2 = GroupFamily.from_strings(["2"])
 G2 = MultGroup.from_strings("2")
@@ -100,6 +101,11 @@ def test_hooley_series_rejects_higher_rank():
         hooley_series(G2, LevelMap.identity(), 10**12)  # refused before allocating
 
 
+def test_hooley_series_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="mode"):
+        hooley_series(G2, LevelMap.identity(), 100, mode="fancy")
+
+
 SERIES_GROUPS = ("2", "5", "-3", "13", "21", "4", "-4", "8", "27", "45", "12", "9/2", "-1/2")
 SERIES_MAPS = (
     LevelMap.identity(),
@@ -113,16 +119,18 @@ SERIES_MAPS = (
 
 @pytest.mark.parametrize("mode", ["generic", "corrected"])
 def test_series_degree_splits_at_the_scope(mode):
-    # D(f(n)) = D(A) phi(B) B, A the part of f(n) on the deficiency scope
+    # D(f(n)) = D(A) phi(B) B, A the part of f(n) on the deficiency scope;
+    # generic mode gives the generic degree f(n) phi(f(n))
     squarefree = [n for n in range(1, 501) if moebius(n)]
     for g in SERIES_GROUPS:
         model = KummerModel(GroupFamily((MultGroup.from_strings(g),)))
         degree = density._series_degree(model, mode)
+        exact = model.degree if mode == "corrected" else partial(generic_degree, model)
         for level_map in SERIES_MAPS:
             for n in squarefree:
                 f_n = _level(level_map, n)
                 levels = level_map.factors(factorize(n))
-                assert degree(levels) == model.degree(f_n, (f_n,), mode), (g, n)
+                assert degree(levels) == exact(f_n, (f_n,)), (g, n)
 
 
 def _series_by_trial_division(group, level_map, truncation, mode):
@@ -437,7 +445,7 @@ def _corner_product_joint(model, specs):
         for ell, (c, w) in zip(primes, corners):
             coeff *= c
             levels = tuple(x * ell**e for x, e in zip(levels, w))
-        total += Fraction(coeff, model.degree(lcm(*levels), levels, "corrected"))
+        total += Fraction(coeff, model.degree(lcm(*levels), levels))
     return total
 
 
@@ -482,6 +490,23 @@ def test_joint_factor_matches_the_corner_product(groups):
         assert density._joint_factor(model, specs) == _corner_product_joint(
             model, specs
         ), specs
+
+
+def test_joint_pieces_read_prime_power_parts_without_factoring(monkeypatch):
+    # every scope prime, odd lattice primes included, is priced by
+    # KummerModel.part from (ell, k, w) as given: nothing is factored
+    calls = []
+    factor = kummer.factorize
+
+    def counted(n):
+        calls.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(kummer, "factorize", counted)
+    valuation_density(GroupFamily.from_strings(["27"]), KFree((101,)))
+    valuation_density(GroupFamily.from_strings(["5"], ["-3"]), Equals((1, 1)))
+    singleton_sum(GroupFamily.from_strings(["2"], ["3"]), Divides((12, 12)))
+    assert calls == []
 
 
 # Artin's constant A, truncated to 37 digits
@@ -565,7 +590,7 @@ def test_a_model_over_forty_support_primes_stays_small():
     tracemalloc.start()
     try:
         model = KummerModel(GroupFamily.from_strings([str(d)]))
-        degree = model.degree(4 * d, (2,), "corrected")
+        degree = model.degree(4 * d, (2,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

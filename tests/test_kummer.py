@@ -1,14 +1,14 @@
 """Degree machinery: exact and generic degrees, and the sampling oracle."""
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import prod
 
 import pytest
 
 import oracles
 from indexdensity import groups, kummer
-from indexdensity.arith import euler_phi, factorize, primes_up_to, valuation
+from indexdensity.arith import euler_phi, primes_up_to, valuation
 from indexdensity.density import LevelMap, hooley_series, valuation_density
 from indexdensity.errors import InconclusiveError
 from indexdensity.groups import GroupFamily, MultGroup, profile_of
@@ -146,7 +146,7 @@ def test_degree_estimate_counts_torsion_generators():
     model = KummerModel(_fam(["2"], ["-1", "2"]))
     est = model.degree_estimate(2, (1, 2))
     assert est.generic_bound == 4
-    assert est.value == 4 == model.degree(2, (1, 2), "corrected")
+    assert est.value == 4 == model.degree(2, (1, 2))
 
 
 def _deficiency(model, ell, e):
@@ -154,8 +154,8 @@ def _deficiency(model, ell, e):
     levels ell^e: how far the exact degree falls short of the generic one."""
     modulus = ell ** (max(e) + 2)
     levels = tuple(ell**x for x in e)
-    generic = model.degree(modulus, levels, "generic")
-    exact = model.degree(modulus, levels, "corrected")
+    generic = oracles.generic_degree(model, modulus, levels)
+    exact = model.degree(modulus, levels)
     assert generic % exact == 0
     return valuation(generic // exact, ell)
 
@@ -192,7 +192,7 @@ TEXTBOOK_DEGREES = [
 def test_exact_degrees_match_the_textbook():
     for gens, modulus, levels, expect in TEXTBOOK_DEGREES:
         model = KummerModel(_fam(gens))
-        assert model.degree(modulus, levels, "corrected") == expect, gens
+        assert model.degree(modulus, levels) == expect, gens
 
 
 TORSION_FREE_FAMILIES = [
@@ -215,7 +215,7 @@ def test_exact_degree_agrees_with_the_sampling_oracle():
                 if modulus % level or euler_phi(modulus) * level ** len(fam) > 64:
                     continue
                 levels = (level,) * len(fam)
-                exact = model.degree(modulus, levels, "corrected")
+                exact = model.degree(modulus, levels)
                 assert model.degree_estimate(modulus, levels).value == exact, (
                     str(fam), modulus, levels
                 )
@@ -224,15 +224,15 @@ def test_exact_degree_agrees_with_the_sampling_oracle():
 
 
 def test_corrected_degree_direct_and_assembled():
-    assert MODEL2.degree(8, (8,), "corrected") == 16
-    assert MODEL2.degree(128, (128,), "generic") == 8192
-    assert MODEL2.degree(128, (128,), "corrected") == 4096
+    assert MODEL2.degree(8, (8,)) == 16
+    assert oracles.generic_degree(MODEL2, 128, (128,)) == 8192
+    assert MODEL2.degree(128, (128,)) == 4096
 
 
 def test_local_degree_zero_tuple():
-    assert MODEL2.degree(1, (1,), "corrected") == 1
-    assert MODEL2.degree(8, (8,), "generic") == 32
-    assert MODEL2.degree(8, (8,), "corrected") == 16
+    assert MODEL2.degree(1, (1,)) == 1
+    assert oracles.generic_degree(MODEL2, 8, (8,)) == 32
+    assert MODEL2.degree(8, (8,)) == 16
 
 
 def test_degree_validates_levels():
@@ -240,29 +240,21 @@ def test_degree_validates_levels():
         MODEL2.degree(4, (8,))
     with pytest.raises(ValueError):
         MODEL2.degree(8, (8, 8))
-    with pytest.raises(ValueError):
-        MODEL2.degree(8, (8,), "fancy")
     for check in (MODEL2.degree, MODEL2.degree_estimate):
         with pytest.raises(ValueError):
             check(8, (0,))
 
 
 def test_degree_defaults_to_exact():
-    assert MODEL4.degree(8, (8,)) == 8 == MODEL4.degree(8, (8,), "corrected")
-    assert MODEL4.degree(8, (8,), "generic") == 32
+    # the one degree is exact: 4^2 = sqrt(2)^8 in Q(zeta_8)
+    assert MODEL4.degree(8, (8,)) == 8
+    assert oracles.generic_degree(MODEL4, 8, (8,)) == 32
 
 
-def _whole_modulus_degree(model, modulus, levels, mode):
-    """The degree as first written: one Hermite form over the whole modulus
-    (corrected), or the closed form at every ell of it (generic)."""
-    if mode == "corrected":
-        size, counted = oracles.square_meet(model, modulus, levels)
-        return size // sum(2 * modulus % z == 0 for z in counted)
-    out = 1
-    for ell, k in factorize(modulus).items():
-        e = tuple(valuation(x, ell) for x in levels)
-        out *= (ell - 1) * ell ** (k - 1 + generic_exponent(e, model.profile))
-    return out
+def _whole_modulus_degree(model, modulus, levels):
+    """The degree as first written: one Hermite form over the whole modulus."""
+    size, counted = oracles.square_meet(model, modulus, levels)
+    return size // sum(2 * modulus % z == 0 for z in counted)
 
 
 def test_degree_is_the_product_of_its_prime_power_parts():
@@ -283,12 +275,35 @@ def test_degree_is_the_product_of_its_prime_power_parts():
             levels = tuple(
                 prod(ell ** rng.randint(0, k) for ell, k in ks.items()) for _ in groups
             )
-            for mode in ("generic", "corrected"):
-                expect = _whole_modulus_degree(reference, modulus, levels, mode)
-                assert model.degree(modulus, levels, mode) == expect, (
-                    str(family), modulus, levels, mode
-                )
+            expect = _whole_modulus_degree(reference, modulus, levels)
+            assert model.degree(modulus, levels) == expect, (
+                str(family), modulus, levels
+            )
             cases += 1
+
+
+def test_part_takes_the_closed_form_off_two_and_the_lattice_primes(monkeypatch):
+    # there the closed form is the Hermite form's part, and part neither
+    # builds nor memoizes a form; k = 0, the zero corner, has phi = 1
+    calls = []
+    form = kummer.hermite_form
+
+    def counted(rows):
+        calls.append(rows)
+        return form(rows)
+
+    monkeypatch.setattr(kummer, "hermite_form", counted)
+    families = [["2"]], [["5"]], [["8"]], [["45"]], [["2"], ["-3"]], [["2", "3"], ["6"]]
+    for gens in families:
+        model = KummerModel(_fam(*gens))
+        odd = {3, 5, 7, *model.family.support} - {2, *model.profile.lattice_primes}
+        for ell in sorted(odd):
+            for k in range(4):
+                for e in product(range(k + 1), repeat=len(gens)):
+                    levels = tuple(ell**x for x in e)
+                    expect = oracles.square_meet(model, ell**k, levels)
+                    assert model.part(ell, k, e) == expect, (gens, ell, k, e)
+        assert not calls and not model._parts, gens
 
 
 def test_one_pass_gives_the_ranks_the_lattice_primes_and_the_square_classes():
