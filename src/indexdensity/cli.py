@@ -210,16 +210,39 @@ def build_valuation_map(obj: dict, n: int) -> ValuationMap:
         raise ConfigError(str(exc)) from exc
 
 
+def _kind(desc, name: str, keys: dict) -> str:
+    """desc's kind, refused unless desc is an object whose kind keys lists
+    and whose other keys are exactly the ones that kind reads."""
+    kind = desc.get("kind") if isinstance(desc, dict) else None
+    if not isinstance(kind, str) or kind not in keys:
+        raise ConfigError(f"'{name}' must be an object with a 'kind' in {sorted(keys)}")
+    if set(desc) != keys[kind] | {"kind"}:
+        raise ConfigError(f"{name} kind {kind} reads the keys {sorted(keys[kind])}")
+    return kind
+
+
+# the keys each set kind and each level map kind reads besides "kind"
+_SET_KEYS = {
+    "equals": {"tuple"},
+    "divides": {"tuple"},
+    "kfree": {"k"},
+    "finite": {"tuples"},
+    "primes": set(),
+    "valuations": {"map"},
+    "predicate": {"name"},
+}
+_LEVEL_MAP_KEYS = {
+    "identity": set(),
+    "times": {"t"},
+    "times-local": {"t"},
+    "power": {"k"},
+    "prime-powers": {"table"},
+}
+
+
 def build_index_set(cfg: dict, n: int):
     desc = cfg.get("set")
-    if desc is None:
-        raise ConfigError("config needs 'set': an index set descriptor")
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError("'set' must be an object with a 'kind'")
-    kind = desc["kind"]
-    extra = set(desc) - {"kind", "tuple", "tuples", "k", "map", "name"}
-    if extra:
-        raise ConfigError(f"unknown set keys: {sorted(extra)}")
+    kind = _kind(desc, "set", _SET_KEYS)
     try:
         if kind == "equals":
             return Equals(_integers(desc["tuple"], "'tuple'"))
@@ -234,13 +257,9 @@ def build_index_set(cfg: dict, n: int):
             return PrimesSet()
         if kind == "valuations":
             return ValuationConstraint(build_valuation_map(desc["map"], n))
-        if kind == "predicate":
-            return named_predicate(desc["name"])
-    except KeyError as exc:
-        raise ConfigError(f"set descriptor missing {exc}") from exc
+        return named_predicate(desc["name"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad set descriptor: {exc}") from exc
-    raise ConfigError(f"unknown set kind {kind!r}")
 
 
 def build_congruence(cfg: dict) -> Congruence:
@@ -260,30 +279,21 @@ def build_level_map(cfg: dict) -> LevelMap:
     obj = cfg.get("level_map")
     if obj is None:
         return LevelMap.identity()
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError("'level_map' must be an object with a 'kind'")
-    kind = obj["kind"]
-    try:
-        if kind == "identity":
-            return LevelMap.identity()
-        if kind == "times":
-            return LevelMap.times(_integer(obj["t"], "'t'"))
-        if kind == "times-local":
-            return LevelMap.times_local(_integer(obj["t"], "'t'"))
-        if kind == "power":
-            return LevelMap.power(_integer(obj["k"], "'k'"))
-        if kind == "prime-powers":
-            table = obj["table"]
-            if not isinstance(table, dict):
-                raise ConfigError("a prime-powers table maps primes to exponents")
-            return LevelMap.prime_powers(
-                {int(ell): _integer(k, "an exponent") for ell, k in table.items()}
-            )
-    except KeyError as exc:
-        raise ConfigError(f"level map missing {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"bad level map: {exc}") from exc
-    raise ConfigError(f"unknown level map kind {kind!r}")
+    kind = _kind(obj, "level_map", _LEVEL_MAP_KEYS)
+    if kind == "identity":
+        return LevelMap.identity()
+    if kind == "times":
+        return LevelMap.times(_integer(obj["t"], "'t'"))
+    if kind == "times-local":
+        return LevelMap.times_local(_integer(obj["t"], "'t'"))
+    if kind == "power":
+        return LevelMap.power(_integer(obj["k"], "'k'"))
+    table = obj["table"]
+    if not isinstance(table, dict):
+        raise ConfigError("a prime-powers table maps primes to exponents")
+    return LevelMap.prime_powers(
+        {int(ell): _integer(k, "an exponent") for ell, k in table.items()}
+    )
 
 
 def _require_trivial_congruence(congruence: Congruence):
@@ -341,12 +351,14 @@ def run_density(cfg: dict, survey_keys=frozenset()) -> dict:
         )
     else:
         index_set = build_index_set(cfg, len(family))
-        smooth = _int(cfg, "smooth", 0) if cfg.get("smooth") is not None else 0
+        smooth = cfg.get("smooth")
+        if smooth is not None:
+            smooth = SquarefreeModulus.from_int(_integer(smooth, "'smooth'"))
         report = singleton_sum(
             family,
             index_set,
             bound=_int(cfg, "bound", 10**3),
-            smooth=SquarefreeModulus.from_int(smooth) if smooth else None,
+            smooth=smooth,
             cutoff=_int(cfg, "cutoff", 10**5),
         )
     return report_payload(report)

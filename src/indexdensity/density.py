@@ -37,12 +37,13 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm, prod
 
-from .arith import factorize, primes_up_to
+from .arith import factorize, is_prime, primes_up_to
 from .empirical import smallest_prime_factors
 from .errors import UnsupportedScopeError
 from .exact import PRECISION_BITS, Interval, round_down, round_up, series_sum
-from .groups import GroupFamily, MultGroup, profile_of
+from .groups import GroupFamily, MultGroup
 from .index_sets import (
+    Equals,
     IndexSet,
     SquarefreeModulus,
     ValuationMap,
@@ -110,6 +111,8 @@ class LevelMap:
             raise ValueError("k must be a positive integer")
         if any(k < 1 for _, k in self.table):
             raise ValueError("prime-power exponents are at least 1")
+        if not all(is_prime(ell) for ell, _ in self.table):
+            raise ValueError("prime-powers keys are primes")
 
     @classmethod
     def identity(cls):
@@ -382,18 +385,6 @@ def _joint_factor(
     return prod(lattice, start=total)
 
 
-def _free_at(vmap: ValuationMap, scope) -> ValuationMap:
-    """vmap with every scope prime unconstrained (factor 1).
-
-    The joint factor accounts for the scope primes, so each is listed
-    here, past the split too: euler_product then takes its factor 1 out
-    of the tail instead of counting its default factor a second time.
-    """
-    anything = ValuationPattern.anything(vmap.n)
-    at = dict(vmap.at) | {ell: anything for ell in scope}
-    return ValuationMap.build(vmap.n, at, vmap.default)
-
-
 # ---------------------------------------------------------------------------
 # Euler route for sets cut by valuations
 
@@ -412,7 +403,6 @@ def valuation_density(
     ledger records the generic local series at each scope prime next to
     the joint factor, so the rational multiple relating them is visible.
     """
-    profile = profile_of(family)
     klass = index_set.classification()
     if klass.kind == "determined":
         raise UnsupportedScopeError(
@@ -431,13 +421,18 @@ def valuation_density(
     scope = model.deficiency_scope()
     specs = {ell: vmap.spec_at(ell) for ell in scope}
     ledger = [
-        (f"ell={ell} generic", local_series(ell, spec, profile))
+        (f"ell={ell} generic", local_series(ell, spec, model.profile))
         for ell, spec in specs.items()
     ]
     joint = _joint_factor(model, specs)
     ledger.append((f"ell={','.join(map(str, scope))} corrected", joint))
 
-    ep = euler_product(_free_at(vmap, scope), profile, cutoff)
+    # the joint factor prices the scope primes, so each is unconstrained
+    # (factor 1) here, past the split too: euler_product then takes its
+    # factor 1 out of the tail instead of counting its default factor again
+    free = dict(vmap.at) | dict.fromkeys(scope, ValuationPattern.anything(vmap.n))
+    free_map = ValuationMap.build(vmap.n, free, vmap.default)
+    ep = euler_product(free_map, model.profile, cutoff)
     for ell, a in ep.factors:
         if len(ledger) >= LEDGER_ROW_LIMIT:
             break
@@ -457,54 +452,47 @@ def valuation_density(
 # singleton route for enumerable sets
 
 
-def _scope_joint(family: GroupFamily):
-    """The Kummer model's scope S, a memoized joint factor and a memoized
-    generic local factor.
+def _corrections(family: GroupFamily):
+    """The Kummer model's scope S, and the map h -> m(h) = dens({h}) / dens({1}).
 
-    joint(vs) is the density of primes whose index valuations at the i-th
-    prime of S are exactly vs[i]. The pieces of the joint factor are
-    memoized per (ell, valuation tuple), so a new vs only multiplies
-    pieces already built. local(ell, v) is local_factor at the family's
-    profile, shared by the members that meet ell. Every memo lives as long
-    as the returned closures.
+    m(h) is a generic ratio F(v_ell(h)) / F(0) at each prime of h outside
+    S, times one joint ratio over S when h meets it; refused where index
+    one has density zero at the primes of h, as for (<2>, <4>). Memoized
+    while the map lives: the joint factor's pieces per (ell, valuation
+    tuple), the joint factor per valuation tuple at S, and the generic
+    local factor per (ell, valuation tuple).
     """
     model = KummerModel(family)
     scope = model.deficiency_scope()
+    zero = (0,) * len(family)
     piece = lru_cache(maxsize=None)(_joint_piece)
 
     @lru_cache(maxsize=None)
     def joint(vs):
-        specs = {ell: (v,) for ell, v in zip(scope, vs)}
-        return _joint_factor(model, specs, piece)
+        return _joint_factor(model, {ell: (v,) for ell, v in zip(scope, vs)}, piece)
 
     @lru_cache(maxsize=None)
     def local(ell, v):
         return local_factor(ell, v, model.profile)
 
-    return scope, joint, local
+    def correction(h) -> Fraction:
+        primes = factorize(lcm(*h))
+        ratios = [
+            (local(ell, valuations_at(h, ell)), local(ell, zero))
+            for ell in primes
+            if ell not in scope
+        ]
+        if any(ell in scope for ell in primes):
+            vs = tuple(valuations_at(h, ell) for ell in scope)
+            ratios.append((joint(vs), joint((zero,) * len(scope))))
+        if any(bottom == 0 for _, bottom in ratios):
+            raise UnsupportedScopeError(
+                f"index one has density zero at the primes of {h}, so correction "
+                "ratios relative to it are undefined"
+            )
+        return prod((top / bottom for top, bottom in ratios), start=Fraction(1))
 
-
-def _tuple_correction(h, n, scope, joint, local) -> Fraction:
-    """m(h) = dens({h}) / dens({1}).
-
-    A generic ratio F(v_ell(h)) / F(0) at each prime of h outside the
-    scope, times one joint ratio over the scope when h meets it.
-    """
-    zero = (0,) * n
-    primes = sorted(factorize(lcm(*h)))
-    ratios = []
-    for ell in primes:
-        if ell not in scope:
-            ratios.append((local(ell, valuations_at(h, ell)), local(ell, zero)))
-    if any(ell in scope for ell in primes):
-        vs = tuple(valuations_at(h, ell) for ell in scope)
-        ratios.append((joint(vs), joint((zero,) * len(scope))))
-    if any(bottom == 0 for _, bottom in ratios):
-        raise UnsupportedScopeError(
-            f"index one has density zero at the primes of {h}, so correction "
-            "ratios relative to it are undefined"
-        )
-    return prod((top / bottom for top, bottom in ratios), start=Fraction(1))
+    return scope, correction
 
 
 def singleton_sum(
@@ -517,33 +505,28 @@ def singleton_sum(
 ) -> DensityReport:
     """Sum of per-tuple densities over the set's members up to a bound.
 
-    Each tuple contributes the index-one constant times its multiplicative
-    correction; both use the joint factor over the Kummer model's scope,
-    so every prime is priced with exact degrees. The corrections stay
-    exact in the ledger, but their sum runs on the 2^-PRECISION_BITS grid
+    Each tuple contributes the index-one density, valuation_density's for
+    Equals((1, ..., 1)) with its cutoff and tail-bound notes, times its
+    exact correction m(h) from _corrections. The corrections stay exact in
+    the ledger, but their sum runs on the 2^-PRECISION_BITS grid
     (series_sum), in one pass over the members by max(h), and the value is
     the base times [low, high] rounded outward: an exact sum's denominator
     grows with every member. Monotone in both the enumeration bound and the
     smoothness modulus, which is the observable shape of the truncation
     lattice the ledger reports, as the grid lower bounds of the prefix
     sums at geometric sub-bounds. Any family will do (module docstring):
-    for <2> twice, (q, q^2) gets exactly 0. The one refusal is
-    _tuple_correction's, where index one has density zero at the primes
-    of a member, as for (<2>, <4>), whose second index is always even.
+    for <2> twice, (q, q^2) gets exactly 0. A set of another arity than
+    the family's is refused (ValueError), as is a member at whose primes
+    index one has density zero (_corrections).
     """
-    profile = profile_of(family)
-    scope, joint, local = _scope_joint(family)
-
-    zero_map = ValuationMap.build(
-        profile.n, {}, ValuationPattern.exact_zero(profile.n)
-    )
-    base = euler_product(_free_at(zero_map, scope), profile, cutoff)
-    base_value = base.interval.times_exact(joint(((0,) * profile.n,) * len(scope)))
+    n = len(family)
+    if index_set.n != n:
+        raise ValueError("index set arity does not match the family")
+    base = valuation_density(family, Equals((1,) * n), cutoff=cutoff)
+    _, correction = _corrections(family)
 
     members = index_set.members(bound, smooth)
-    corrections = [
-        (h, _tuple_correction(h, profile.n, scope, joint, local)) for h in members
-    ]
+    corrections = [(h, correction(h)) for h in members]
     ledger = [(f"h={h}", m_h) for h, m_h in corrections[:LEDGER_ROW_LIMIT]]
 
     # one grid sum over the members by max(h): the truncation lattice's
@@ -564,14 +547,13 @@ def singleton_sum(
         start = stop
         ledger.append((f"sum(max h <= {sub})", lo))
 
-    value = Interval(round_down(base_value.low * lo), round_up(base_value.high * hi))
+    value = Interval(round_down(base.value.low * lo), round_up(base.value.high * hi))
     notes = (
         f"set={index_set.label()}",
         f"bound={bound}",
         f"smooth={smooth.value if smooth else None}",
         f"members={len(members)}",
-        f"cutoff={cutoff}",
-        f"tail-bound={float(base.tail_bound):.3e}",
+        *(note for note in base.notes if note.startswith(("cutoff=", "tail-bound="))),
     )
     return DensityReport(value, "singleton-sum", tuple(ledger), notes)
 
@@ -589,17 +571,15 @@ class CorrectionRatio:
 def correction_ratio(h, family: GroupFamily) -> CorrectionRatio:
     """Multiplicative correction m(h) relating dens({h}) to the constant.
 
-    Exact. Tagged "generic" when no prime dividing h is in the Kummer
-    model's scope, so the generic local ratios alone give the value;
-    otherwise tagged "corrected", as the scope primes enter through the
-    joint factor with exact degrees. Any family will do (module
-    docstring): for <2> twice, m((h, h)) is <2>'s m((h,)) and m((h, h')) is
-    0 for h != h'. Refused where index one has density zero at the primes
-    of h (_tuple_correction).
+    Exact: _corrections' map, which factors lcm(h) once. Tagged "generic"
+    when no prime of the Kummer model's scope divides h, so the generic
+    local ratios alone give the value; otherwise "corrected", as the scope
+    primes enter through the joint factor with exact degrees. Any family
+    will do (module docstring): for <2> twice, m((h, h)) is <2>'s m((h,))
+    and m((h, h')) is 0 for h != h'. Refused where index one has density
+    zero at the primes of h.
     """
-    profile = profile_of(family)
-    h = check_index_tuple(h, profile.n)
-    scope, joint, local = _scope_joint(family)
-    support = factorize(lcm(*h))
-    tag = "corrected" if any(ell in support for ell in scope) else "generic"
-    return CorrectionRatio(_tuple_correction(h, profile.n, scope, joint, local), tag)
+    h = check_index_tuple(h, len(family))
+    scope, correction = _corrections(family)
+    tag = "corrected" if any(x % ell == 0 for ell in scope for x in h) else "generic"
+    return CorrectionRatio(correction(h), tag)

@@ -535,7 +535,10 @@ def survey_many(
     *,
     log_path: str | None = None,
 ) -> tuple[FrequencyReport, ...]:
-    """One scan, several membership questions answered from it."""
+    """One scan, several membership questions answered from it; a set
+    whose arity is not the family's is refused before the scan."""
+    if any(s.n != len(family) for s in sets):
+        raise ValueError("index set arity does not match the family")
     tally = _tally(family, srange, congruence, log_path)
     total = sum(c for _, c in tally)
     skipped = skipped_in(family, srange)

@@ -239,6 +239,62 @@ INF = float("inf")
             },
         ),
         ("survey", {"set": EQ1, "sieve_bound": True}),
+        # each set and level map kind refuses the keys it does not read
+        ("density", {"set": {"kind": "equals", "tuple": [1], "k": 3}}),
+        ("density", {"set": {"kind": "kfree", "k": 2, "tuple": [3]}}),
+        ("density", {"set": {"kind": "primes", "name": "even-omega"}}),
+        ("density", {"set": {"kind": ["equals"], "tuple": [1]}}),
+        ("density", {"method": "series", "level_map": {"kind": "identity", "t": 5}}),
+        (
+            "density",
+            {"method": "series", "level_map": {"kind": "times", "t": 2, "k": 9}},
+        ),
+        ("density", {"method": "series", "level_map": {"kind": {}}}),
+        # a prime-powers key that is not prime, and a smoothness modulus of 0
+        (
+            "density",
+            {"method": "series", "level_map": {"kind": "prime-powers", "table": {4: 2}}},
+        ),
+        (
+            "density",
+            {"method": "series", "level_map": {"kind": "prime-powers", "table": {1: 2}}},
+        ),
+        (
+            "density",
+            {
+                "method": "series",
+                "level_map": {"kind": "prime-powers", "table": {-2: 2}},
+            },
+        ),
+        ("density", {"set": EQ1, "method": "singletons", "smooth": 0}),
+        ("density", {"set": EQ1, "method": "singletons", "smooth": 1}),
+        # an index set whose arity is not the family's
+        ("survey", {"groups": [["2"], ["3"]], "set": {"kind": "kfree", "k": [2]}}),
+        (
+            "survey",
+            {"groups": [["2"], ["3"]], "set": {"kind": "kfree", "k": [2, 2, 2]}},
+        ),
+        ("survey", {"groups": [["2"], ["3"]], "set": EQ1}),
+        ("survey", {"groups": [["2"], ["3"]], "set": {"kind": "divides", "tuple": [12]}}),
+        ("survey", {"groups": [["2"], ["3"]], "set": {"kind": "primes"}}),
+        ("survey", {"set": {"kind": "predicate", "name": "prime-square-pair"}}),
+        (
+            "density",
+            {
+                "groups": [["2"], ["3"]],
+                "method": "singletons",
+                "set": {"kind": "finite", "tuples": [[1]]},
+            },
+        ),
+        (
+            "compare",
+            {
+                "groups": [["2"], ["3"]],
+                "method": "singletons",
+                "set": {"kind": "finite", "tuples": [[1]]},
+                "sieve_bound": 10**4,
+            },
+        ),
     ],
 )
 def test_hostile_degree_configs_exit_2(tmp_path, capsys, command, extra):

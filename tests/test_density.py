@@ -70,6 +70,10 @@ def test_level_maps():
     assert len(labels) == 3
     with pytest.raises(ValueError):
         LevelMap.times(0)
+    # a key that is not prime would make the table act as identity
+    for table in ({4: 2}, {1: 2}, {-2: 2}, {2: 1, 9: 1}):
+        with pytest.raises(ValueError, match="primes"):
+            LevelMap.prime_powers(table)
 
 
 def test_hooley_series_matches_euler_product():
@@ -353,6 +357,34 @@ def test_singleton_telescopes_through_the_correction_ratio():
     got = singleton_sum(FAM2, FiniteSet(((3,),)), cutoff=3000).value
     target = _artin_interval().times_exact(Fraction(8, 45))
     assert _overlap(got, target)
+
+
+@pytest.mark.parametrize(
+    "groups", [[["2"]], [["5"]], [["2"], ["3"]], [["2"], ["8"]]], ids=str
+)
+def test_singleton_base_is_the_index_one_density(groups):
+    # the singleton route's base is the Euler route's index-one density:
+    # the sum over {(1, ..., 1)} is that density exactly, notes included
+    family = GroupFamily.from_strings(*groups)
+    one = (1,) * len(family)
+    single = singleton_sum(family, FiniteSet((one,)), cutoff=3000)
+    euler = valuation_density(family, Equals(one), cutoff=3000)
+    assert single.value == euler.value
+    shared = [n for n in single.notes if n.startswith(("cutoff=", "tail-bound="))]
+    assert len(shared) == 2 and set(shared) <= set(euler.notes)
+
+
+def test_singleton_sum_refuses_a_set_of_another_arity():
+    # read as it stands, {(1,)} on (<2>, <3>) would price index (1, 1)
+    fam23 = GroupFamily.from_strings(["2"], ["3"])
+    for family, index_set in (
+        (fam23, FiniteSet(((1,),))),
+        (fam23, PrimesSet()),
+        (fam23, KFree((2, 2, 2))),
+        (FAM2, Divides((12, 12))),
+    ):
+        with pytest.raises(ValueError, match="arity"):
+            singleton_sum(family, index_set, bound=50)
 
 
 def test_singleton_sum_monotone_in_bound_and_smoothness():

@@ -365,6 +365,26 @@ def test_survey_many_matches_individual_surveys():
     assert len({rep.total for rep in batch}) == 1
 
 
+def test_survey_refuses_a_set_of_another_arity(tmp_path):
+    # read as they stand, a one-entry set would test only the first index
+    # of (<2>, <3>), and a three-entry k-free set would count as two-entry
+    fam23 = GroupFamily.from_strings(["2"], ["3"])
+    srange = SieveRange.up_to(10**4)
+    log_path = tmp_path / "scan.log"
+    for sets in (
+        [KFree((2,))],
+        [Equals((1, 1)), KFree((2, 2, 2))],
+        [Equals((1,))],
+        [Divides((12,))],
+        [PrimesSet()],
+    ):
+        with pytest.raises(ValueError, match="arity"):
+            survey_many(fam23, srange, sets, log_path=str(log_path))
+    with pytest.raises(ValueError, match="arity"):
+        survey(FAM2, srange, Equals((1, 1)))
+    assert not log_path.exists()  # refused before the scan
+
+
 def test_congruence_validation_and_label():
     with pytest.raises(ValueError):
         Congruence(8, frozenset({2}))
