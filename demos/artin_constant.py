@@ -12,7 +12,6 @@ import argparse
 from indexdensity import (
     Equals,
     GroupFamily,
-    LevelMap,
     SieveRange,
     hooley_series,
     survey,
@@ -34,7 +33,7 @@ def main():
     print(f"euler product:                   [{lo}, {hi}]")
 
     series = hooley_series(
-        family.groups[0], LevelMap.identity(), args.truncation
+        family.groups[0], Equals((1,)), args.truncation
     )
     lo, hi = series.value.decimal_bounds(8)
     print(f"degree series (truncation {args.truncation}): [{lo}, {hi}]")

@@ -9,9 +9,9 @@ vectors; counting split primes is shown as an independent check.
 """
 
 from indexdensity import (
+    Equals,
     GroupFamily,
     KummerModel,
-    LevelMap,
     euler_phi,
     hooley_series,
 )
@@ -45,6 +45,6 @@ print(
 # a wrong degree is not cosmetic: it shifts densities
 g8 = GroupFamily.from_strings(["8"]).groups[0]
 for mode in ("generic", "corrected"):
-    rep = hooley_series(g8, LevelMap.identity(), 3000, mode)
+    rep = hooley_series(g8, Equals((1,)), 3000, mode)
     lo, hi = rep.value.decimal_bounds(6)
     print(f"density of index 1 for <8>, {mode:<9} degrees: [{lo}, {hi}]")

@@ -31,7 +31,6 @@ from .artin import (
 from .density import (
     CorrectionRatio,
     DensityReport,
-    LevelMap,
     correction_ratio,
     hooley_series,
     singleton_sum,
@@ -106,7 +105,6 @@ __all__ = [
     "Interval",
     "KFree",
     "KummerModel",
-    "LevelMap",
     "MultGroup",
     "PredicateSet",
     "PrimesSet",

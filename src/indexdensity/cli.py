@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .density import (
     DensityReport,
-    LevelMap,
     hooley_series,
     singleton_sum,
     valuation_density,
@@ -32,6 +31,7 @@ from .index_sets import (
     Divides,
     Equals,
     FiniteSet,
+    IndexSet,
     KFree,
     PrimesSet,
     SquarefreeModulus,
@@ -275,25 +275,27 @@ def build_congruence(cfg: dict) -> Congruence:
         raise ConfigError(f"bad congruence: {exc}") from exc
 
 
-def build_level_map(cfg: dict) -> LevelMap:
+def build_level_map(cfg: dict) -> IndexSet:
+    """The one-index set whose density the level map's series gives. A bad
+    t, k or table raises the set constructors' ValueError: exit 2."""
     obj = cfg.get("level_map")
-    if obj is None:
-        return LevelMap.identity()
-    kind = _kind(obj, "level_map", _LEVEL_MAP_KEYS)
+    kind = "identity" if obj is None else _kind(obj, "level_map", _LEVEL_MAP_KEYS)
     if kind == "identity":
-        return LevelMap.identity()
+        return Equals((1,))
     if kind == "times":
-        return LevelMap.times(_integer(obj["t"], "'t'"))
+        return Equals((_integer(obj["t"], "'t'"),))
     if kind == "times-local":
-        return LevelMap.times_local(_integer(obj["t"], "'t'"))
+        return Divides((_integer(obj["t"], "'t'"),))
     if kind == "power":
-        return LevelMap.power(_integer(obj["k"], "'k'"))
+        return KFree((_integer(obj["k"], "'k'"),))
     table = obj["table"]
     if not isinstance(table, dict):
         raise ConfigError("a prime-powers table maps primes to exponents")
-    return LevelMap.prime_powers(
-        {int(ell): _integer(k, "an exponent") for ell, k in table.items()}
-    )
+    at = {
+        int(ell): ValuationPattern((_integer(k, "an exponent"),))
+        for ell, k in table.items()
+    }
+    return ValuationConstraint(ValuationMap.build(1, at, ValuationPattern.exact_zero(1)))
 
 
 def _require_trivial_congruence(congruence: Congruence):
@@ -391,11 +393,8 @@ def run_survey(cfg: dict, index_set=None) -> dict:
 
 
 def _series_set(cfg: dict):
-    """The set whose density the level map gives: index 1, index t, or k-free."""
-    level_map = build_level_map(cfg)
-    if level_map.kind not in ("identity", "times", "power"):
-        raise ConfigError(f"compare cannot survey the set of a {level_map.kind} map")
-    own = KFree((level_map.k,)) if level_map.k else Equals((level_map.t or 1,))
+    """The level map's set, refused when a given 'set' differs from it."""
+    own = build_level_map(cfg)
     if "set" in cfg and build_index_set(cfg, 1) != own:
         raise ConfigError(f"the level map gives the set {own.label()}; 'set' differs")
     return own
@@ -407,9 +406,10 @@ def run_compare(cfg: dict) -> tuple[dict, int]:
     empirical = run_survey(cfg, index_set)
     verdict, sigma, z, resolution = "inconclusive", None, None, None
     if empirical["total"] > 0:
-        low, high = (float(Fraction(analytic["value"][end])) for end in ("low", "high"))
+        low, high = (float(analytic["value"][end]) for end in ("low", "high"))
         w_low, w_high = empirical["wilson_low"], empirical["wilson_high"]
-        verdict = "consistent" if low <= w_high and w_low <= high else "inconsistent"
+        agrees = _agrees(low, high, (w_low, w_high))
+        verdict = "consistent" if agrees else "inconsistent"
         # sigma of the estimate, p_hat's distance to the analytic interval in
         # sigmas, and the Wilson half-width: the smallest deviation from the
         # truth this count can flag. When no or every prime is a hit, sigma is
@@ -431,6 +431,8 @@ def run_classify(cfg: dict) -> dict:
     family_given = bool(cfg.get("groups"))
     n = len(build_family(cfg)) if family_given else 1
     index_set = build_index_set(cfg, n)
+    if family_given and index_set.n != n:
+        raise ConfigError(f"the set has arity {index_set.n}, the family {n}")
     klass = index_set.classification()
     payload = {
         "set": index_set.label(),
@@ -458,7 +460,7 @@ def run_paper_examples(cfg: dict) -> dict:
     artin = valuation_density(fam2, Equals((1,)), cutoff=10**4)
     rows.append(_example_row("index 1 (primitive root)", artin, reports[0]))
 
-    ziegler = hooley_series(fam2.groups[0], LevelMap.times(2), 3000)
+    ziegler = hooley_series(fam2.groups[0], Equals((2,)), 3000)
     rows.append(_example_row("index exactly 2", ziegler, reports[1]))
 
     sqfree = valuation_density(fam2, KFree((2,)), cutoff=10**4)
@@ -483,14 +485,19 @@ def run_paper_examples(cfg: dict) -> dict:
 
 def _example_row(name: str, report: DensityReport, freq) -> dict:
     lo, hi = report.value.decimal_bounds(6)
-    w_lo, w_hi = freq.wilson
-    agrees = float(report.value.low) <= w_hi and w_lo <= float(report.value.high)
     return {
         "example": name,
         "analytic": f"[{lo}, {hi}]",
         "empirical": f"{freq.estimate:.6f} ({freq.hits}/{freq.total})",
-        "agrees": agrees,
+        "agrees": _agrees(report.value.low, report.value.high, freq.wilson),
     }
+
+
+def _agrees(low, high, wilson) -> bool:
+    """The verdict of compare and paper-examples: does the analytic
+    interval [low, high] meet the survey's Wilson interval?"""
+    w_low, w_high = wilson
+    return float(low) <= w_high and w_low <= float(high)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Analytic densities of prime sets cut out by index conditions.
 
 Four routes, kept deliberately independent so they can cross-check each
-other: a Moebius series over cyclotomic-Kummer degrees (the classical
-primitive-root approach and its level-map variants), an Euler product of
-local valuation series for sets cut by valuations, a singleton sum of
-per-tuple densities for enumerable sets, and multiplicative correction
-ratios relating any tuple's density to the index-one constant.
+other, all reading the same IndexSet descriptors: a Moebius series over
+cyclotomic-Kummer degrees (the classical primitive-root approach) for a
+one-index set with one valuation or one bound at each prime, an Euler
+product of local valuation series for sets cut by valuations, a
+singleton sum of per-tuple densities for enumerable sets, and
+multiplicative correction ratios relating any tuple's density to the
+index-one constant.
 
 The Euler, singleton and ratio routes are exact at every prime: the
 finitely many primes where Kummer degrees can fall short of the generic
@@ -14,9 +16,11 @@ factor built from exact composite degrees, so entanglement between
 primes (sqrt(5) inside Q(zeta_5)) is seen; as it passes through the
 2-part and the family's square classes alone, that factor sums products
 of local sums over those classes. All other primes use the generic
-closed forms. The series route splits each degree at the same primes:
-in corrected mode the part of f(n) on them takes its exact degree, and
-the rest the generic phi(B) B; generic mode takes f(n) phi(f(n)).
+closed forms. The series route reads f(n) off the set's valuation map
+(_series_exponents), so each level map of the classical series is a
+set. It splits each degree at the same primes: in corrected mode the
+part of f(n) on them takes its exact degree, and the rest the generic
+phi(B) B; generic mode takes f(n) phi(f(n)).
 
 No route asks that no group lie in the divisible hull of the others; the
 paper does not either. KummerModel.degree's
@@ -34,10 +38,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import lcm, prod
 
-from .arith import factorize, is_prime, primes_up_to
+from .arith import factorize, primes_up_to
 from .empirical import smallest_prime_factors
 from .errors import UnsupportedScopeError
 from .exact import PRECISION_BITS, Interval, round_down, round_up, series_sum
@@ -81,92 +85,6 @@ class DensityReport:
 
 
 # ---------------------------------------------------------------------------
-# level maps: which cyclotomic-Kummer level the n-th series term probes
-
-
-@dataclass(frozen=True)
-class LevelMap:
-    """f(n) choices for the Moebius series Sum mu(n)/deg(level f(n)).
-
-    identity      f(n) = n                  (index exactly 1)
-    times         f(n) = n*t                (index exactly t)
-    times-local   f(n) = n * prod_{l | n} l^{v_l(t)}   (t divides index)
-    power         f(n) = n^k                (k-free index)
-    prime-powers  f(n) = prod_{l | n} l^{k(l)}, k(l) >= 1 defaulting to 1
-    """
-
-    kind: str
-    t: int | None = None
-    k: int | None = None
-    table: tuple[tuple[int, int], ...] = ()
-
-    _KINDS = ("identity", "times", "times-local", "power", "prime-powers")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown level map kind {self.kind!r}")
-        if self.kind in ("times", "times-local") and (self.t or 0) < 1:
-            raise ValueError("t must be a positive integer")
-        if self.kind == "power" and (self.k or 0) < 1:
-            raise ValueError("k must be a positive integer")
-        if any(k < 1 for _, k in self.table):
-            raise ValueError("prime-power exponents are at least 1")
-        if not all(is_prime(ell) for ell, _ in self.table):
-            raise ValueError("prime-powers keys are primes")
-
-    @classmethod
-    def identity(cls):
-        return cls("identity")
-
-    @classmethod
-    def times(cls, t: int):
-        return cls("times", t=int(t))
-
-    @classmethod
-    def times_local(cls, t: int):
-        return cls("times-local", t=int(t))
-
-    @classmethod
-    def power(cls, k: int):
-        return cls("power", k=int(k))
-
-    @classmethod
-    def prime_powers(cls, table: dict[int, int]):
-        return cls("prime-powers", table=tuple(sorted(table.items())))
-
-    @cached_property
-    def _exponents(self) -> dict[int, int]:
-        """The prime-powers table, or the factorization of t."""
-        return dict(self.table) if self.kind == "prime-powers" else factorize(self.t or 1)
-
-    def factors(self, n_factors: dict[int, int]) -> dict[int, int]:
-        """The factorization of f(n), given n's: every kind acts prime by prime."""
-        if self.kind == "identity":
-            return n_factors
-        if self.kind == "times":
-            out = dict(n_factors)
-            for ell, e in self._exponents.items():
-                out[ell] = out.get(ell, 0) + e
-            return out
-        if self.kind == "times-local":
-            return {ell: e + self._exponents.get(ell, 0) for ell, e in n_factors.items()}
-        if self.kind == "power":
-            return {ell: e * self.k for ell, e in n_factors.items()}
-        return {ell: self._exponents.get(ell, 1) for ell in n_factors}
-
-    def label(self) -> str:
-        if self.kind == "identity":
-            return "n"
-        if self.kind == "times":
-            return f"{self.t}*n"
-        if self.kind == "times-local":
-            return f"n*local({self.t})"
-        if self.kind == "power":
-            return f"n^{self.k}"
-        return "prod l^k(l) over l|n"
-
-
-# ---------------------------------------------------------------------------
 # Moebius series with a proved tail
 
 
@@ -206,8 +124,8 @@ def _series_degree(model: KummerModel, mode: str):
     Write f = A*B, with A made of the primes of model.deficiency_scope() and
     B prime to them. Then D(f) = D(A) phi(B) B, the ell-part split of
     KummerModel.degree with the rank-one closed form off the scope taken
-    inline. D(A) is model.degree(A, (A,)), memoized by A: a level map
-    gives at most one A per subset of the scope, whatever the truncation.
+    inline. D(A) is model.degree(A, (A,)), memoized by A: a set's f gives
+    at most one A per subset of the scope, whatever the truncation.
     Generic mode takes the scope empty, so D(f) = f phi(f).
     """
     scope = frozenset(model.deficiency_scope() if mode == "corrected" else ())
@@ -225,14 +143,47 @@ def _series_degree(model: KummerModel, mode: str):
     return degree
 
 
-def _tail_constant(model: KummerModel, level_map: LevelMap, degree) -> Fraction:
+def _series_exponents(index_set: IndexSet):
+    """f(n)'s exponents for a one-index set cut by one valuation or a bound.
+
+    The series Sum mu(n)/D(f(n)) is inclusion-exclusion over the conditions
+    ell^e | index. A prime whose spec is the single valuation a (v = a)
+    gives exponent a when ell does not divide n and a + 1 when it does; a
+    bound b (v < b) gives 0 and b. The default pattern acts the same way
+    at every unlisted prime, so for squarefree n Equals((1,)) gives
+    f(n) = n, Equals((t,)) t n, Divides((t,)) n prod_(ell | n) ell^v_ell(t)
+    and KFree((k,)) n^k. Returns (off, on, bump): the nonzero off-n
+    exponents, the on-n ones at the listed primes, and the default's.
+    Any other spec is refused, as is a set with no valuation map.
+    """
+    if index_set.n != 1:
+        raise ValueError("the series route prices sets of one index")
+    vmap = index_set.valuation_map()
+    pairs = {}
+    for ell, spec in (*vmap.at, (None, vmap.default)):
+        if isinstance(spec, ValuationPattern) and spec.bounds[0] is not None:
+            pairs[ell] = (0, spec.bounds[0])
+        elif not isinstance(spec, ValuationPattern) and len(spec) == 1:
+            pairs[ell] = (spec[0][0], spec[0][0] + 1)
+        else:
+            raise UnsupportedScopeError(
+                "the series route needs one valuation or a bound at each prime; "
+                f"{index_set.label()} has neither at {ell or 'the unlisted primes'}"
+            )
+    bump = pairs.pop(None)[1]
+    off = {ell: a for ell, (a, _) in pairs.items() if a}
+    return off, {ell: b for ell, (_, b) in pairs.items()}, bump
+
+
+def _tail_constant(model: KummerModel, exponents, degree) -> Fraction:
     """c = max f(s) phi(f(s)) / D(f(s)) over squarefree s dividing prod S.
 
-    By _series_degree, f phi(f) / D(f) = A phi(A) / D(A) for the S-part A
-    of f (S the model's scope). Write n = s*t with s made of primes of S
-    and t prime to S: f(n) has the same S-part as f(s), so
-    f(n) phi(f(n)) / D(f(n)) <= c. As n divides f(n) for every level map,
-    1/D(f(n)) <= c / (f(n) phi(f(n))) <= c / (n phi(n)).
+    exponents is _series_exponents' (off, on, bump). By _series_degree,
+    f phi(f) / D(f) = A phi(A) / D(A) for the S-part A of f (S the model's
+    scope). Write n = s*t with s made of primes of S and t prime to S:
+    f(n) has the same S-part as f(s), so f(n) phi(f(n)) / D(f(n)) <= c.
+    The on-n exponent is at least 1 and above the off-n one, so n divides
+    f(n), and 1/D(f(n)) <= c / (f(n) phi(f(n))) <= c / (n phi(n)).
 
     The maximum sits at s = P or s = 2P, P the product of the odd primes
     of S, so two degrees give c. For the rank-one group,
@@ -240,16 +191,17 @@ def _tail_constant(model: KummerModel, level_map: LevelMap, degree) -> Fraction:
     and G & H read at the 2-part (KummerModel.degree). For odd ell, G_ell is
     cyclic of order ell^(k - min(k, d_ell)), d_ell the ell-adic content of
     the exponent lattice: its factor ell^min(k, d_ell) grows with k. At a
-    fixed 2-part, |G_2| is fixed and |G & H| grows with the odd part. Every
-    level map raises ell's exponent when ell joins n and leaves the other
-    primes alone, so whether or not 2 | s, the full odd part gives the
-    largest ratio. The 2-part is not monotone: for <-1, 2> and f(n) = n,
-    s = 1 gives 1 but s = 2 gives 1/2, as -1 doubles |G_2|.
+    fixed 2-part, |G_2| is fixed and |G & H| grows with the odd part. f
+    raises ell's exponent when ell joins n and leaves the other primes
+    alone, so whether or not 2 | s, the full odd part gives the largest
+    ratio. The 2-part is not monotone: for <-1, 2> and f(n) = n, s = 1
+    gives 1 but s = 2 gives 1/2, as -1 doubles |G_2|.
     """
-    odd = dict.fromkeys((ell for ell in model.deficiency_scope() if ell != 2), 1)
+    off, on, bump = exponents
+    odd = [ell for ell in model.deficiency_scope() if ell != 2]
     best = Fraction(0)
-    for s in (odd, {2: 1} | odd):
-        levels = level_map.factors(s)
+    for s in (odd, [2, *odd]):
+        levels = off | {ell: on.get(ell, bump) for ell in s}
         size = prod((ell - 1) * ell ** (2 * k - 1) for ell, k in levels.items())
         best = max(best, Fraction(size, degree(levels)))
     return best
@@ -257,23 +209,25 @@ def _tail_constant(model: KummerModel, level_map: LevelMap, degree) -> Fraction:
 
 def hooley_series(
     group: MultGroup,
-    level_map: LevelMap,
+    index_set: IndexSet,
     truncation: int = 10**4,
     mode: str = "corrected",
 ) -> DensityReport:
     """Sum mu(n)/[Q(zeta_f(n), W^{1/f(n)}):Q] for n up to the truncation.
 
-    One table of smallest prime factors over [1, truncation], sieved for
-    this call and dropped with it, gives each n's primes: the walk down the
-    table stops at a repeated prime, where mu(n) = 0. f(n)'s factorization
-    is derived from n's. The degree splits as D(f(n)) = D(A) phi(B) B, A
-    the part of f(n) on the model's deficiency scope and B the rest
-    (_series_degree; the proof is _joint_factor's). In generic mode the
-    scope is empty, so D(f(n)) = f(n) phi(f(n)); corrected mode is the
-    default, and any other mode is refused. The terms stream into
-    series_sum as integer pairs (mu(n), D(f(n))); only the first
-    LEDGER_ROW_LIMIT become Fractions, in the ledger. The reported
-    interval is the partial sum widened by a proved tail bound,
+    f(n) comes from the set's valuation map (_series_exponents): each n
+    starts from the off-n exponents, and the walk down one table of
+    smallest prime factors over [1, truncation], sieved for this call and
+    dropped with it, sets the on-n exponent at each prime of n as it finds
+    it; it stops at a repeated prime, where mu(n) = 0. The degree splits
+    as D(f(n)) = D(A) phi(B) B, A the part of f(n) on the model's
+    deficiency scope and B the rest (_series_degree; the proof is
+    _joint_factor's). In generic mode the scope is empty, so
+    D(f(n)) = f(n) phi(f(n)); corrected mode is the default, and any other
+    mode is refused. The terms stream into series_sum as integer pairs
+    (mu(n), D(f(n))); only the first LEDGER_ROW_LIMIT become Fractions, in
+    the ledger. The reported interval is the partial sum widened by a
+    proved tail bound,
     |sum_{n>N} mu(n)/D(f(n))| <= c * sum_{n>N} 1/(n phi(n))
     <= c * (zeta(2)zeta(3)/zeta(6) + eps) / N,
     where c (1 for <2>, and 1 in generic mode; two exact degrees give it,
@@ -290,8 +244,9 @@ def hooley_series(
         )
     if mode not in ("generic", "corrected"):
         raise ValueError("mode is 'generic' or 'corrected'")
+    off, on, bump = exponents = _series_exponents(index_set)
     degree = _series_degree(model, mode)
-    tail = _tail_constant(model, level_map, degree) * _reciprocal_tail(truncation)
+    tail = _tail_constant(model, exponents, degree) * _reciprocal_tail(truncation)
     spf = memoryview(smallest_prime_factors(truncation))  # entries read as ints
     ledger = []
     count = 0
@@ -299,7 +254,7 @@ def hooley_series(
     def terms():
         nonlocal count
         for n in range(1, truncation + 1):
-            n_factors = {}
+            levels = off.copy()
             mu = 1
             m = n
             while m > 1:
@@ -307,11 +262,10 @@ def hooley_series(
                 m //= p
                 if m % p == 0:
                     break  # p^2 divides n: mu(n) = 0
-                n_factors[p] = 1
+                levels[p] = on.get(p, bump)
                 mu = -mu
             else:
                 count += 1
-                levels = level_map.factors(n_factors)
                 d = degree(levels)
                 if count <= LEDGER_ROW_LIMIT:
                     level = prod(ell**k for ell, k in levels.items())
@@ -322,7 +276,7 @@ def hooley_series(
     hi = max(Fraction(0), round_up(hi + tail))
     lo = min(max(Fraction(0), round_down(lo - tail)), hi)
     notes = (
-        f"f(n)={level_map.label()}",
+        f"set={index_set.label()}",
         f"truncation={truncation}",
         f"mode={mode}",
         f"terms={count}",
@@ -413,18 +367,25 @@ def valuation_density(
             f"no analytic route for a set of kind '{klass.kind}'; "
             "use the empirical survey"
         )
-    vmap = index_set.valuation_map()
-    if vmap.n != len(family):
+    if index_set.n != len(family):
         raise ValueError("index set arity does not match the family")
+    return _euler_route(KummerModel(family), index_set, cutoff)
 
-    model = KummerModel(family)
+
+def _euler_route(
+    model: KummerModel, index_set: IndexSet, cutoff: int, joint: Fraction | None = None
+) -> DensityReport:
+    """valuation_density's report on a set it accepts. joint is the joint
+    factor at the model's scope, priced here unless the caller has it."""
+    vmap = index_set.valuation_map()
     scope = model.deficiency_scope()
     specs = {ell: vmap.spec_at(ell) for ell in scope}
     ledger = [
         (f"ell={ell} generic", local_series(ell, spec, model.profile))
         for ell, spec in specs.items()
     ]
-    joint = _joint_factor(model, specs)
+    if joint is None:
+        joint = _joint_factor(model, specs)
     ledger.append((f"ell={','.join(map(str, scope))} corrected", joint))
 
     # the joint factor prices the scope primes, so each is unconstrained
@@ -452,19 +413,19 @@ def valuation_density(
 # singleton route for enumerable sets
 
 
-def _corrections(family: GroupFamily):
-    """The Kummer model's scope S, and the map h -> m(h) = dens({h}) / dens({1}).
+def _corrections(model: KummerModel):
+    """The index-one joint factor J(0) at the model's scope S, and the map
+    h -> m(h) = dens({h}) / dens({1}).
 
     m(h) is a generic ratio F(v_ell(h)) / F(0) at each prime of h outside
-    S, times one joint ratio over S when h meets it; refused where index
-    one has density zero at the primes of h, as for (<2>, <4>). Memoized
-    while the map lives: the joint factor's pieces per (ell, valuation
-    tuple), the joint factor per valuation tuple at S, and the generic
-    local factor per (ell, valuation tuple).
+    S, times one joint ratio J(v_S(h)) / J(0) when h meets S; refused where
+    index one has density zero at the primes of h, as for (<2>, <4>).
+    Memoized while the map lives: the joint factor's pieces per (ell,
+    valuation tuple), the joint factor per valuation tuple at S, and the
+    generic local factor per (ell, valuation tuple).
     """
-    model = KummerModel(family)
     scope = model.deficiency_scope()
-    zero = (0,) * len(family)
+    zero = (0,) * len(model.family)
     piece = lru_cache(maxsize=None)(_joint_piece)
 
     @lru_cache(maxsize=None)
@@ -475,6 +436,8 @@ def _corrections(family: GroupFamily):
     def local(ell, v):
         return local_factor(ell, v, model.profile)
 
+    one = joint((zero,) * len(scope))
+
     def correction(h) -> Fraction:
         primes = factorize(lcm(*h))
         ratios = [
@@ -484,7 +447,7 @@ def _corrections(family: GroupFamily):
         ]
         if any(ell in scope for ell in primes):
             vs = tuple(valuations_at(h, ell) for ell in scope)
-            ratios.append((joint(vs), joint((zero,) * len(scope))))
+            ratios.append((joint(vs), one))
         if any(bottom == 0 for _, bottom in ratios):
             raise UnsupportedScopeError(
                 f"index one has density zero at the primes of {h}, so correction "
@@ -492,7 +455,7 @@ def _corrections(family: GroupFamily):
             )
         return prod((top / bottom for top, bottom in ratios), start=Fraction(1))
 
-    return scope, correction
+    return one, correction
 
 
 def singleton_sum(
@@ -507,7 +470,9 @@ def singleton_sum(
 
     Each tuple contributes the index-one density, valuation_density's for
     Equals((1, ..., 1)) with its cutoff and tail-bound notes, times its
-    exact correction m(h) from _corrections. The corrections stay exact in
+    exact correction m(h) from _corrections. One Kummer model serves both,
+    and the base reads _corrections' index-one joint factor, so that
+    factor is priced once per call. The corrections stay exact in
     the ledger, but their sum runs on the 2^-PRECISION_BITS grid
     (series_sum), in one pass over the members by max(h), and the value is
     the base times [low, high] rounded outward: an exact sum's denominator
@@ -522,8 +487,9 @@ def singleton_sum(
     n = len(family)
     if index_set.n != n:
         raise ValueError("index set arity does not match the family")
-    base = valuation_density(family, Equals((1,) * n), cutoff=cutoff)
-    _, correction = _corrections(family)
+    model = KummerModel(family)
+    one, correction = _corrections(model)
+    base = _euler_route(model, Equals((1,) * n), cutoff, one)
 
     members = index_set.members(bound, smooth)
     corrections = [(h, correction(h)) for h in members]
@@ -580,6 +546,8 @@ def correction_ratio(h, family: GroupFamily) -> CorrectionRatio:
     zero at the primes of h.
     """
     h = check_index_tuple(h, len(family))
-    scope, correction = _corrections(family)
+    model = KummerModel(family)
+    _, correction = _corrections(model)
+    scope = model.deficiency_scope()
     tag = "corrected" if any(x % ell == 0 for ell in scope for x in h) else "generic"
     return CorrectionRatio(correction(h), tag)

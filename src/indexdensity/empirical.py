@@ -493,7 +493,11 @@ def skipped_in(family: GroupFamily, srange: SieveRange) -> int:
 
 
 def wilson_interval(hits: int, total: int) -> tuple[float, float]:
-    """Two-sided 95% Wilson score interval for a binomial proportion."""
+    """Two-sided 95% Wilson score interval for a binomial proportion.
+
+    Exactly 0 at no hits and exactly 1 when every trial is a hit: there
+    center - half and center + half are 0 and 1 only up to rounding.
+    """
     if total == 0:
         return (0.0, 1.0)
     z = WILSON_Z
@@ -502,7 +506,8 @@ def wilson_interval(hits: int, total: int) -> tuple[float, float]:
     center = (p_hat + z * z / (2 * total)) / denom
     half = z * math.sqrt(p_hat * (1 - p_hat) / total + z * z / (4 * total * total))
     half /= denom
-    return (max(0.0, center - half), min(1.0, center + half))
+    low = max(0.0, center - half) if hits else 0.0
+    return (low, min(1.0, center + half) if hits < total else 1.0)
 
 
 @dataclass(frozen=True)

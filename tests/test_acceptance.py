@@ -16,7 +16,6 @@ import pytest
 from indexdensity.arith import euler_phi, primes_up_to, valuation
 from indexdensity.artin import euler_product, local_factor, local_series
 from indexdensity.density import (
-    LevelMap,
     correction_ratio,
     hooley_series,
     singleton_sum,
@@ -86,7 +85,7 @@ def test_criterion_01_constant_pipeline(scan2):
         and iv.high <= Fraction(373955, 10**6) + tol
     )
 
-    series = hooley_series(FAM2.groups[0], LevelMap.identity(), 10**4)
+    series = hooley_series(FAM2.groups[0], Equals((1,)), 10**4)
     ok_series = series.value.low <= iv.high and iv.low <= series.value.high
 
     rep = survey(FAM2, SieveRange.up_to(SCAN_BOUND), Equals((1,)), log_path=scan2["path"])
@@ -371,7 +370,7 @@ def test_equal_groups_dividing_12_lie_in_the_scan22_survey(scan22):
 
 
 def test_criterion_09_squarefree_index(scan2):
-    series = hooley_series(FAM2.groups[0], LevelMap.power(2), 10**4)
+    series = hooley_series(FAM2.groups[0], KFree((2,)), 10**4)
     euler = valuation_density(FAM2, KFree((2,)), cutoff=10**5)
     ok_routes = (
         series.value.low <= euler.value.high and euler.value.low <= series.value.high
@@ -435,7 +434,7 @@ def test_hooley_constants_for_entangled_generators(a, ratio):
     assert 1 - mu * math.prod(Fraction(1, q * q - q - 1) for q in qs) == ratio
     fam = GroupFamily.from_strings([str(a)])
     euler = valuation_density(fam, Equals((1,)), cutoff=10**4)
-    series = hooley_series(fam.groups[0], LevelMap.identity(), 3000, "corrected")
+    series = hooley_series(fam.groups[0], Equals((1,)), 3000, "corrected")
     assert euler.value.contains(ARTIN * ratio), euler.value.decimal_bounds(7)
     assert series.value.contains(ARTIN * ratio), series.value.decimal_bounds(7)
     assert euler.value.width < Fraction(1, 10**20)

@@ -295,6 +295,7 @@ INF = float("inf")
                 "sieve_bound": 10**4,
             },
         ),
+        ("classify", {"groups": [["2"], ["3"]], "set": {"kind": "equals", "tuple": [4]}}),
     ],
 )
 def test_hostile_degree_configs_exit_2(tmp_path, capsys, command, extra):
@@ -558,6 +559,25 @@ def test_compare_consistent_and_inconsistent(tmp_path, capsys):
     assert payload["result"]["verdict"] == "inconsistent"
 
 
+def test_compare_agrees_with_an_exact_zero_and_an_exact_one(tmp_path, capsys):
+    # p = 1 mod 3 makes -3 a square, so 2 divides the index: index 3 has
+    # density exactly 0 for <-3>. Every index lies in the set with no
+    # constraint, density exactly 1. The Wilson interval ends exactly at 0
+    # and at 1 for these counts, so both verdicts are consistent
+    for extra, hits in (
+        ({"groups": [["-3"]], "set": {"kind": "equals", "tuple": [3]}}, 0),
+        ({"set": {"kind": "valuations", "map": {"default": {"bounds": [None]}}}}, 17983),
+    ):
+        cfg = _write_config(
+            tmp_path, "edge.json", {"groups": [["2"]], **extra, "sieve_bound": 2 * 10**5}
+        )
+        code, payload, _ = _run(capsys, "compare", "--config", cfg)
+        result = payload["result"]
+        assert (code, result["verdict"]) == (0, "consistent")
+        assert (result["empirical"]["hits"], result["empirical"]["total"]) == (hits, 17983)
+        assert result["z"] == 0.0
+
+
 def test_compare_states_its_resolution(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
@@ -607,12 +627,15 @@ def test_compare_states_its_resolution(tmp_path, capsys):
 
 
 def test_series_compare_surveys_the_set_of_its_level_map(tmp_path, capsys):
-    # f(n) = 2n gives the density of index exactly 2 and f(n) = n^2 that of
-    # a squarefree index; the survey counts the same set
+    # each level map names a set: f(n) = 2n index exactly 2, f(n) = n^2 a
+    # squarefree index, times-local 2 an index dividing 2, prime-powers
+    # {2: 2} an index dividing 2 written by valuations; the survey counts it
     base = {"groups": [["2"]], "method": "series", "truncation": 2000}
-    for level_map, index_set in (
-        ({"kind": "times", "t": 2}, None),
-        ({"kind": "power", "k": 2}, {"kind": "kfree", "k": 2}),
+    for level_map, index_set, label in (
+        ({"kind": "times", "t": 2}, None, "equals(2,)"),
+        ({"kind": "power", "k": 2}, {"kind": "kfree", "k": 2}, "kfree(2,)"),
+        ({"kind": "times-local", "t": 2}, None, "divides(2,)"),
+        ({"kind": "prime-powers", "table": {"2": 2}}, None, "valuation(at=2)"),
     ):
         extra = {"set": index_set} if index_set else {}
         cfg = _write_config(
@@ -623,13 +646,14 @@ def test_series_compare_surveys_the_set_of_its_level_map(tmp_path, capsys):
         code, payload, _ = _run(capsys, "compare", "--config", cfg)
         assert code == 0
         assert payload["result"]["verdict"] == "consistent"
-    assert payload["result"]["empirical"]["set"] == "kfree(2,)"
+        assert payload["result"]["empirical"]["set"] == label
+        assert f"set={label}" in payload["result"]["analytic"]["notes"]
 
-    # a 'set' other than the level map's, or a level map with no such set
+    # a 'set' other than the level map's
     for extra in (
         {"level_map": {"kind": "times", "t": 2}, "set": EQ1},
-        {"level_map": {"kind": "times-local", "t": 2}},
-        {"level_map": {"kind": "prime-powers", "table": {"2": 2}}},
+        {"level_map": {"kind": "times-local", "t": 2}, "set": {"kind": "equals", "tuple": [2]}},
+        {"level_map": {"kind": "prime-powers", "table": {"2": 2}}, "set": EQ1},
     ):
         cfg = _write_config(tmp_path, "mismatch.json", {**base, **extra})
         code, payload, err = _run(capsys, "compare", "--config", cfg)

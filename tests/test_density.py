@@ -11,13 +11,12 @@ import pytest
 
 from indexdensity import density, kummer
 from indexdensity.density import (
-    LevelMap,
     correction_ratio,
     hooley_series,
     singleton_sum,
     valuation_density,
 )
-from indexdensity.arith import factorize, moebius, primes_up_to
+from indexdensity.arith import factorize, moebius, primes_up_to, valuation
 from indexdensity.artin import corner_terms, euler_product
 from indexdensity.errors import UnsupportedScopeError
 from indexdensity.exact import Interval, round_down, round_up
@@ -50,34 +49,83 @@ def _overlap(a, b):
     return a.low <= b.high and b.low <= a.high
 
 
-def _level(level_map, n):
-    """f(n) as an integer, from the factorization the level map gives."""
-    return prod(ell**e for ell, e in level_map.factors(factorize(n)).items())
+def _prime_powers(table):
+    """The set of the prime-powers level map: v_ell < k(ell) at each listed
+    ell, and index one elsewhere."""
+    at = {ell: ValuationPattern((k,)) for ell, k in table.items()}
+    return ValuationConstraint(ValuationMap.build(1, at, ValuationPattern.exact_zero(1)))
+
+
+def _classical_level(index_set, n):
+    """Hooley's f(n) for squarefree n, by the level map that names the set:
+    tn for index t, n prod_(ell | n) ell^v_ell(t) for an index dividing t,
+    n^k for a k-free index, and prod_(ell | n) ell^k(ell) for prime powers."""
+    primes = factorize(n)
+    if isinstance(index_set, Equals):
+        return index_set.t[0] * n
+    if isinstance(index_set, Divides):
+        return n * prod(ell ** valuation(index_set.t[0], ell) for ell in primes)
+    if isinstance(index_set, KFree):
+        return n ** index_set.k[0]
+    table = {ell: spec.bounds[0] for ell, spec in index_set.vmap.at}
+    return prod(ell ** table.get(ell, 1) for ell in primes)
+
+
+def _levels(index_set, n):
+    """f(n)'s factorization for squarefree n, as hooley_series builds it."""
+    off, on, bump = density._series_exponents(index_set)
+    return off | {p: on.get(p, bump) for p in factorize(n)}
+
+
+TAIL_SETS = (
+    (Equals((1,)),)
+    + tuple(Equals((t,)) for t in (2, 3, 4, 5, 6, 8, 12))
+    + tuple(Divides((t,)) for t in (2, 4, 6, 12, 45))
+    + tuple(KFree((k,)) for k in (2, 3, 4))
+    + tuple(
+        _prime_powers(table)
+        for table in ({2: 2}, {2: 3, 3: 2}, {3: 2}, {5: 3}, {2: 2, 3: 3, 5: 2})
+    )
+)
 
 
 def test_level_maps():
-    assert [_level(LevelMap.identity(), n) for n in (1, 2, 6)] == [1, 2, 6]
-    assert [_level(LevelMap.times(3), n) for n in (1, 2)] == [3, 6]
-    assert [_level(LevelMap.times_local(2), n) for n in (1, 2, 3, 6)] == [1, 4, 3, 12]
-    assert [_level(LevelMap.power(2), n) for n in (1, 2, 6)] == [1, 4, 36]
-    table = LevelMap.prime_powers({2: 3})
-    assert [_level(table, n) for n in (1, 2, 3, 6)] == [1, 8, 3, 24]
-    labels = {
-        LevelMap.identity().label(),
-        LevelMap.times(2).label(),
-        LevelMap.power(2).label(),
-    }
-    assert len(labels) == 3
+    # each level map of the classical series is the valuation set it
+    # prices, and the set's exponents give Hooley's f(n)
+    squarefree = [n for n in range(1, 1001) if moebius(n)]
+    for index_set in TAIL_SETS:
+        for n in squarefree:
+            levels = _levels(index_set, n)
+            assert levels == factorize(_classical_level(index_set, n)), (index_set, n)
+    # a set with no valuation map, or with a spec that is neither one
+    # valuation nor a bound, has no series
+    exact_zero = ValuationPattern.exact_zero(1)
+    for index_set in (
+        PrimesSet(),
+        named_predicate("even-omega"),
+        FiniteSet(((1,), (2,))),
+        ValuationConstraint(ValuationMap.build(1, {2: [(0,), (1,)]}, exact_zero)),
+        ValuationConstraint(ValuationMap.build(1, {3: ValuationPattern((None,))}, exact_zero)),
+        ValuationConstraint(ValuationMap.build(1, {}, ValuationPattern((None,)))),
+    ):
+        with pytest.raises(UnsupportedScopeError):
+            hooley_series(G2, index_set, 100)
+    with pytest.raises(ValueError, match="one index"):
+        hooley_series(G2, Equals((1, 1)), 100)
+    # the checks a level map config needs are the set constructors'
     with pytest.raises(ValueError):
-        LevelMap.times(0)
-    # a key that is not prime would make the table act as identity
+        Equals((0,))
+    with pytest.raises(ValueError):
+        KFree((0,))
     for table in ({4: 2}, {1: 2}, {-2: 2}, {2: 1, 9: 1}):
         with pytest.raises(ValueError, match="primes"):
-            LevelMap.prime_powers(table)
+            _prime_powers(table)
+    with pytest.raises(ValueError):
+        _prime_powers({2: 0})
 
 
 def test_hooley_series_matches_euler_product():
-    rep = hooley_series(G2, LevelMap.identity(), 3000)
+    rep = hooley_series(G2, Equals((1,)), 3000)
     assert rep.method == "series"
     assert _overlap(rep.value, _artin_interval())
     assert rep.ledger[0] == ("n=1 level=1", Fraction(1))
@@ -85,39 +133,39 @@ def test_hooley_series_matches_euler_product():
 
 
 def test_hooley_series_square_generator_collapses_in_corrected_mode():
-    rep = hooley_series(MultGroup.from_strings("4"), LevelMap.identity(), 3000, "corrected")
+    rep = hooley_series(MultGroup.from_strings("4"), Equals((1,)), 3000, "corrected")
     # 4 is a perfect square, so index 1 has density zero; generic mode
     # misses this completely
     assert rep.value.low == 0
     assert rep.value.high < Fraction(1, 100)
     generic = hooley_series(
-        MultGroup.from_strings("4"), LevelMap.identity(), 1000, "generic"
+        MultGroup.from_strings("4"), Equals((1,)), 1000, "generic"
     )
     assert generic.value.low > Fraction(1, 3)
 
 
 def test_hooley_series_rejects_higher_rank():
     with pytest.raises(UnsupportedScopeError):
-        hooley_series(MultGroup.from_strings("2", "3"), LevelMap.identity(), 100)
+        hooley_series(MultGroup.from_strings("2", "3"), Equals((1,)), 100)
     with pytest.raises(ValueError):
-        hooley_series(G2, LevelMap.identity(), 0)
+        hooley_series(G2, Equals((1,)), 0)
     with pytest.raises(ValueError, match="truncation"):
-        hooley_series(G2, LevelMap.identity(), 10**12)  # refused before allocating
+        hooley_series(G2, Equals((1,)), 10**12)  # refused before allocating
 
 
 def test_hooley_series_refuses_an_unknown_mode():
     with pytest.raises(ValueError, match="mode"):
-        hooley_series(G2, LevelMap.identity(), 100, mode="fancy")
+        hooley_series(G2, Equals((1,)), 100, mode="fancy")
 
 
 SERIES_GROUPS = ("2", "5", "-3", "13", "21", "4", "-4", "8", "27", "45", "12", "9/2", "-1/2")
-SERIES_MAPS = (
-    LevelMap.identity(),
-    LevelMap.times(2),
-    LevelMap.times(6),
-    LevelMap.times_local(12),
-    LevelMap.power(2),
-    LevelMap.prime_powers({2: 3, 3: 2}),
+SERIES_SETS = (
+    Equals((1,)),
+    Equals((2,)),
+    Equals((6,)),
+    Divides((12,)),
+    KFree((2,)),
+    _prime_powers({2: 3, 3: 2}),
 )
 
 
@@ -130,19 +178,19 @@ def test_series_degree_splits_at_the_scope(mode):
         model = KummerModel(GroupFamily((MultGroup.from_strings(g),)))
         degree = density._series_degree(model, mode)
         exact = model.degree if mode == "corrected" else partial(generic_degree, model)
-        for level_map in SERIES_MAPS:
+        for index_set in SERIES_SETS:
             for n in squarefree:
-                f_n = _level(level_map, n)
-                levels = level_map.factors(factorize(n))
-                assert degree(levels) == exact(f_n, (f_n,)), (g, n)
+                f_n = _classical_level(index_set, n)
+                assert degree(factorize(f_n)) == exact(f_n, (f_n,)), (g, n)
 
 
-def _series_by_trial_division(group, level_map, truncation, mode):
+def _series_by_trial_division(group, index_set, truncation, mode):
     """hooley_series as first written: factorize and moebius for each n,
-    one Fraction per term, each partial sum rounded outward on the grid."""
+    f(n) by its classical formula, one Fraction per term, each partial sum
+    rounded outward on the grid."""
     model = KummerModel(GroupFamily((group,)))
     degree = density._series_degree(model, mode)
-    constant = density._tail_constant(model, level_map, degree)
+    constant = _subset_tail_constant(model, index_set, degree)
     tail = constant * density._reciprocal_tail(truncation)
     lo = hi = Fraction(0)
     ledger, terms = [], 0
@@ -150,9 +198,10 @@ def _series_by_trial_division(group, level_map, truncation, mode):
         mu = moebius(n)
         if mu:
             terms += 1
-            term = Fraction(mu, degree(level_map.factors(factorize(n))))
+            f_n = _classical_level(index_set, n)
+            term = Fraction(mu, degree(factorize(f_n)))
             if len(ledger) < density.LEDGER_ROW_LIMIT:
-                ledger.append((f"n={n} level={_level(level_map, n)}", term))
+                ledger.append((f"n={n} level={f_n}", term))
             lo, hi = round_down(lo + term), round_up(hi + term)
     hi = max(Fraction(0), round_up(hi + tail))
     lo = min(max(Fraction(0), round_down(lo - tail)), hi)
@@ -163,18 +212,19 @@ def _series_by_trial_division(group, level_map, truncation, mode):
 def test_hooley_series_matches_trial_division(mode):
     # the walk through the smallest-prime-factor table and the integer-pair
     # sum give the same endpoints, ledger and term count as factoring each n
-    for g, level_map in product(SERIES_GROUPS, SERIES_MAPS):
+    for g, index_set in product(SERIES_GROUPS, SERIES_SETS):
         group = MultGroup.from_strings(g)
-        rep = hooley_series(group, level_map, 500, mode)
-        value, ledger, terms = _series_by_trial_division(group, level_map, 500, mode)
-        assert (rep.value, rep.ledger) == (value, ledger), (g, level_map, mode)
+        rep = hooley_series(group, index_set, 500, mode)
+        value, ledger, terms = _series_by_trial_division(group, index_set, 500, mode)
+        assert (rep.value, rep.ledger) == (value, ledger), (g, index_set, mode)
         assert terms in rep.notes
+        assert rep.notes[0] == f"set={index_set.label()}"
 
 
 def test_hooley_series_encloses_the_literature_values():
     # Hooley (1967): <2> has density A, <5> has 20A/19 and <-3> has 6A/5
     for g, ratio in (("2", 1), ("5", Fraction(20, 19)), ("-3", Fraction(6, 5))):
-        rep = hooley_series(MultGroup.from_strings(g), LevelMap.identity(), 10**5, "corrected")
+        rep = hooley_series(MultGroup.from_strings(g), Equals((1,)), 10**5, "corrected")
         assert rep.value.contains(ARTIN * ratio), g
         assert rep.value.width < Fraction(1, 10**4), g
 
@@ -183,11 +233,11 @@ def test_hooley_series_streams_its_terms():
     # the smallest-prime-factor table holds 4 bytes per n; a kept Fraction
     # per term would add about 90 bytes per squarefree n
     n = 3 * 10**4
-    hooley_series(G2, LevelMap.identity(), 10)
+    hooley_series(G2, Equals((1,)), 10)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        rep = hooley_series(G2, LevelMap.identity(), n, "corrected")
+        rep = hooley_series(G2, Equals((1,)), n, "corrected")
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -200,11 +250,11 @@ def test_hooley_series_keeps_no_table():
     # the smallest-prime-factor table is sieved for one call and freed with
     # it: a cache keeping it would hold 4 bytes per n after the call
     n = 2 * 10**4
-    hooley_series(G2, LevelMap.identity(), 10**4)
+    hooley_series(G2, Equals((1,)), 10**4)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        hooley_series(G2, LevelMap.identity(), n)
+        hooley_series(G2, Equals((1,)), n)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -221,29 +271,19 @@ def test_the_series_tail_constant_bounds_kappa_from_above():
     assert bound == kappa_bound()  # zeta(2), zeta(3) and zeta(6) evaluated apart
 
 
-def _subset_tail_constant(model, level_map, degree):
+def _subset_tail_constant(model, index_set, degree):
     """c as first defined: the maximum over every squarefree s | prod S."""
     scope = model.deficiency_scope()
     best = Fraction(0)
     for r in range(len(scope) + 1):
         for primes in combinations(scope, r):
-            levels = level_map.factors(dict.fromkeys(primes, 1))
+            levels = factorize(_classical_level(index_set, prod(primes)))
             size = prod((ell - 1) * ell ** (2 * k - 1) for ell, k in levels.items())
             best = max(best, Fraction(size, degree(levels)))
     return best
 
 
 TAIL_GROUPS = ("-1,2", "-1,6", "9", "1/2") + SERIES_GROUPS
-TAIL_MAPS = (
-    (LevelMap.identity(),)
-    + tuple(LevelMap.times(t) for t in (2, 3, 4, 5, 6, 8, 12))
-    + tuple(LevelMap.times_local(t) for t in (2, 4, 6, 12, 45))
-    + tuple(LevelMap.power(k) for k in (2, 3, 4))
-    + tuple(
-        LevelMap.prime_powers(table)
-        for table in ({2: 2}, {2: 3, 3: 2}, {3: 2}, {5: 3}, {2: 2, 3: 3, 5: 2})
-    )
-)
 
 
 @pytest.mark.parametrize("mode", ["generic", "corrected"])
@@ -253,13 +293,15 @@ def test_the_tail_constant_is_the_subset_maximum(mode):
     for g in TAIL_GROUPS:
         model = KummerModel(GroupFamily((MultGroup.from_strings(*g.split(",")),)))
         degree = density._series_degree(model, mode)
-        for level_map in TAIL_MAPS:
-            expected = _subset_tail_constant(model, level_map, degree)
-            got = density._tail_constant(model, level_map, degree)
-            assert got == expected, (g, level_map, mode)
+        for index_set in TAIL_SETS:
+            expected = _subset_tail_constant(model, index_set, degree)
+            exponents = density._series_exponents(index_set)
+            got = density._tail_constant(model, exponents, degree)
+            assert got == expected, (g, index_set, mode)
     model = KummerModel(GroupFamily.from_strings(["-1", "2"]))
     degree = density._series_degree(model, "corrected")
-    assert density._tail_constant(model, LevelMap.identity(), degree) == 1
+    exponents = density._series_exponents(Equals((1,)))
+    assert density._tail_constant(model, exponents, degree) == 1
 
 
 @pytest.mark.parametrize("g", ["2", "45", "-1,6", str(prod(primes_up_to(41)[1:]))])
@@ -274,15 +316,52 @@ def test_the_tail_constant_takes_two_degrees(g):
         calls.append(levels)
         return degree(levels)
 
-    density._tail_constant(model, LevelMap.identity(), counted)
+    density._tail_constant(model, density._series_exponents(Equals((1,))), counted)
     assert len(calls) == 2
 
 
 def test_valuation_density_squarefree_agrees_with_series():
-    series = hooley_series(G2, LevelMap.power(2), 2000)
+    series = hooley_series(G2, KFree((2,)), 2000)
     euler = valuation_density(FAM2, KFree((2,)), cutoff=3000)
     assert euler.method == "euler-product"
     assert _overlap(series.value, euler.value)
+
+
+ORACLE_GROUPS = ("2", "5", "-3", "13", "27", "-1,2", "8", "-4")
+
+
+@pytest.mark.parametrize("g", ORACLE_GROUPS)
+def test_the_series_contains_the_euler_value(g):
+    # both routes read the same set: the series' proved interval, some
+    # 10^-3 wide, holds the Euler value, some 10^-34 wide, for every kind
+    family = GroupFamily.from_strings(g.split(","))
+    sets = (Equals((1,)), Equals((2,)), Equals((12,)), Divides((12,)), KFree((2,)))
+    for index_set in (*sets, _prime_powers({2: 3, 3: 2})):
+        series = hooley_series(family.groups[0], index_set, 2000).value
+        euler = valuation_density(family, index_set).value
+        assert series.low <= euler.low and euler.high <= series.high, index_set
+        assert euler.width < Fraction(1, 10**30)
+
+
+def _divisors(t):
+    out = [1]
+    for p, e in factorize(t).items():
+        out = [d * p**j for d in out for j in range(e + 1)]
+    return out
+
+
+@pytest.mark.parametrize("groups", ["5", "-3", "13", "8", "27", "2;2", "2;8", "5;-3"])
+def test_divides_is_the_sum_of_its_equals(groups):
+    # Divides(t) is the disjoint union of Equals(h) over h | t, entangled
+    # and equal groups included: the intervals meet, with a gap of exactly 0
+    family = GroupFamily.from_strings(*(g.split(",") for g in groups.split(";")))
+    n = len(family)
+    for t in (12, 20, 36, 60):
+        whole = valuation_density(family, Divides((t,) * n)).value
+        parts = [valuation_density(family, Equals(h)).value for h in product(_divisors(t), repeat=n)]
+        low, high = sum(v.low for v in parts), sum(v.high for v in parts)
+        assert low <= whole.high and whole.low <= high, t
+        assert high - low < Fraction(1, 10**30) and whole.width < Fraction(1, 10**30)
 
 
 def test_valuation_density_odd_index_is_half():
@@ -442,7 +521,7 @@ def test_singleton_partial_sums_stay_below_one():
 
 
 def test_ziegler_index_two_vs_direct_equality_route():
-    series = hooley_series(G2, LevelMap.times(2), 2000)
+    series = hooley_series(G2, Equals((2,)), 2000)
     singles = singleton_sum(FAM2, Equals((2,)), cutoff=3000)
     slack = Fraction(1, 200)
     widened = Interval(
@@ -452,7 +531,7 @@ def test_ziegler_index_two_vs_direct_equality_route():
 
 
 def test_report_metadata():
-    rep = hooley_series(G2, LevelMap.identity(), 500)
+    rep = hooley_series(G2, Equals((1,)), 500)
     assert any(n.startswith("truncation=") for n in rep.notes)
     assert any(n.startswith("tail-bound=") for n in rep.notes)
     assert 0 <= rep.value.low <= rep.value.high <= 1
@@ -608,7 +687,7 @@ def test_the_series_encloses_hooley_over_many_support_primes(k, sign):
     # no more of them than <2>'s
     d, target = _hooley(k, sign)
     group = MultGroup.from_strings(str(d))
-    value = hooley_series(group, LevelMap.identity(), 1000, "corrected").value
+    value = hooley_series(group, Equals((1,)), 1000, "corrected").value
     slack = Fraction(1, 10**36)  # A is truncated
     assert value.low - slack <= target <= value.high + slack
 

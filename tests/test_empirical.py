@@ -468,6 +468,16 @@ def test_wilson_interval_shape():
     assert wilson_interval(30, 100)[0] < wilson_interval(40, 100)[0]
 
 
+def test_wilson_interval_is_exact_at_the_ends():
+    # center - half and center + half are 0 and 1 only up to rounding: at
+    # 148,932 trials the low end came out 1.7e-21 with no hit, and at 9,591
+    # the high end 0.9999999999999999 with every trial a hit
+    for n in (*range(1, 20001), 148932, 664578):
+        assert wilson_interval(0, n)[0] == 0.0, n
+        assert wilson_interval(n, n)[1] == 1.0, n
+        assert 0.0 < wilson_interval(0, n)[1] and wilson_interval(n, n)[0] < 1.0, n
+
+
 def test_frequency_report_validation():
     with pytest.raises(ValueError):
         FrequencyReport(5, 3, 0)

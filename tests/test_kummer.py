@@ -9,7 +9,7 @@ import pytest
 import oracles
 from indexdensity import groups, kummer
 from indexdensity.arith import euler_phi, primes_up_to, valuation
-from indexdensity.density import LevelMap, hooley_series, valuation_density
+from indexdensity.density import hooley_series, valuation_density
 from indexdensity.errors import InconclusiveError
 from indexdensity.groups import GroupFamily, MultGroup, profile_of
 from indexdensity.index_sets import Equals
@@ -362,7 +362,7 @@ def test_wide_supports_build_forms_at_two_and_the_lattice_primes_only(monkeypatc
     monkeypatch.setattr(kummer, "hermite_form", counted)
     odd = primes_up_to(420)[1:]
     group = MultGroup.from_strings(f"-{prod(odd[:30])}")
-    hooley_series(group, LevelMap.identity(), 1000)
+    hooley_series(group, Equals((1,)), 1000)
     assert len(calls) <= 1
     calls.clear()
     family = GroupFamily.from_strings([str(prod(odd[:79]))])
