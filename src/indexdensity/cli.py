@@ -188,16 +188,25 @@ def _parse_vspec(obj, n: int):
     raise ConfigError("a valuation spec is a pattern object or a tuple list")
 
 
+def _by_prime(table: dict, parse) -> dict:
+    """table's values parsed, keyed by int(key); refused when two keys name
+    one prime, as "2" and "02" do, since the later would silently win."""
+    out = {}
+    for key, value in table.items():
+        ell = int(key)
+        if ell in out:
+            raise ConfigError(f"the prime {ell} is listed twice")
+        out[ell] = parse(value)
+    return out
+
+
 def build_valuation_map(obj: dict, n: int) -> ValuationMap:
     if not isinstance(obj, dict) or not isinstance(obj.get("at") or {}, dict):
         raise ConfigError("a valuation map is {'at': {ell: spec}, 'default': pattern}")
     keys = set(obj) - {"at", "default"}
     if keys:
         raise ConfigError(f"unknown valuation map keys: {sorted(keys)}")
-    at = {
-        int(ell): _parse_vspec(spec, n)
-        for ell, spec in (obj.get("at") or {}).items()
-    }
+    at = _by_prime(obj.get("at") or {}, lambda spec: _parse_vspec(spec, n))
     default_obj = obj.get("default")
     default = (
         ValuationPattern.exact_zero(n)
@@ -291,10 +300,7 @@ def build_level_map(cfg: dict) -> IndexSet:
     table = obj["table"]
     if not isinstance(table, dict):
         raise ConfigError("a prime-powers table maps primes to exponents")
-    at = {
-        int(ell): ValuationPattern((_integer(k, "an exponent"),))
-        for ell, k in table.items()
-    }
+    at = _by_prime(table, lambda k: ValuationPattern((_integer(k, "an exponent"),)))
     return ValuationConstraint(ValuationMap.build(1, at, ValuationPattern.exact_zero(1)))
 
 
@@ -393,10 +399,22 @@ def run_survey(cfg: dict, index_set=None) -> dict:
 
 
 def _series_set(cfg: dict):
-    """The level map's set, refused when a given 'set' differs from it."""
+    """The level map's set, refused when a given 'set' is another set.
+
+    The two are compared by their valuation maps, so one set described
+    two ways (prime-powers {2: 2} and divides [2]) is the same; a given
+    set with no valuation map differs.
+    """
     own = build_level_map(cfg)
-    if "set" in cfg and build_index_set(cfg, 1) != own:
-        raise ConfigError(f"the level map gives the set {own.label()}; 'set' differs")
+    if "set" in cfg:
+        try:
+            same = build_index_set(cfg, 1).valuation_map() == own.valuation_map()
+        except UnsupportedScopeError:
+            same = False
+        if not same:
+            raise ConfigError(
+                f"the level map gives the set {own.label()}; 'set' differs"
+            )
     return own
 
 

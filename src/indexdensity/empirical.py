@@ -40,7 +40,7 @@ from .groups import GroupFamily
 from .index_sets import IndexSet
 
 SIEVE_CAP = 2**31 - 1
-_CHUNK = 1 << 14  # primes per pass of the index kernel
+BLOCK = 1 << 14  # primes per index kernel pass, scan block and log read or write
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
@@ -264,7 +264,8 @@ def index_tuple(p, family: GroupFamily, factors: tuple):
     prime is at most SIEVE_CAP = 2^31 - 1; larger primes raise ValueError.
     factors is p - 1 factored as _factorization gives it, as a scan's
     windows do. A group's index is the gcd of its generators' indices,
-    each found by power-residue tests.
+    each found by power-residue tests. The kernel takes BLOCK primes per
+    pass, a scan's whole block, so a longer array costs no more temporaries.
     """
     if int(p.max(initial=0)) > SIEVE_CAP:
         raise ValueError(f"primes above the sieve cap {SIEVE_CAP} overflow int64")
@@ -274,9 +275,9 @@ def index_tuple(p, family: GroupFamily, factors: tuple):
         raise ValueError("the batch holds primes in the support of the family")
     psi = np.empty((primes.size, len(family.groups)), dtype=np.int64)
     first = np.cumsum([0] + [len(group.generators) for group in family.groups])[:-1]
-    for start in range(0, primes.size, _CHUNK):
-        chunk = primes[start : start + _CHUNK]
-        chunk_factors, factors = _split(factors, _CHUNK)
+    for start in range(0, primes.size, BLOCK):
+        chunk = primes[start : start + BLOCK]
+        chunk_factors, factors = _split(factors, BLOCK)
         order, slots = _slots(*chunk_factors)
         index = _indices(chunk[order], _residues(chunk[order], family), slots)
         psi[start + order] = np.gcd.reduceat(index, first).T
@@ -286,8 +287,7 @@ def index_tuple(p, family: GroupFamily, factors: tuple):
 # ---------------------------------------------------------------------------
 # the scan, with an optional persisted log
 
-BLOCK = 1 << 16  # primes per index_tuple call and per log write
-_WINDOW = 1 << 18  # integers sieved and factored per step of a scan
+_WINDOW = 1 << 17  # integers sieved and factored per step of a scan
 LOG_CAP = 1 << 28  # bytes of rows an observation log may grow to
 
 
@@ -345,7 +345,8 @@ class ObservationLog:
             raise ConfigError("observation log starts at a different bound")
 
     def blocks(self):
-        """The logged rows (p, Psi(p)) as int64 arrays of at most BLOCK rows."""
+        """The logged rows (p, Psi(p)), read and checked BLOCK rows at a time,
+        as int64 arrays: the same blocks the scan wrote."""
         size = 4 * self.width * BLOCK
         last = self.low - 1
         with open(self.path, "rb") as fh:
@@ -377,12 +378,15 @@ def _window(lo: int, hi: int, small: list[int], skip: list[int]):
     one prime beyond it. Primes q | p - 1 below 16 are tested on p - 1; the
     others are read off the sieve at the integers 1 mod q, a stride apart.
     """
-    flags = np.ones(hi - lo, dtype=bool)
-    for q in small:
-        flags[max(q * q, -(-lo // q) * q) - lo :: q] = False
+    flags, qs = np.ones(hi - lo, dtype=bool), np.array(small)
+    # each q's offsets in numpy: Python arithmetic per q and window adds up
+    firsts = np.maximum(qs * qs, -(-lo // qs) * qs) - lo
+    for q, first in zip(small, firsts.tolist()):
+        flags[first::q] = False
     flags[[s - lo for s in skip if lo <= s < hi]] = False
     at = np.flatnonzero(flags)
-    pm1, rank = at + (lo - 1), np.zeros(flags.size, dtype=np.int32)
+    # read only at primes, so left unset elsewhere; below 2^16 primes 16 bits wide
+    pm1, rank = at + (lo - 1), np.empty(flags.size, np.min_scalar_type(at.size))
     rank[at] = np.arange(at.size)
     tiny, big = [q for q in small if q < 16], [q for q in small if q >= 16]
     starts = [(1 - lo) % q for q in big]  # offset of the first integer 1 mod q
@@ -398,8 +402,10 @@ def _scan(family: GroupFamily, srange: SieveRange, log_path: str | None):
     """(primes, psi) blocks over the range in ascending p, support primes skipped.
 
     A log is replayed, then extended past its last prime if it stops short.
-    Each block but the last holds BLOCK primes; memory does not grow with
-    the range, as the sieve runs one window at a time.
+    Each block but the last holds BLOCK primes, one pass of the index
+    kernel. The sieve runs one window of _WINDOW integers at a time, whose
+    temporaries are no bigger than the kernel's, and holds the windows'
+    primes only until they fill a block: memory does not grow with the range.
     """
     log = ObservationLog(log_path, family, srange.low) if log_path else None
     if log and 4 * log.width * _prime_count_bound(srange.high) > LOG_CAP:

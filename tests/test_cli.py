@@ -296,6 +296,29 @@ INF = float("inf")
             },
         ),
         ("classify", {"groups": [["2"], ["3"]], "set": {"kind": "equals", "tuple": [4]}}),
+        # one prime under two keys, in either order: neither may silently win
+        (
+            "density",
+            {"set": {"kind": "valuations", "map": {"at": {"2": [[0]], "02": [[1]]}}}},
+        ),
+        (
+            "density",
+            {"set": {"kind": "valuations", "map": {"at": {"02": [[1]], "2": [[0]]}}}},
+        ),
+        (
+            "density",
+            {
+                "method": "series",
+                "level_map": {"kind": "prime-powers", "table": {"2": 2, "02": 1}},
+            },
+        ),
+        (
+            "density",
+            {
+                "method": "series",
+                "level_map": {"kind": "prime-powers", "table": {"02": 1, "2": 2}},
+            },
+        ),
     ],
 )
 def test_hostile_degree_configs_exit_2(tmp_path, capsys, command, extra):
@@ -465,7 +488,7 @@ def test_a_log_that_could_pass_the_cap_exits_2_unwritten(tmp_path, capsys):
 
 
 def test_malformed_log_row_exits_2(tmp_path, capsys, monkeypatch):
-    # small blocks put the bad rows in the log's fourth block
+    # blocks of 100 rows put the bad rows in the fifth block of the 429-row log
     monkeypatch.setattr(empirical, "BLOCK", 100)
     log_path = tmp_path / "scan.log"
     fingerprint = GroupFamily.from_strings(["2"]).fingerprint
@@ -629,13 +652,19 @@ def test_compare_states_its_resolution(tmp_path, capsys):
 def test_series_compare_surveys_the_set_of_its_level_map(tmp_path, capsys):
     # each level map names a set: f(n) = 2n index exactly 2, f(n) = n^2 a
     # squarefree index, times-local 2 an index dividing 2, prime-powers
-    # {2: 2} an index dividing 2 written by valuations; the survey counts it
+    # {2: 2} an index dividing 2 written by valuations; the survey counts it.
+    # A 'set' that describes the same set another way is accepted
     base = {"groups": [["2"]], "method": "series", "truncation": 2000}
     for level_map, index_set, label in (
         ({"kind": "times", "t": 2}, None, "equals(2,)"),
         ({"kind": "power", "k": 2}, {"kind": "kfree", "k": 2}, "kfree(2,)"),
         ({"kind": "times-local", "t": 2}, None, "divides(2,)"),
         ({"kind": "prime-powers", "table": {"2": 2}}, None, "valuation(at=2)"),
+        (
+            {"kind": "prime-powers", "table": {"2": 2}},
+            {"kind": "divides", "tuple": [2]},
+            "valuation(at=2)",
+        ),
     ):
         extra = {"set": index_set} if index_set else {}
         cfg = _write_config(
@@ -649,11 +678,12 @@ def test_series_compare_surveys_the_set_of_its_level_map(tmp_path, capsys):
         assert payload["result"]["empirical"]["set"] == label
         assert f"set={label}" in payload["result"]["analytic"]["notes"]
 
-    # a 'set' other than the level map's
+    # a 'set' other than the level map's, or one with no valuation map
     for extra in (
         {"level_map": {"kind": "times", "t": 2}, "set": EQ1},
         {"level_map": {"kind": "times-local", "t": 2}, "set": {"kind": "equals", "tuple": [2]}},
         {"level_map": {"kind": "prime-powers", "table": {"2": 2}}, "set": EQ1},
+        {"level_map": {"kind": "times-local", "t": 2}, "set": {"kind": "primes"}},
     ):
         cfg = _write_config(tmp_path, "mismatch.json", {**base, **extra})
         code, payload, err = _run(capsys, "compare", "--config", cfg)
