@@ -7,6 +7,12 @@ floating point, and every command writes the same payload it printed when
 an output path is given (--output or the config's "output" key). Exit
 codes: 0 success, 2 bad config, 3 refused or inconclusive scope, 4
 compare found an inconsistency.
+
+compare and paper-examples judge an analytic interval against a prime
+count by one z test at a stated level, Z_LEVEL sigmas (two-sided rate
+6e-5 under the binomial model), and report the z they judge by; the
+resolution is Z_LEVEL sigma, the smallest gap that level flags. The
+survey's Wilson interval stays a 95% interval and judges nothing.
 """
 
 from __future__ import annotations
@@ -46,6 +52,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_REFUSED = 3
 EXIT_INCONSISTENT = 4
+
+# the verdict's level: a correct value lies more than Z_LEVEL sigmas from
+# its count at a two-sided rate of 6e-5 under the binomial model
+Z_LEVEL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -422,27 +432,11 @@ def run_compare(cfg: dict) -> tuple[dict, int]:
     index_set = _series_set(cfg) if cfg.get("method") == "series" else None
     analytic = run_density(cfg, _SURVEY_KEYS)
     empirical = run_survey(cfg, index_set)
-    verdict, sigma, z, resolution = "inconclusive", None, None, None
-    if empirical["total"] > 0:
-        low, high = (float(analytic["value"][end]) for end in ("low", "high"))
-        w_low, w_high = empirical["wilson_low"], empirical["wilson_high"]
-        agrees = _agrees(low, high, (w_low, w_high))
-        verdict = "consistent" if agrees else "inconsistent"
-        # sigma of the estimate, p_hat's distance to the analytic interval in
-        # sigmas, and the Wilson half-width: the smallest deviation from the
-        # truth this count can flag. When no or every prime is a hit, sigma is
-        # 0, so the gap is measured in the sigma of the nearest endpoint e
-        p_hat, total = empirical["estimate"], empirical["total"]
-        sigma = math.sqrt(p_hat * (1 - p_hat) / total)
-        gap = max(low - p_hat, p_hat - high, 0.0)
-        e = low if p_hat < low else high
-        spread = sigma or math.sqrt(e * (1 - e) / total)
-        z = gap / spread if spread else (0.0 if gap == 0 else None)
-        resolution = (w_high - w_low) / 2
-    payload = {"analytic": analytic, "empirical": empirical, "verdict": verdict}
-    payload |= {"sigma": sigma, "z": z, "resolution": resolution}
+    low, high = analytic["value"]["low"], analytic["value"]["high"]
+    verdict = _verdict(low, high, empirical["hits"], empirical["total"])
+    payload = {"analytic": analytic, "empirical": empirical, "z_level": Z_LEVEL}
     exits = {"consistent": EXIT_OK, "inconsistent": EXIT_INCONSISTENT}
-    return payload, exits.get(verdict, EXIT_REFUSED)
+    return payload | verdict, exits.get(verdict["verdict"], EXIT_REFUSED)
 
 
 def run_classify(cfg: dict) -> dict:
@@ -498,7 +492,7 @@ def run_paper_examples(cfg: dict) -> dict:
     impossible = singleton_sum(fam22, pair, bound=50)
     name = "impossible pair (q, q^2), equal groups"
     rows.append(_example_row(name, impossible, pair_emp))
-    return {"sieve_bound": bound, "rows": rows}
+    return {"sieve_bound": bound, "z_level": Z_LEVEL, "rows": rows}
 
 
 def _example_row(name: str, report: DensityReport, freq) -> dict:
@@ -507,15 +501,33 @@ def _example_row(name: str, report: DensityReport, freq) -> dict:
         "example": name,
         "analytic": f"[{lo}, {hi}]",
         "empirical": f"{freq.estimate:.6f} ({freq.hits}/{freq.total})",
-        "agrees": _agrees(report.value.low, report.value.high, freq.wilson),
+    } | _verdict(report.value.low, report.value.high, freq.hits, freq.total)
+
+
+def _verdict(low, high, hits: int, total: int) -> dict:
+    """The verdict of compare and paper-examples on the analytic interval
+    [low, high] against hits of total primes, with the spread it reads.
+
+    sigma is the standard error sqrt(p(1 - p)/total) of p = hits/total, or,
+    when no or every prime is a hit, of the analytic endpoint nearest p.
+    z is p's distance to the interval in sigmas (0 inside it, None when
+    sigma is 0 and p lies outside), and resolution, Z_LEVEL sigma, is the
+    smallest gap the verdict flags: inconsistent exactly when the gap
+    exceeds it. With no counted prime the verdict is inconclusive.
+    """
+    if total == 0:
+        return {"verdict": "inconclusive", "sigma": None, "z": None, "resolution": None}
+    low, high, p_hat = float(low), float(high), hits / total
+    gap = max(low - p_hat, p_hat - high, 0.0)
+    e = low if p_hat < low else high
+    sigma = math.sqrt(p_hat * (1 - p_hat) / total) or math.sqrt(e * (1 - e) / total)
+    resolution = Z_LEVEL * sigma
+    return {
+        "verdict": "inconsistent" if gap > resolution else "consistent",
+        "sigma": sigma,
+        "z": gap / sigma if sigma else (0.0 if gap == 0 else None),
+        "resolution": resolution,
     }
-
-
-def _agrees(low, high, wilson) -> bool:
-    """The verdict of compare and paper-examples: does the analytic
-    interval [low, high] meet the survey's Wilson interval?"""
-    w_low, w_high = wilson
-    return float(low) <= w_high and w_low <= float(high)
 
 
 # ---------------------------------------------------------------------------

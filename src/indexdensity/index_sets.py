@@ -42,11 +42,6 @@ def check_index_tuple(h: IndexTuple, n: int | None = None) -> IndexTuple:
     return h
 
 
-def joint_modulus(h: IndexTuple) -> int:
-    """lcm of the entries; the level at which a tuple is resolved."""
-    return math.lcm(*h)
-
-
 def valuations_at(h: IndexTuple, ell: int) -> ValuationTuple:
     return tuple(valuation(x, ell) for x in h)
 
@@ -245,10 +240,17 @@ class IndexSet(ABC):
     def contains(self, h: IndexTuple) -> bool: ...
 
     @abstractmethod
-    def classification(self) -> Classification: ...
-
-    @abstractmethod
     def label(self) -> str: ...
+
+    def classification(self) -> Classification:
+        """The kind read off the valuation map, so one set written two ways
+        classifies alike: almost cut when every unlisted prime must be
+        absent (an exact-zero default), witnessed by max(2, the product of
+        the listed primes); cut otherwise."""
+        vmap = self.valuation_map()
+        if vmap.default == ValuationPattern.exact_zero(self.n):
+            return Classification("almost-cut", witness=max(2, math.prod(vmap.listed)))
+        return Classification("cut")
 
     def valuation_map(self) -> ValuationMap:
         raise UnsupportedScopeError(
@@ -303,9 +305,6 @@ class Equals(IndexSet):
     def contains(self, h):
         return tuple(h) == self.t
 
-    def classification(self):
-        return Classification("almost-cut", witness=_support_witness(self.t))
-
     def valuation_map(self):
         at = {
             ell: (valuations_at(self.t, ell),)
@@ -338,9 +337,6 @@ class Divides(IndexSet):
 
     def contains(self, h):
         return all(t % x == 0 for x, t in zip(h, self.t)) and len(h) == self.n
-
-    def classification(self):
-        return Classification("almost-cut", witness=_support_witness(self.t))
 
     def valuation_map(self):
         at = {}
@@ -383,9 +379,6 @@ class KFree(IndexSet):
     def contains(self, h):
         return all(is_kfree(x, k) for x, k in zip(h, self.k))
 
-    def classification(self):
-        return Classification("cut")
-
     def valuation_map(self):
         return ValuationMap.build(
             self.n, {}, ValuationPattern.below(self.k)
@@ -415,9 +408,6 @@ class ValuationConstraint(IndexSet):
         return all(
             self.vmap.allows(ell, valuations_at(h, ell)) for ell in sorted(support)
         )
-
-    def classification(self):
-        return Classification("cut")
 
     def valuation_map(self):
         return self.vmap
@@ -450,9 +440,7 @@ class FiniteSet(IndexSet):
         return tuple(h) in self.tuples
 
     def classification(self):
-        support = 1
-        for t in self.tuples:
-            support = math.lcm(support, joint_modulus(t))
+        support = math.lcm(*(x for t in self.tuples for x in t))
         return Classification("almost-cut", witness=max(2, squarefree_kernel(support)))
 
     def valuation_map(self):
@@ -547,10 +535,6 @@ def _tuple_support(t: IndexTuple) -> list[int]:
     for x in t:
         primes.update(factorize(x))
     return sorted(primes)
-
-
-def _support_witness(t: IndexTuple) -> int:
-    return max(2, squarefree_kernel(joint_modulus(t)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ import pytest
 from indexdensity import cli, empirical
 from indexdensity.cli import main
 from indexdensity.density import valuation_density
-from indexdensity.empirical import wilson_interval
+from indexdensity.empirical import SieveRange, survey_many
 from indexdensity.exact import PRECISION_BITS
 from indexdensity.groups import GroupFamily
-from indexdensity.index_sets import KFree
+from indexdensity.index_sets import Divides, Equals, KFree
 from test_acceptance import ARTIN
 
 
@@ -612,25 +612,28 @@ def test_compare_states_its_resolution(tmp_path, capsys):
     assert (code, result["verdict"]) == (0, "consistent")
     # 840 of the 2261 odd primes below 20000 have 2 as a primitive root
     assert (result["empirical"]["hits"], result["empirical"]["total"]) == (840, 2261)
-    p_hat, (w_low, w_high) = 840 / 2261, wilson_interval(840, 2261)
+    p_hat = 840 / 2261
     sigma = math.sqrt(p_hat * (1 - p_hat) / 2261)
     assert result["sigma"] == pytest.approx(sigma, rel=1e-12)
-    assert result["resolution"] == pytest.approx((w_high - w_low) / 2, rel=1e-12)
+    assert result["z_level"] == cli.Z_LEVEL == 4
+    assert result["resolution"] == pytest.approx(4 * sigma, rel=1e-12)
     low = float(Fraction(result["analytic"]["value"]["low"]))
     assert p_hat < low  # 840/2261 = 0.3715... lies below A = 0.3739...
     assert result["z"] == pytest.approx((low - p_hat) / sigma, rel=1e-9)
     assert 0.2 < result["z"] < 0.3
     assert result["z"] * sigma < result["resolution"]
 
-    # 4 is a square: no prime has index 1, so sigma is 0, and so is the gap
+    # 4 is a square: no prime has index 1, and the interval is [0, 0], so
+    # sigma, the gap and the resolution are all 0
     square = {"groups": [["4"]], "set": EQ1, "cutoff": 2000, "sieve_bound": 20000}
     cfg = _write_config(tmp_path, "square.json", square)
     code, payload, _ = _run(capsys, "compare", "--config", cfg)
     result = payload["result"]
     assert (result["verdict"], result["sigma"], result["z"]) == ("consistent", 0.0, 0.0)
+    assert result["resolution"] == 0.0
 
     # the generic series on <4> claims about A for index one, and no prime
-    # is a hit: sigma is 0, so z is measured at the nearest analytic endpoint
+    # is a hit: sigma is taken at the nearest analytic endpoint
     generic = {
         "groups": [["4"]],
         "set": EQ1,
@@ -642,11 +645,58 @@ def test_compare_states_its_resolution(tmp_path, capsys):
     cfg = _write_config(tmp_path, "generic.json", generic)
     code, payload, _ = _run(capsys, "compare", "--config", cfg)
     result = payload["result"]
-    assert (code, result["verdict"], result["sigma"]) == (4, "inconsistent", 0.0)
+    assert (code, result["verdict"]) == (4, "inconsistent")
     assert (result["empirical"]["hits"], result["empirical"]["total"]) == (0, 2261)
     low = float(Fraction(result["analytic"]["value"]["low"]))
-    assert result["z"] == pytest.approx(low / math.sqrt(low * (1 - low) / 2261))
+    assert result["sigma"] == pytest.approx(math.sqrt(low * (1 - low) / 2261))
+    assert result["z"] == pytest.approx(low / result["sigma"])
     assert 30 < result["z"] < math.inf
+    assert result["resolution"] == pytest.approx(4 * result["sigma"])
+
+
+# the sweep's rank-one generators: cubes (8, 27), negatives, and some whose
+# quadratic field lies in a cyclotomic one (5, 13, -3)
+SWEEP_GENERATORS = (
+    2, 3, 5, 6, 7, 10, 11, 12, 13, 14, 15, 17, 18, 19, 20, 21, 22, 23,
+    -2, -3, -5, -6, -7, -10, -11, -13, 8, 27, 24, 28,
+)
+
+
+def test_the_verdict_does_not_flag_exact_values():
+    # 150 exact Euler values against their counts to 2*10^5: at the 95%
+    # Wilson level <23> divides(6,) (z = 2.01) was flagged; no z reaches 4
+    sets = [Equals((1,)), Equals((2,)), Equals((3,)), KFree((2,)), Divides((6,))]
+    srange = SieveRange.up_to(2 * 10**5)
+    for g in SWEEP_GENERATORS:
+        fam = GroupFamily.from_strings([str(g)])
+        for index_set, rep in zip(sets, survey_many(fam, srange, sets)):
+            value = valuation_density(fam, index_set).value
+            result = cli._verdict(value.low, value.high, rep.hits, rep.total)
+            assert result["verdict"] == "consistent", (g, index_set, result)
+            if (g, index_set) == (-3, Equals((3,))):
+                # exactly 0: -3 is a square mod p = 1 mod 3, so 2 | index
+                assert value.high == 0
+                assert (rep.hits, result["z"]) == (0, 0.0)
+
+
+def test_compare_still_catches_a_wrong_value(tmp_path, capsys):
+    # the generic series gives about A for <5>, whose index-one density is
+    # 20A/19 (5 = 1 mod 4 entangles the 2 and 5 layers)
+    cfg = _write_config(
+        tmp_path,
+        "five.json",
+        {
+            "groups": [["5"]],
+            "method": "series",
+            "mode": "generic",
+            "truncation": 2000,
+            "sieve_bound": 2 * 10**5,
+        },
+    )
+    code, payload, _ = _run(capsys, "compare", "--config", cfg)
+    result = payload["result"]
+    assert (code, result["verdict"]) == (4, "inconsistent")
+    assert result["z"] > 4
 
 
 def test_series_compare_surveys_the_set_of_its_level_map(tmp_path, capsys):
@@ -912,7 +962,20 @@ def test_survey_output_roundtrip(tmp_path, capsys):
 def test_bundled_examples_smoke(tmp_path, capsys):
     code, payload, _ = _run(capsys, "paper-examples", "--sieve-bound", "20000")
     assert code == 0
+    assert payload["result"]["z_level"] == cli.Z_LEVEL
     rows = payload["result"]["rows"]
     assert len(rows) == 6
     for row in rows:
-        assert row["agrees"] is True, row["example"]
+        assert row["verdict"] == "consistent", row["example"]
+        assert 0 <= row["z"] < 4, row["example"]
+        assert row["resolution"] == pytest.approx(4 * row["sigma"])
+
+
+def test_bundled_examples_with_no_counted_prime_are_inconclusive(capsys):
+    # below 3 the sieve counts no odd prime, so no row has a verdict
+    code, payload, _ = _run(capsys, "paper-examples", "--sieve-bound", "2")
+    assert code == 0
+    rows = payload["result"]["rows"]
+    assert len(rows) == 6
+    for row in rows:
+        assert (row["verdict"], row["z"], row["sigma"]) == ("inconclusive", None, None)

@@ -9,6 +9,7 @@ import pytest
 from indexdensity.arith import factorize, is_prime
 from indexdensity.errors import SizeLimitError, UnsupportedScopeError
 from indexdensity.index_sets import (
+    Classification,
     Divides,
     Equals,
     FiniteSet,
@@ -63,6 +64,28 @@ def test_classification_witness_is_squarefree_support():
     assert Equals((2, 4)).classification().witness == 2
     assert Divides((12,)).classification().witness == 6
     assert FiniteSet(((1,), (3,), (4,))).classification().witness == 6
+
+
+def test_equal_sets_classify_alike():
+    # the kind is read off the valuation map, however the set is written
+    divides_12 = ValuationConstraint(
+        ValuationMap.build(
+            1,
+            {2: ValuationPattern.below((3,)), 3: ValuationPattern.below((2,))},
+            ValuationPattern.exact_zero(1),
+        )
+    )
+    for sets in (
+        [Divides((12,)), divides_12],
+        [Equals((1,)), KFree((1,)), Divides((1,)), FiniteSet(((1,),))],
+        [Equals((4,)), FiniteSet(((4,),))],
+        [KFree((2,)), ValuationConstraint(KFree((2,)).valuation_map())],
+    ):
+        maps = {s.valuation_map() for s in sets}
+        kinds = {s.classification() for s in sets}
+        assert len(maps) == 1 and len(kinds) == 1, (sets, kinds)
+    assert divides_12.classification() == Classification("almost-cut", witness=6)
+    assert KFree((1,)).classification() == Classification("almost-cut", witness=2)
 
 
 def test_stronger_kinds_imply_determined():
