@@ -3,23 +3,23 @@
 Everything analytic in this package predicts frequencies; this module
 measures them. The index map runs on whole blocks of primes at once in
 int64 numpy arithmetic, which is exact because every prime is at most
-SIEVE_CAP < 2^31. Each generator is reduced mod p by square-and-multiply
-over its factored exponents. A scan sieves and factors p - 1 one window
-of integers at a time (Bays-Hudson), so its memory does not grow with the
-range. Indices come from power-residue tests: q divides the index of r
-exactly when r^((p - 1)/q) = 1, so one right-to-left square-and-multiply
-per generator, its squarings shared, tests every prime q of p - 1 at
-once, with the rows sorted so that each q runs on a prefix of them. In
-the cyclic group F_p^* the index of a group is the gcd of its generators'
-indices. Surveys count membership in an index set once per distinct
-index tuple, one block of primes at a time, optionally filtered by a
-congruence class on p, and report Wilson intervals. Observation logs make
-a scan reusable across queries: after one text header line, each prime is
-one fixed-width row of little-endian int32 (p, Psi(p)), written and read
-back a block at a time with no text formatting or parsing. A replay
-checks every row (whole rows only, p strictly increasing from the log's
-start, each index a positive divisor of p - 1) and refuses a log that
-fails, or a text log of an older version, with ConfigError.
+SIEVE_CAP < 2^31. Each generator is reduced mod p by powering its factored
+exponents. A scan sieves and factors p - 1 one window of integers at a
+time (Bays-Hudson), so its memory does not grow with the range. Indices
+come from power-residue tests: q divides the index of r exactly when
+r^((p - 1)/q) = 1, so one right-to-left pass over 2-bit exponent digits
+per generator, its squarings and digit table shared, tests every prime q
+of p - 1 at once, with the rows sorted so that each q runs on a prefix of
+them. In the cyclic group F_p^* the index of a group is the gcd of its
+generators' indices. Surveys count membership in an index set once per
+distinct index tuple, one block of primes at a time, optionally filtered
+by a congruence class on p, and report Wilson intervals. Observation logs
+make a scan reusable across queries: after one text header line, each
+prime is one fixed-width row of little-endian int32 (p, Psi(p)), written
+and read back a block at a time with no text formatting or parsing. A
+replay checks every row (whole rows only, p strictly increasing from the
+log's start, each index a positive divisor of p - 1) and refuses a log
+that fails, or a text log of an older version, with ConfigError.
 """
 
 from __future__ import annotations
@@ -139,28 +139,30 @@ class IndexObservation:
 def _powmod(base: np.ndarray, exps: list, mod: np.ndarray) -> list:
     """base^x mod mod for each exponent array x, on x's prefix of the last axis.
 
-    Right-to-left square-and-multiply (0 <= base < mod, x >= 0): the
-    squarings base^(2^j) are shared by every x, which each stop at their
-    own bit length. The multiplier (x & 1) (base - 1) + 1 is base on odd
-    bits and 1 on even ones, with no branch; every step works in place.
+    Right-to-left 2-bit digits (0 <= base < mod, x >= 0; the 2^k-ary
+    method at k = 2): at each even bit j the table (1, b, b^2, b^3) of
+    b = base^(2^j) is shared by every x, and each x multiplies once by the
+    entry its digit picks (one take), stopping at its own bit length.
+    b^2 and b^3 are formed only on the columns of an x with two bits left.
     """
-    base, exps = base.copy(), [x.copy() for x in exps]
-    outs = [np.where(x & 1, base[..., : x.size], 1) for x in exps]
+    exps = [x.copy() for x in exps]
     bits = [int(x.max(initial=0)).bit_length() for x in exps]
-    step = np.empty_like(base)
-    for j in range(1, max(bits, default=0)):
-        live = [(x, out) for x, out, n in zip(exps, outs, bits) if n > j]
-        n = max(x.size for x, _ in live)
-        base[..., :n] *= base[..., :n]
-        base[..., :n] %= mod[:n]
-        for x, out in live:
-            x >>= 1
-            s = step[..., : x.size]
-            np.subtract(base[..., : x.size], 1, out=s)
-            s *= x & 1
-            s += 1
-            out *= s
-            out %= mod[: x.size]
+    table = np.empty((4,) + base.shape, dtype=base.dtype)
+    table[0], table[1] = 1, base
+    at = np.arange(base.size).reshape(base.shape)  # offsets of table[0]
+    outs = [None] * len(exps)
+    for j in range(0, max(bits, default=0) or 1, 2):
+        n = max((x.size for x, k in zip(exps, bits) if k > j + 1), default=0)
+        b, b2, b3 = table[1:, ..., :n]
+        b2[...] = b * b % mod[:n]
+        b3[...] = b2 * b % mod[:n]
+        for i, x in enumerate(exps):
+            if j == 0 or bits[i] > j:  # at j = 0 every x takes its first digit
+                d = np.take(table, (x & 3) * base.size + at[..., : x.size])
+                outs[i] = d * outs[i] % mod[: x.size] if j else d
+                x >>= 2
+        n = max((x.size for x, k in zip(exps, bits) if k > j + 2), default=0)
+        table[1, ..., :n] = b2[..., :n] * b2[..., :n] % mod[:n]
     return outs
 
 
@@ -235,8 +237,9 @@ def _indices(primes: np.ndarray, residues: np.ndarray, slots) -> np.ndarray:
 
     For a slot (q, q^e), y = r^((p - 1) / q^e) has order q^s, and the
     q-part of the index is q^(e - s): q^e when y = 1, and otherwise found
-    by lifting y <- y^q on the few columns with e > 1. One shared
-    square-and-multiply per residue computes y for every slot at once.
+    by lifting y <- y^q on the few columns with e > 1. One _powmod per
+    residue row, over 2-bit digits of the exponents, computes y for every
+    slot at once: the slots share its squarings and its table of b^0..b^3.
     """
     ys = _powmod(residues, [(primes[: q.size] - 1) // q_e for q, q_e in slots], primes)
     index = np.ones_like(residues)

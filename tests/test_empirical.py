@@ -61,6 +61,28 @@ def _psi(p, family):
     return tuple(index_tuple(batch, family, trial_factors(batch - 1))[0].tolist())
 
 
+@pytest.mark.parametrize("shape", [(96,), (1, 96), (2, 96)])
+def test_powmod_matches_pow(shape):
+    # the longest exponent's bit length runs 0..31, so the last digit is a
+    # lone bit (odd lengths) or two bits (even); the arrays shrink as slots do
+    rng = np.random.default_rng(sum(shape))
+    mod = rng.choice([3, 5, 2147483579, 2147483587, 2147483629, SIEVE_CAP], 96)
+    base = rng.integers(0, mod, shape)
+    for top in range(32):
+        edges = [e for k in range(top + 1) for e in (2**k - 1, 2**k) if e < 2**top]
+        lengths = rng.integers(0, top + 1, 96)
+        drawn = rng.integers(2**lengths >> 1, 2**lengths)  # exactly that many bits
+        x = np.concatenate([edges, drawn])[:96]
+        assert int(x.max()).bit_length() == top
+        exps = [x] + [rng.permutation(x)[:n] for n in (72, 48, 24)[: 2 + top % 2]]
+        outs = empirical._powmod(base, exps, mod)
+        for x, out in zip(exps, outs):
+            assert out.shape == base[..., : x.size].shape
+            for b, y in zip(base.reshape(-1, 96), out.reshape(-1, x.size)):
+                want = [pow(int(c), int(e), int(m)) for c, e, m in zip(b, x, mod)]
+                assert y.tolist() == want
+
+
 def test_index_tuple_worked_examples():
     assert _psi(7, FAM2) == (2,)
     assert _psi(11, FAM2) == (1,)
@@ -220,7 +242,7 @@ def _survey_peak(bound):
 
 def test_survey_memory_does_not_grow_with_the_range():
     # the scan holds a window and a block, both of a fixed size, so its peak
-    # is a few MiB at any bound: 3.59 MiB at 10^7 with blocks of 2^14 primes
+    # is a few MiB at any bound: 4.00 MiB at 10^7 with blocks of 2^14 primes
     # and windows of 2^17 integers, 8.49 MiB with blocks of 2^16 and windows
     # of 2^18
     small, large = _survey_peak(10**6), _survey_peak(10**7)
