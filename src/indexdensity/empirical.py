@@ -5,21 +5,25 @@ measures them. The index map runs on whole blocks of primes at once in
 int64 numpy arithmetic, which is exact because every prime is at most
 SIEVE_CAP < 2^31. Each generator is reduced mod p by powering its factored
 exponents. A scan sieves and factors p - 1 one window of integers at a
-time (Bays-Hudson), so its memory does not grow with the range. Indices
-come from power-residue tests: q divides the index of r exactly when
+time (Bays-Hudson), so its memory does not grow with the range; the
+window holds the odd integers only (a wheel of 2), p = 2 is added on its
+own, and the 2-part of p - 1 is its lowest set bit. Indices come from
+power-residue tests: q divides the index of r exactly when
 r^((p - 1)/q) = 1, so one right-to-left pass over 2-bit exponent digits
 per generator, its squarings and digit table shared, tests every prime q
 of p - 1 at once, with the rows sorted so that each q runs on a prefix of
-them. In the cyclic group F_p^* the index of a group is the gcd of its
-generators' indices. Surveys count membership in an index set once per
-distinct index tuple, one block of primes at a time, optionally filtered
-by a congruence class on p, and report Wilson intervals. Observation logs
-make a scan reusable across queries: after one text header line, each
-prime is one fixed-width row of little-endian int32 (p, Psi(p)), written
-and read back a block at a time with no text formatting or parsing. A
-replay checks every row (whole rows only, p strictly increasing from the
-log's start, each index a positive divisor of p - 1) and refuses a log
-that fails, or a text log of an older version, with ConfigError.
+them. The 2-part of the index then takes squarings alone: y^(2^t) for
+t < e on the columns sorted by 2^e. In the cyclic group F_p^* the index
+of a group is the gcd of its generators' indices. Surveys count
+membership in an index set once per distinct index tuple, one block of
+primes at a time, optionally filtered by a congruence class on p, and
+report Wilson intervals. Observation logs make a scan reusable across
+queries: after one text header line, each prime is one fixed-width row of
+little-endian int32 (p, Psi(p)), written and read back a block at a time
+with no text formatting or parsing. A replay checks every row (whole rows
+only, p strictly increasing from the log's start, each index a positive
+divisor of p - 1) and refuses a log that fails, or a text log of an older
+version, with ConfigError.
 """
 
 from __future__ import annotations
@@ -205,8 +209,12 @@ def _factorization(pm1: np.ndarray, row: np.ndarray, q: np.ndarray):
 
 
 def _exact_power(c: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """q^e, the exact power of q that divides each entry of c (q | c)."""
-    q_e, again = q.copy(), np.flatnonzero(c % (q * q) == 0)
+    """q^e, the exact power of q that divides each entry of c (q | c).
+
+    Where q = 2 it is the lowest set bit of c; the odd q divide again and again.
+    """
+    q_e = np.where(q == 2, c & -c, q)
+    again = np.flatnonzero((q != 2) & (c % (q * q) == 0))
     while again.size:
         q_e[again] *= q[again]
         again = again[c[again] % (q_e[again] * q[again]) == 0]
@@ -236,14 +244,30 @@ def _indices(primes: np.ndarray, residues: np.ndarray, slots) -> np.ndarray:
     """[F_p^* : <r>] for each residue r (one row per generator, columns in slot order).
 
     For a slot (q, q^e), y = r^((p - 1) / q^e) has order q^s, and the
-    q-part of the index is q^(e - s): q^e when y = 1, and otherwise found
-    by lifting y <- y^q on the few columns with e > 1. One _powmod per
-    residue row, over 2-bit digits of the exponents, computes y for every
-    slot at once: the slots share its squarings and its table of b^0..b^3.
+    q-part of the index is q^(e - s). One _powmod per residue row, over
+    2-bit digits of the exponents, computes y for every slot at once: the
+    slots share its squarings and its table of b^0..b^3. Slot 0 is q = 2
+    on every column (p - 1 is even, and p = 2 has no slot): its columns,
+    sorted once by 2^e, square y for t = 1, 2, ... on the prefix with
+    e > t, s counts the powers y^(2^t), t < e, that are not 1, and the
+    2-part is 2^e >> s, with no compaction per step. An odd slot finds s
+    by lifting y <- y^q on the few columns with e > 1 that y = 1 leaves open.
     """
     ys = _powmod(residues, [(primes[: q.size] - 1) // q_e for q, q_e in slots], primes)
     index = np.ones_like(residues)
-    for (q, q_e), y in zip(slots, ys):
+    if not slots:
+        return index
+    q_e, y = slots[0][1], ys[0]
+    order = np.argsort(-q_e)
+    q_e, y, p = q_e[order], y[:, order], primes[order]
+    s = (y != 1).astype(np.int8)
+    e_max = int(q_e[0]).bit_length() - 1
+    # n is the prefix of columns with 2^e > 2^t, for t = 1 .. e_max - 1
+    for n in np.searchsorted(-q_e, -(2 ** np.arange(1, e_max))).tolist():
+        y[:, :n] = y[:, :n] * y[:, :n] % p[:n]
+        s[:, :n] += y[:, :n] != 1
+    index[:, order] = q_e >> s
+    for (q, q_e), y in zip(slots[1:], ys[1:]):
         index[:, : q.size] *= np.where(y == 1, q_e, 1)
         gen, col = np.nonzero((y != 1) & (q_e > q))
         y, q, p, f = y[gen, col], q[col], primes[col], q_e[col] // q[col]
@@ -377,28 +401,35 @@ class ObservationLog:
 def _window(lo: int, hi: int, small: list[int], skip: list[int]):
     """The primes of [lo, hi) outside skip, then their p - 1 as _factorization gives it.
 
-    small reaches the square root of the scan's end, so p - 1 has at most
-    one prime beyond it. Primes q | p - 1 below 16 are tested on p - 1; the
-    others are read off the sieve at the integers 1 mod q, a stride apart.
+    small holds the primes up to the square root of the scan's end, so
+    p - 1 has at most one prime beyond it. The sieve holds the odd integers
+    only, flag i for o + 2i (o the first odd integer from lo), and p = 2 is
+    added on its own. Every odd p - 1 is even; each odd q | p - 1 is read
+    off the sieve at the odd integers 1 mod q, a stride of q flags apart.
     """
-    flags, qs = np.ones(hi - lo, dtype=bool), np.array(small)
-    # each q's offsets in numpy: Python arithmetic per q and window adds up
-    firsts = np.maximum(qs * qs, -(-lo // qs) * qs) - lo
-    for q, first in zip(small, firsts.tolist()):
-        flags[first::q] = False
-    flags[[s - lo for s in skip if lo <= s < hi]] = False
+    o, qs = lo | 1, np.array(small)
+    qs = qs[qs > 2]
+    flags = np.ones(max(hi - o + 1, 0) // 2, dtype=bool)
+    # each q's offsets in numpy: Python arithmetic per q and window adds up;
+    # o + 2i = r mod q at i = (r - o)(q + 1)/2 mod q, as (q + 1)/2 halves mod q
+    half = (qs + 1) // 2
+    firsts = np.maximum((qs * qs - o) // 2, -o % qs * half % qs)
+    for q, first in zip(qs.tolist(), firsts.tolist()):
+        flags[first::q] = False  # the odd multiples of q from max(q^2, lo)
+    flags[[(s - o) // 2 for s in skip if o <= s < hi and s & 1]] = False
     at = np.flatnonzero(flags)
+    two = int(lo <= 2 < hi and 2 not in skip)  # p = 2, whose p - 1 = 1 has no pair
+    pm1 = np.concatenate((np.ones(two, np.int64), 2 * at + (o - 1)))
+    odd = np.arange(two, pm1.size)  # the rows of the odd primes, each paired with q = 2
     # read only at primes, so left unset elsewhere; below 2^16 primes 16 bits wide
-    pm1, rank = at + (lo - 1), np.empty(flags.size, np.min_scalar_type(at.size))
-    rank[at] = np.arange(at.size)
-    tiny, big = [q for q in small if q < 16], [q for q in small if q >= 16]
-    starts = [(1 - lo) % q for q in big]  # offset of the first integer 1 mod q
-    steps = [flags[s::q].nonzero()[0] for q, s in zip(big, starts)]  # s + kq prime
+    rank = np.empty(flags.size, np.min_scalar_type(pm1.size))
+    rank[at] = odd
+    starts = ((1 - o) % qs * half % qs).tolist()  # the flags of the integers 1 mod q
+    steps = [flags[s::q].nonzero()[0] for q, s in zip(qs.tolist(), starts)]
     n = [k.size for k in steps]
-    rows = [np.flatnonzero(pm1 % q == 0) for q in tiny]
-    rows.append(rank[np.repeat(starts, n) + np.concatenate(steps) * np.repeat(big, n)])
-    q = np.repeat(small, [r.size for r in rows[:-1]] + n)
-    return pm1 + 1, *_factorization(pm1, np.concatenate(rows), q)
+    rows = rank[np.repeat(starts, n) + np.concatenate(steps) * np.repeat(qs, n)]
+    q = np.repeat(np.concatenate(([2], qs)), [at.size] + n)
+    return pm1 + 1, *_factorization(pm1, np.concatenate((odd, rows)), q)
 
 
 def _scan(family: GroupFamily, srange: SieveRange, log_path: str | None):
@@ -429,8 +460,8 @@ def _scan(family: GroupFamily, srange: SieveRange, log_path: str | None):
     if not any(is_prime(n) for n in range(last + 1, srange.high + 1)):
         return
     skip = [q for q in family.support if q <= srange.high]
-    # small always holds a prime above 16, for _window's strided reads
-    small, rest = list(primes_up_to(max(math.isqrt(srange.high), 17))), []
+    # small always holds an odd prime, for _window's strided reads
+    small, rest = list(primes_up_to(max(math.isqrt(srange.high), 3))), []
     log_file = open(log_path, "ab") if log else nullcontext()
     with log_file as sink:
         if write_header:

@@ -187,14 +187,18 @@ def _assert_scan_is_exact(rows, gen_lists, srange):
 # (window, range, generators): a range from 30, where sieving primes up to
 # the square root lie inside the range, and one from 12345, where every
 # sieve and stride starts at an arbitrary offset; support primes that end a
-# window (4093 in [2, 4094)) and start one (4099 in [4099, 8196)); and
-# p = 2 and 3 in the first window
+# window (4093 in [2, 4094)) and start one (4099 in [4099, 8196));
+# p = 2 and 3 in the first window; and windows of 3 and 2 integers: [2, 5)
+# holds p = 2 alone once the support prime 3 is skipped, windows of 3 start
+# on an even and an odd lo by turns, and [300, 301) holds no odd integer
 WINDOW_CASES = [
     (3000, (30, 20000), (["2", "3"],)),
     (3000, (12345, 40000), (["-3/10", "7"], ["2/9"])),
     (4092, (2, 20000), (["4093"], ["-2"])),
     (4097, (2, 20000), (["4099/7"],)),
     (2500, (2, 12000), (["5"], ["-7"])),
+    (3, (2, 400), (["3"],)),
+    (2, (2, 300), (["-3/10", "7"], ["2/9"])),
 ]
 
 
@@ -299,9 +303,12 @@ def test_index_map_reduces_generators_beyond_int64():
         assert tuple(row) == _oracle_psi(p, gen_lists), p
 
 
-# p = 2 has omega(p - 1) = 0, the Fermat primes have p - 1 a power of 2, and
-# the last three are the first primes with eight distinct primes in p - 1
+# p = 2 has omega(p - 1) = 0, the Fermat primes have p - 1 a power of 2,
+# 13123111, 14804791 and 16546531 are the first primes with eight distinct
+# primes in p - 1, and the last four have v_2(p - 1) = 23, 25, 26 and 27, so
+# the squaring lifts of the 2-part climb 22 to 26 levels
 EXTREME_PRIMES = [2, 3, 5, 17, 257, 65537, 13123111, 14804791, 16546531]
+EXTREME_PRIMES += [998244353, 167772161, 469762049, 2013265921]
 EXTREME_FAMILIES = [
     (["2"],),
     (["4096"],),
