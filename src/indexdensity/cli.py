@@ -472,7 +472,7 @@ def run_paper_examples(cfg: dict) -> dict:
     artin = valuation_density(fam2, Equals((1,)), cutoff=10**4)
     rows.append(_example_row("index 1 (primitive root)", artin, reports[0]))
 
-    ziegler = hooley_series(fam2.groups[0], Equals((2,)), 3000)
+    ziegler = valuation_density(fam2, Equals((2,)), cutoff=10**4)
     rows.append(_example_row("index exactly 2", ziegler, reports[1]))
 
     sqfree = valuation_density(fam2, KFree((2,)), cutoff=10**4)

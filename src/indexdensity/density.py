@@ -35,7 +35,6 @@ reach: for <2> twice, the four corners of F_q(1, 2) cancel.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -472,14 +471,13 @@ def singleton_sum(
     Equals((1, ..., 1)) with its cutoff and tail-bound notes, times its
     exact correction m(h) from _corrections. One Kummer model serves both,
     and the base reads _corrections' index-one joint factor, so that
-    factor is priced once per call. The corrections stay exact in
-    the ledger, but their sum runs on the 2^-PRECISION_BITS grid
-    (series_sum), in one pass over the members by max(h), and the value is
-    the base times [low, high] rounded outward: an exact sum's denominator
-    grows with every member. Monotone in both the enumeration bound and the
-    smoothness modulus, which is the observable shape of the truncation
-    lattice the ledger reports, as the grid lower bounds of the prefix
-    sums at geometric sub-bounds. Any family will do (module docstring):
+    factor is priced once per call. The members come from
+    index_set.members. Their corrections stay exact in the ledger, but are
+    added in one series_sum pass on the 2^-PRECISION_BITS grid, since an
+    exact sum's denominator grows with every member; the value is the base
+    times that [low, high], rounded outward. The ledger's last row is low,
+    which ties its h= rows to the value. Monotone in both the enumeration
+    bound and the smoothness modulus. Any family will do (module docstring):
     for <2> twice, (q, q^2) gets exactly 0. A set of another arity than
     the family's is refused (ValueError), as is a member at whose primes
     index one has density zero (_corrections).
@@ -492,26 +490,10 @@ def singleton_sum(
     base = _euler_route(model, Equals((1,) * n), cutoff, one)
 
     members = index_set.members(bound, smooth)
-    corrections = [(h, correction(h)) for h in members]
-    ledger = [(f"h={h}", m_h) for h, m_h in corrections[:LEDGER_ROW_LIMIT]]
-
-    # one grid sum over the members by max(h): the truncation lattice's
-    # partial sums at geometric sub-bounds are its prefix sums
-    subs = []
-    sub = bound
-    while sub:
-        subs.append(sub)
-        sub //= 4
-    by_max = sorted(corrections, key=lambda hm: max(hm[0]))
-    tops = [max(h) for h, _ in by_max]
-    lo = hi = Fraction(0)
-    start = 0
-    for sub in reversed(subs):
-        stop = bisect_right(tops, sub)
-        band = series_sum((m.numerator, m.denominator) for _, m in by_max[start:stop])
-        lo, hi = lo + band[0], hi + band[1]
-        start = stop
-        ledger.append((f"sum(max h <= {sub})", lo))
+    corrections = [correction(h) for h in members]
+    lo, hi = series_sum((m.numerator, m.denominator) for m in corrections)
+    ledger = [(f"h={h}", m) for h, m in zip(members[:LEDGER_ROW_LIMIT], corrections)]
+    ledger.append((f"sum(max h <= {bound})", lo))
 
     value = Interval(round_down(base.value.low * lo), round_up(base.value.high * hi))
     notes = (

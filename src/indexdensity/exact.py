@@ -57,10 +57,6 @@ class Interval:
     def width(self) -> Fraction:
         return self.high - self.low
 
-    def contains(self, x) -> bool:
-        x = Fraction(x)
-        return self.low <= x <= self.high
-
     def decimal_bounds(self, places: int = 12) -> tuple[str, str]:
         """(low rounded down, high rounded up) as decimal strings."""
         scale = 10**places

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -86,19 +87,18 @@ class SquarefreeModulus:
                 m //= p
         return m == 1
 
-    def smooth_numbers(self, bound: int) -> list[int]:
-        out = [1]
-        for p in self.primes:
-            out.extend(x * q for x in list(out) for q in _powers(p, bound) if x * q <= bound)
-            out = sorted(set(out))
-        return [x for x in out if x <= bound]
-
-
-def _powers(p: int, bound: int):
-    q = p
-    while q <= bound:
-        yield q
-        q *= p
+    def smooth_numbers(self, bound: int):
+        """Yield each number <= bound whose primes all lie in this modulus,
+        once, in no set order: each is its predecessor times a prime no
+        smaller than its predecessor's largest."""
+        stack = [(1, 0)]
+        while stack:
+            x, i = stack.pop()
+            yield x
+            for j, p in enumerate(self.primes[i:], i):
+                if x * p > bound:
+                    break
+                stack.append((x * p, j))
 
 
 # ---------------------------------------------------------------------------
@@ -257,28 +257,22 @@ class IndexSet(ABC):
             f"{self.label()} has no per-prime product structure"
         )
 
-    def coordinate_candidates(self, bound: int, smooth: SquarefreeModulus | None):
-        """Per-coordinate superset of possible entries <= bound, ascending."""
-        if smooth is None:
-            base = range(1, bound + 1)
-        else:
-            base = smooth.smooth_numbers(bound)
-        _check_box(len(base) ** self.n)  # before any list is built
-        return [list(base) for _ in range(self.n)]
-
     def members(
         self, bound: int, smooth: SquarefreeModulus | None = None
     ) -> list[IndexTuple]:
-        """All members with entries <= bound (and smooth, if given), lex order."""
-        return [h for h in self._candidate_tuples(bound, smooth) if self.contains(h)]
+        """All members with entries <= bound (and smooth, if given), lex order.
 
-    def _candidate_tuples(self, bound: int, smooth: SquarefreeModulus | None):
-        """The tuples of coordinate candidates, once their count is checked."""
-        if bound < 1:
-            raise ValueError("bound must be >= 1")
-        cands = self.coordinate_candidates(bound, smooth)
-        _check_box(math.prod(len(c) for c in cands))
-        return iproduct(*cands)
+        Here every tuple of the box of such entries is tested with contains.
+        The sets that know their members (Equals, Divides, KFree, PrimesSet
+        and FiniteSet) list them instead, with no test.
+        """
+        entries = _entries(self.n, bound, smooth)
+        return [h for h in iproduct(entries, repeat=self.n) if self.contains(h)]
+
+
+def _check_bound(bound: int) -> None:
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
 
 
 def _check_box(size: int) -> None:
@@ -287,6 +281,31 @@ def _check_box(size: int) -> None:
             f"enumeration would visit > {ENUMERATION_CAP} tuples; "
             "lower the bound or pass a smoothness modulus"
         )
+
+
+def _fits(x: int, bound: int, smooth: SquarefreeModulus | None) -> bool:
+    return x <= bound and (smooth is None or smooth.is_smooth(x))
+
+
+def _entries(n: int, bound: int, smooth: SquarefreeModulus | None):
+    """The entries <= bound (and smooth, if given), ascending, refused as
+    they are listed once the box of n-tuples over them passes the cap."""
+    _check_bound(bound)
+    if smooth is None:
+        _check_box(bound**n)
+        return range(1, bound + 1)
+    entries = []
+    for x in smooth.smooth_numbers(bound):
+        entries.append(x)
+        _check_box(len(entries) ** n)
+    return sorted(entries)
+
+
+def _product(lists: list[list[int]]) -> list[IndexTuple]:
+    """The tuples of exact per-coordinate lists, in lex order, refused
+    before they are built when there are more than the cap."""
+    _check_box(math.prod(len(c) for c in lists))
+    return list(iproduct(*lists))
 
 
 @dataclass(frozen=True)
@@ -312,11 +331,9 @@ class Equals(IndexSet):
         }
         return ValuationMap.build(self.n, at, ValuationPattern.exact_zero(self.n))
 
-    def coordinate_candidates(self, bound, smooth):
-        ok = all(x <= bound for x in self.t) and (
-            smooth is None or all(smooth.is_smooth(x) for x in self.t)
-        )
-        return [[x] for x in self.t] if ok else [[] for _ in self.t]
+    def members(self, bound, smooth=None):
+        _check_bound(bound)
+        return [self.t] if all(_fits(x, bound, smooth) for x in self.t) else []
 
     def label(self):
         return f"equals{self.t}"
@@ -345,17 +362,15 @@ class Divides(IndexSet):
             at[ell] = ValuationPattern.below(tuple(v + 1 for v in caps))
         return ValuationMap.build(self.n, at, ValuationPattern.exact_zero(self.n))
 
-    def coordinate_candidates(self, bound, smooth):
-        out = []
+    def members(self, bound, smooth=None):
+        _check_bound(bound)
+        lists = []
         for t in self.t:
-            divs = [1]  # t's divisors up to bound, from its factorization
+            divs = [1]  # t's divisors, from its factorization
             for p, e in factorize(t).items():
-                divs = [d * p**j for d in divs for j in range(e + 1) if d * p**j <= bound]
-            divs.sort()
-            if smooth is not None:
-                divs = [d for d in divs if smooth.is_smooth(d)]
-            out.append(divs)
-        return out
+                divs = [d * p**j for d in divs for j in range(e + 1)]
+            lists.append(sorted(d for d in divs if _fits(d, bound, smooth)))
+        return _product(lists)
 
     def label(self):
         return f"divides{self.t}"
@@ -384,9 +399,9 @@ class KFree(IndexSet):
             self.n, {}, ValuationPattern.below(self.k)
         )
 
-    def coordinate_candidates(self, bound, smooth):
-        base = super().coordinate_candidates(bound, smooth)
-        return [[x for x in cand if is_kfree(x, k)] for cand, k in zip(base, self.k)]
+    def members(self, bound, smooth=None):
+        entries = _entries(self.n, bound, smooth)
+        return _product([[x for x in entries if is_kfree(x, k)] for k in self.k])
 
     def label(self):
         return f"kfree{self.k}"
@@ -437,7 +452,9 @@ class FiniteSet(IndexSet):
         return len(self.tuples[0])
 
     def contains(self, h):
-        return tuple(h) in self.tuples
+        h = tuple(h)
+        i = bisect_left(self.tuples, h)
+        return i < len(self.tuples) and self.tuples[i] == h
 
     def classification(self):
         support = math.lcm(*(x for t in self.tuples for x in t))
@@ -451,15 +468,9 @@ class FiniteSet(IndexSet):
             "use the singleton-sum route (exact for finite sets)"
         )
 
-    def coordinate_candidates(self, bound, smooth):
-        cands = [set() for _ in range(self.n)]
-        for t in self.tuples:
-            if all(x <= bound for x in t) and (
-                smooth is None or all(smooth.is_smooth(x) for x in t)
-            ):
-                for i, x in enumerate(t):
-                    cands[i].add(x)
-        return [sorted(c) for c in cands]
+    def members(self, bound, smooth=None):
+        _check_bound(bound)
+        return [t for t in self.tuples if all(_fits(x, bound, smooth) for x in t)]
 
     def label(self):
         return f"finite[{len(self.tuples)}]"
@@ -485,15 +496,12 @@ class PrimesSet(IndexSet):
     def classification(self):
         return Classification("determined")
 
-    def coordinate_candidates(self, bound, smooth):
-        if smooth is not None:
-            return [[p for p in smooth.primes if p <= bound]]
-        _check_box(bound)  # the sieve visits every entry up to the bound
-        return [list(primes_up_to(bound))]
-
     def members(self, bound, smooth=None):
-        """The candidates are already the primes up to the bound: no test runs."""
-        return list(self._candidate_tuples(bound, smooth))
+        _check_bound(bound)
+        if smooth is not None:
+            return [(p,) for p in smooth.primes if p <= bound]
+        _check_box(bound)  # the sieve visits every entry up to the bound
+        return [(p,) for p in primes_up_to(bound)]
 
     def label(self):
         return "primes"

@@ -3,9 +3,13 @@
 
 Runs ``cli.main`` in process on every config below and prints the sha256
 of each run's stdout, stderr and exit code, taken in order. A change that
-claims no change in behaviour reports this digest before and after;
-``--lines`` prints one line per config (exit code, a short hash of its
-output, the command and the config), so two runs can be diffed.
+claims no change in behaviour reports this digest before and after. A
+second digest is taken with the ledger removed from each JSON result (and
+from a compare's analytic part), so a change that touches only ledgers
+shows its values, notes, refusals and verdicts unchanged. ``--lines``
+prints one line per config (exit code, a short hash of its output, the
+same hash without ledgers, the command and the config), so two runs can
+be diffed.
 
     python tests/grid_digest.py [--lines]
 
@@ -123,20 +127,36 @@ def run(command: str, config: dict, folder: Path) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def without_ledgers(out: str) -> str:
+    """stdout with the ledgers taken out of its JSON result; other output as is."""
+    try:
+        document = json.loads(out)
+    except json.JSONDecodeError:
+        return out
+    result = document["result"]
+    for part in (result, result.get("analytic", {})):
+        part.pop("ledger", None)
+    return json.dumps(document, indent=2, sort_keys=True)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--lines", action="store_true", help="one line per config")
     args = parser.parse_args()
-    total = hashlib.sha256()
+    total, bare = hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as folder:
         for command, config in configs():
             code, out, err = run(command, config, Path(folder))
             text = f"{code}\n{out}\n{err}\n"
+            text_bare = f"{code}\n{without_ledgers(out)}\n{err}\n"
             total.update(text.encode())
+            bare.update(text_bare.encode())
             if args.lines:
                 short = hashlib.sha256(text.encode()).hexdigest()[:12]
-                print(code, short, command, json.dumps(config, sort_keys=True))
+                short_bare = hashlib.sha256(text_bare.encode()).hexdigest()[:12]
+                print(code, short, short_bare, command, json.dumps(config, sort_keys=True))
     print(total.hexdigest())
+    print(bare.hexdigest(), "(without ledgers)")
 
 
 if __name__ == "__main__":

@@ -225,7 +225,7 @@ def test_hooley_series_encloses_the_literature_values():
     # Hooley (1967): <2> has density A, <5> has 20A/19 and <-3> has 6A/5
     for g, ratio in (("2", 1), ("5", Fraction(20, 19)), ("-3", Fraction(6, 5))):
         rep = hooley_series(MultGroup.from_strings(g), Equals((1,)), 10**5, "corrected")
-        assert rep.value.contains(ARTIN * ratio), g
+        assert rep.value.low <= ARTIN * ratio <= rep.value.high, g
         assert rep.value.width < Fraction(1, 10**4), g
 
 
@@ -371,7 +371,7 @@ def test_valuation_density_odd_index_is_half():
         )
     )
     rep = valuation_density(FAM2, vc, cutoff=200)
-    assert rep.value.contains(Fraction(1, 2))
+    assert rep.value.low <= Fraction(1, 2) <= rep.value.high
     assert rep.value.width < Fraction(1, 10**6)
 
 

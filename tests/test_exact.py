@@ -73,17 +73,6 @@ def test_series_sum_matches_rounding_every_partial_sum():
     )
 
 
-def test_contains_and_overlaps():
-    a = Interval(Fraction(1, 4), Fraction(1, 2))
-    b = Interval(Fraction(1, 2), Fraction(3, 4))
-    c = Interval(Fraction(4, 5), Fraction(9, 10))
-    assert a.contains(Fraction(1, 3))
-    assert not a.contains(Fraction(2, 3))
-    # a and b share their endpoint 1/2; c lies past both
-    assert a.contains(Fraction(1, 2)) and b.contains(Fraction(1, 2))
-    assert not (c.contains(a.high) or c.contains(b.high))
-
-
 def test_decimal_bounds_rounds_outward():
     iv = Interval(Fraction(1, 3), Fraction(1, 2))
     lo, hi = iv.decimal_bounds(6)

@@ -38,6 +38,7 @@ def _zoo():
         KFree((2,)),
         KFree((2, 3)),
         FiniteSet(((1,), (3,), (4,))),
+        FiniteSet(((2, 3), (7, 1))),  # pairs below, between and past these
         ValuationConstraint(vmap),
         PrimesSet(),
         named_predicate("even-omega"),
@@ -52,6 +53,7 @@ def test_classification_kinds():
     assert kinds["kfree(2,)"] == "cut"
     assert kinds["kfree(2, 3)"] == "cut"
     assert kinds["finite[3]"] == "almost-cut"
+    assert kinds["finite[2]"] == "almost-cut"
     assert kinds["valuation(at=2,3)"] == "cut"
     assert kinds["primes"] == "determined"
     assert kinds["predicate:even-omega"] == "unknown"
@@ -167,16 +169,25 @@ def test_divides_members_match_trial_division():
 
 def test_enumeration_cap_refuses_before_building_the_candidates():
     # checked only after the candidates are built, KFree((2, 2)) would factor
-    # 4*10^5 integers first and PrimesSet would sieve up to the bound
-    for s, bound in ((KFree((2, 2)), 2 * 10**5), (PrimesSet(), 4 * 10**7)):
+    # 4*10^5 integers first, PrimesSet would sieve up to the bound, and the
+    # 30030-smooth entries up to 10^22 would all be listed (2.8 million)
+    # before their 8*10^12 pairs were counted
+    for s, bound, modulus in (
+        (KFree((2, 2)), 2 * 10**5, None),
+        (PrimesSet(), 4 * 10**7, None),
+        (KFree((2, 2)), 10**22, SquarefreeModulus.from_int(30030)),
+    ):
         start = time.perf_counter()
         with pytest.raises(SizeLimitError):
-            s.members(bound)
+            s.members(bound, modulus)
         assert time.perf_counter() - start < 1, s.label()
     # sets whose candidates do not grow with the bound work at any bound
     assert Equals((3, 4)).members(10**30) == [(3, 4)]
     assert Divides((4,)).members(10**30) == [(1,), (2,), (4,)]
     assert FiniteSet(((2,), (5,))).members(10**30) == [(2,), (5,)]
+    # a finite set lists the tuples it holds, not the box of their entries
+    pairs = tuple((i, i + 1) for i in range(1, 5001))
+    assert FiniteSet(pairs).members(10**6) == list(pairs)
 
 
 def test_valuation_pattern_semantics():
