@@ -2,13 +2,16 @@
 
 Everything analytic in this package predicts frequencies; this module
 measures them. The index map runs on whole blocks of primes at once in
-int64 numpy arithmetic, which is exact because every prime is at most
-SIEVE_CAP < 2^31. Each generator is reduced mod p by powering its factored
-exponents. A scan sieves and factors p - 1 one window of integers at a
-time (Bays-Hudson), so its memory does not grow with the range; the
-window holds the odd integers only (a wheel of 2), p = 2 is added on its
-own, and the 2-part of p - 1 is its lowest set bit. Indices come from
-power-residue tests: q divides the index of r exactly when
+numpy arithmetic, exact up to SIEVE_CAP = 2^31 - 1: a block whose primes
+are all below FLOAT_EXACT = 2^26 reduces its residue products in float64,
+one rounded division giving each quotient exactly since (p - 1)^2 < 2^52,
+and any other block in int64, where (p - 1)^2 < 2^62; exponents and
+indices are int64 on both. Each generator is reduced mod p by powering
+its factored exponents. A scan sieves and factors p - 1 one window of
+integers at a time (Bays-Hudson), so its memory does not grow with the
+range; the window holds the odd integers only (a wheel of 2), p = 2 is
+added on its own, and the 2-part of p - 1 is its lowest set bit. Indices
+come from power-residue tests: q divides the index of r exactly when
 r^((p - 1)/q) = 1, so one right-to-left pass over 2-bit exponent digits
 per generator, its squarings and digit table shared, tests every prime q
 of p - 1 at once, with the rows sorted so that each q runs on a prefix of
@@ -44,6 +47,7 @@ from .groups import GroupFamily
 from .index_sets import IndexSet
 
 SIEVE_CAP = 2**31 - 1
+FLOAT_EXACT = 2**26  # a kernel pass on primes below this runs in float64
 BLOCK = 1 << 14  # primes per index kernel pass, scan block and log read or write
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -136,8 +140,31 @@ class IndexObservation:
 # ---------------------------------------------------------------------------
 # the index map, one batch of primes at a time
 #
-# Every residue is below SIEVE_CAP = 2^31 - 1, so the product of two
-# residues fits in int64 and the arithmetic below is exact.
+# Residues are float64 on a kernel pass whose primes are all below
+# FLOAT_EXACT and int64 otherwise; exponents and indices are int64.
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, mod: np.ndarray, out=None) -> np.ndarray:
+    """a * b mod mod, elementwise for residues 0 <= a, b < mod, into out if given.
+
+    int64 (mod <= SIEVE_CAP < 2^31): a * b < 2^62 is exact, and x %= mod
+    reduces it. float64 (mod < FLOAT_EXACT = 2^26), as the quotient of
+    Shoup's MulMod: x = a * b, t = x / mod rounded, x -= floor(t) * mod.
+    x <= (p - 1)^2 < 2^52 is exact. Write x = k p + r, 0 <= r < p: then
+    k < 2^26 and k <= x / p <= k + 1 - 1/p, and doubles below 2^26 lie at
+    most 2^-27 apart, less than the 1/p > 2^-26 between x / p and k + 1,
+    so the rounded quotient lies in [k, k + 1) and floors to k; k p <= x
+    and x - k p are integers below 2^53, exact. Float //, % and np.fmod
+    give the same values 6 to 50 times more slowly.
+    """
+    x = np.multiply(a, b, out=out)
+    if x.dtype == np.int64:
+        return np.remainder(x, mod, out=x)
+    t = np.divide(x, mod)
+    np.floor(t, out=t)
+    t *= mod
+    x -= t
+    return x
 
 
 def _powmod(base: np.ndarray, exps: list, mod: np.ndarray) -> list:
@@ -148,6 +175,11 @@ def _powmod(base: np.ndarray, exps: list, mod: np.ndarray) -> list:
     b = base^(2^j) is shared by every x, and each x multiplies once by the
     entry its digit picks (one take), stopping at its own bit length.
     b^2 and b^3 are formed only on the columns of an x with two bits left.
+    base and mod share a dtype, float64 below FLOAT_EXACT or int64. Every
+    product goes through _mulmod into an array that holds it already (b^2,
+    b^3 and the next b into the table, each digit product into its x's
+    output), so a step allocates only its digit offsets, the digits they
+    gather and, in float64, _mulmod's quotients.
     """
     exps = [x.copy() for x in exps]
     bits = [int(x.max(initial=0)).bit_length() for x in exps]
@@ -158,15 +190,15 @@ def _powmod(base: np.ndarray, exps: list, mod: np.ndarray) -> list:
     for j in range(0, max(bits, default=0) or 1, 2):
         n = max((x.size for x, k in zip(exps, bits) if k > j + 1), default=0)
         b, b2, b3 = table[1:, ..., :n]
-        b2[...] = b * b % mod[:n]
-        b3[...] = b2 * b % mod[:n]
+        _mulmod(b, b, mod[:n], out=b2)
+        _mulmod(b2, b, mod[:n], out=b3)
         for i, x in enumerate(exps):
             if j == 0 or bits[i] > j:  # at j = 0 every x takes its first digit
                 d = np.take(table, (x & 3) * base.size + at[..., : x.size])
-                outs[i] = d * outs[i] % mod[: x.size] if j else d
+                outs[i] = _mulmod(outs[i], d, mod[: x.size], out=outs[i]) if j else d
                 x >>= 2
         n = max((x.size for x, k in zip(exps, bits) if k > j + 2), default=0)
-        table[1, ..., :n] = b2[..., :n] * b2[..., :n] % mod[:n]
+        _mulmod(b2[..., :n], b2[..., :n], mod[:n], out=table[1, ..., :n])
     return outs
 
 
@@ -178,15 +210,17 @@ def _reduce(x: int, mod: np.ndarray) -> np.ndarray:
     return out
 
 
-def _residues(primes: np.ndarray, family: GroupFamily) -> np.ndarray:
-    """Every generator of every group reduced mod each prime, one row each."""
-    pm1 = primes - 1
+def _residues(primes: np.ndarray, family: GroupFamily, dtype) -> np.ndarray:
+    """Every generator of every group reduced mod each prime, one row each,
+    in dtype (float64 for primes below FLOAT_EXACT, else int64)."""
+    pm1, mod = primes - 1, primes.astype(dtype, copy=False)
     gens = [g for group in family.groups for g in group.generators]
-    out = np.empty((len(gens), primes.size), dtype=np.int64)
+    out = np.empty((len(gens), primes.size), dtype=dtype)
     for r, g in zip(out, gens):
         r[:] = 1 if g.sign > 0 else pm1
         for q, e in g.exponents:
-            r[:] = r * _powmod(_reduce(q, primes), [e % pm1], primes)[0] % primes
+            y = _powmod(_reduce(q, primes).astype(dtype, copy=False), [e % pm1], mod)[0]
+            _mulmod(r, y, mod, out=r)
     return out
 
 
@@ -252,9 +286,19 @@ def _indices(primes: np.ndarray, residues: np.ndarray, slots) -> np.ndarray:
     e > t, s counts the powers y^(2^t), t < e, that are not 1, and the
     2-part is 2^e >> s, with no compaction per step. An odd slot finds s
     by lifting y <- y^q on the few columns with e > 1 that y = 1 leaves open.
+    primes and residues share a dtype, float64 below FLOAT_EXACT or int64,
+    and every power of a residue keeps it (_powmod); the exponents and the
+    index are int64.
     """
-    ys = _powmod(residues, [(primes[: q.size] - 1) // q_e for q, q_e in slots], primes)
-    index = np.ones_like(residues)
+    ys = _powmod(
+        residues,
+        [
+            (primes[: q.size].astype(np.int64, copy=False) - 1) // q_e
+            for q, q_e in slots
+        ],
+        primes,
+    )
+    index = np.ones(residues.shape, dtype=np.int64)
     if not slots:
         return index
     q_e, y = slots[0][1], ys[0]
@@ -264,7 +308,7 @@ def _indices(primes: np.ndarray, residues: np.ndarray, slots) -> np.ndarray:
     e_max = int(q_e[0]).bit_length() - 1
     # n is the prefix of columns with 2^e > 2^t, for t = 1 .. e_max - 1
     for n in np.searchsorted(-q_e, -(2 ** np.arange(1, e_max))).tolist():
-        y[:, :n] = y[:, :n] * y[:, :n] % p[:n]
+        _mulmod(y[:, :n], y[:, :n], p[:n], out=y[:, :n])
         s[:, :n] += y[:, :n] != 1
     index[:, order] = q_e >> s
     for (q, q_e), y in zip(slots[1:], ys[1:]):
@@ -287,8 +331,11 @@ def index_tuple(p, family: GroupFamily, factors: tuple):
     p is a 1-D int array of primes outside the support of the family
     (reduction mod p is undefined there, and a support prime raises
     ValueError); the result is a (len(p), n) int64 array, one row per
-    prime. The computation is batched in int64 and exact because every
-    prime is at most SIEVE_CAP = 2^31 - 1; larger primes raise ValueError.
+    prime. Larger primes than SIEVE_CAP = 2^31 - 1 raise ValueError. Each
+    kernel pass reduces its products in float64 when its largest prime is
+    below FLOAT_EXACT = 2^26, where (p - 1)^2 < 2^52 and one rounded
+    division gives the quotient (_mulmod), and in int64 otherwise, where
+    (p - 1)^2 < 2^62: exact either way, with int64 exponents and indices.
     factors is p - 1 factored as _factorization gives it, as a scan's
     windows do. A group's index is the gcd of its generators' indices,
     each found by power-residue tests. The kernel takes BLOCK primes per
@@ -306,7 +353,10 @@ def index_tuple(p, family: GroupFamily, factors: tuple):
         chunk = primes[start : start + BLOCK]
         chunk_factors, factors = _split(factors, BLOCK)
         order, slots = _slots(*chunk_factors)
-        index = _indices(chunk[order], _residues(chunk[order], family), slots)
+        dtype = np.float64 if chunk.max() < FLOAT_EXACT else np.int64
+        residues = _residues(chunk[order], family, dtype)
+        # no int64 copy of the primes is held while _indices runs
+        index = _indices(chunk[order].astype(dtype, copy=False), residues, slots)
         psi[start + order] = np.gcd.reduceat(index, first).T
     return psi
 

@@ -61,26 +61,36 @@ def _psi(p, family):
     return tuple(index_tuple(batch, family, trial_factors(batch - 1))[0].tolist())
 
 
+POWMOD_MODULI = {
+    "int64": [3, 5, 2147483579, 2147483587, 2147483629, SIEVE_CAP],
+    # v_2(23068673 - 1) = 21, and 67108859 is the largest prime below 2^26
+    "float64": [3, 5, 23068673, 67108859],
+}
+
+
 @pytest.mark.parametrize("shape", [(96,), (1, 96), (2, 96)])
 def test_powmod_matches_pow(shape):
-    # the longest exponent's bit length runs 0..31, so the last digit is a
-    # lone bit (odd lengths) or two bits (even); the arrays shrink as slots do
-    rng = np.random.default_rng(sum(shape))
-    mod = rng.choice([3, 5, 2147483579, 2147483587, 2147483629, SIEVE_CAP], 96)
-    base = rng.integers(0, mod, shape)
-    for top in range(32):
-        edges = [e for k in range(top + 1) for e in (2**k - 1, 2**k) if e < 2**top]
-        lengths = rng.integers(0, top + 1, 96)
-        drawn = rng.integers(2**lengths >> 1, 2**lengths)  # exactly that many bits
-        x = np.concatenate([edges, drawn])[:96]
-        assert int(x.max()).bit_length() == top
-        exps = [x] + [rng.permutation(x)[:n] for n in (72, 48, 24)[: 2 + top % 2]]
-        outs = empirical._powmod(base, exps, mod)
-        for x, out in zip(exps, outs):
-            assert out.shape == base[..., : x.size].shape
-            for b, y in zip(base.reshape(-1, 96), out.reshape(-1, x.size)):
-                want = [pow(int(c), int(e), int(m)) for c, e, m in zip(b, x, mod)]
-                assert y.tolist() == want
+    # in int64 and in float64, the longest exponent's bit length runs 0..31,
+    # so the last digit is a lone bit (odd lengths) or two bits (even); the
+    # arrays shrink as slots do
+    for dtype, moduli in POWMOD_MODULI.items():
+        rng = np.random.default_rng(sum(shape))
+        mod = rng.choice(moduli, 96)
+        base = rng.integers(0, mod, shape)
+        base[..., ::4] = mod[::4] - 1  # (p - 1)^2, the largest product
+        for top in range(32):
+            edges = [e for k in range(top + 1) for e in (2**k - 1, 2**k) if e < 2**top]
+            lengths = rng.integers(0, top + 1, 96)
+            drawn = rng.integers(2**lengths >> 1, 2**lengths)  # exactly that many bits
+            x = np.concatenate([edges, drawn])[:96]
+            assert int(x.max()).bit_length() == top
+            exps = [x] + [rng.permutation(x)[:n] for n in (72, 48, 24)[: 2 + top % 2]]
+            outs = empirical._powmod(base.astype(dtype), exps, mod.astype(dtype))
+            for x, out in zip(exps, outs):
+                assert out.shape == base[..., : x.size].shape and out.dtype == dtype
+                for b, y in zip(base.reshape(-1, 96), out.reshape(-1, x.size)):
+                    want = [pow(int(c), int(e), int(m)) for c, e, m in zip(b, x, mod)]
+                    assert y.tolist() == want
 
 
 def test_index_tuple_worked_examples():
@@ -305,9 +315,13 @@ def test_index_map_reduces_generators_beyond_int64():
 
 # p = 2 has omega(p - 1) = 0, the Fermat primes have p - 1 a power of 2,
 # 13123111, 14804791 and 16546531 are the first primes with eight distinct
-# primes in p - 1, and the last four have v_2(p - 1) = 23, 25, 26 and 27, so
-# the squaring lifts of the 2-part climb 22 to 26 levels
+# primes in p - 1, 23068673 has v_2(p - 1) = 21 and 67108859 is the largest
+# prime below FLOAT_EXACT = 2^26, and the last four have v_2(p - 1) = 23,
+# 25, 26 and 27, so the squaring lifts of the 2-part climb 22 to 26 levels.
+# The batch holds 2013265921 and runs in int64; each prime alone (_psi)
+# below 2^26 runs in float64.
 EXTREME_PRIMES = [2, 3, 5, 17, 257, 65537, 13123111, 14804791, 16546531]
+EXTREME_PRIMES += [23068673, 67108859]
 EXTREME_PRIMES += [998244353, 167772161, 469762049, 2013265921]
 EXTREME_FAMILIES = [
     (["2"],),
@@ -326,6 +340,36 @@ def test_index_map_at_extreme_factorisations(gen_lists):
     batch = index_tuple(batch, family, trial_factors(batch - 1))
     for p, row in zip(primes, batch.tolist()):
         assert tuple(row) == _psi(p, family) == _oracle_psi(p, gen_lists), p
+
+
+@functools.cache
+def _primes_beside_float_exact():
+    """The 256 primes just below FLOAT_EXACT = 2^26 and the 256 just above."""
+    assert empirical.FLOAT_EXACT == 2**26
+    below = [p for p in range(2**26 - 5000, 2**26) if is_prime(p)][-256:]
+    above = [p for p in range(2**26, 2**26 + 10000) if is_prime(p)][:256]
+    assert len(below) == len(above) == 256 and below[-1] == 67108859
+    return below, above
+
+
+@pytest.mark.parametrize("gen_lists", EXTREME_FAMILIES, ids=str)
+def test_index_map_is_exact_on_both_sides_of_float_exact(gen_lists, monkeypatch):
+    # each batch is one kernel pass: float64 below 2^26, int64 above
+    dtypes, mulmod = set(), empirical._mulmod
+
+    def spy(a, b, mod, out=None):
+        dtypes.add(mod.dtype)
+        return mulmod(a, b, mod, out)
+
+    monkeypatch.setattr(empirical, "_mulmod", spy)
+    family = GroupFamily.from_strings(*gen_lists)
+    for primes, dtype in zip(_primes_beside_float_exact(), (np.float64, np.int64)):
+        dtypes.clear()
+        batch = np.array(primes, dtype=np.int64)
+        batch = index_tuple(batch, family, trial_factors(batch - 1))
+        assert dtypes == {np.dtype(dtype)}
+        for p, row in zip(primes, batch.tolist()):
+            assert tuple(row) == _oracle_psi(p, gen_lists), p
 
 
 def test_index_map_at_65537():
