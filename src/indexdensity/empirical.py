@@ -11,22 +11,23 @@ its factored exponents. A scan sieves and factors p - 1 one window of
 integers at a time (Bays-Hudson), so its memory does not grow with the
 range; the window holds the odd integers only (a wheel of 2), p = 2 is
 added on its own, and the 2-part of p - 1 is its lowest set bit. Indices
-come from power-residue tests: q divides the index of r exactly when
-r^((p - 1)/q) = 1, so one right-to-left pass over 2-bit exponent digits
-per generator, its squarings and digit table shared, tests every prime q
-of p - 1 at once, with the rows sorted so that each q runs on a prefix of
-them. The 2-part of the index then takes squarings alone: y^(2^t) for
-t < e on the columns sorted by 2^e. In the cyclic group F_p^* the index
-of a group is the gcd of its generators' indices. Surveys count
-membership in an index set once per distinct index tuple, one block of
-primes at a time, optionally filtered by a congruence class on p, and
-report Wilson intervals. Observation logs make a scan reusable across
-queries: after one text header line, each prime is one fixed-width row of
-little-endian int32 (p, Psi(p)), written and read back a block at a time
-with no text formatting or parsing. A replay checks every row (whole rows
-only, p strictly increasing from the log's start, each index a positive
-divisor of p - 1) and refuses a log that fails, or a text log of an older
-version, with ConfigError.
+come from the orders of y = r^((p - 1)/q^e) for each prime power q^e
+exactly dividing p - 1: one right-to-left pass over 2-bit exponent digits
+per generator, its squarings and digit table shared, computes y for every
+q at once, with the rows sorted so that each q runs on a prefix of them.
+The 2-part of the index then takes squarings alone: y^(2^t) for t < e on
+the columns sorted by 2^e; the odd q with e > 1 lift y <- y^q in one
+loop pooled over all of them. In the cyclic group F_p^* the index of a
+group is the gcd of its generators' indices. Surveys count membership in
+an index set once per distinct index tuple, one block of primes at a
+time (one sort of one int64 key per row), optionally filtered by a
+congruence class on p, and report Wilson intervals. Observation logs
+make a scan reusable across queries: after one text header line, each
+prime is one fixed-width row of little-endian int32 (p, Psi(p)), written
+and read back a block at a time with no text formatting or parsing. A
+replay checks every row (whole rows only, p strictly increasing from the
+log's start, each index a positive divisor of p - 1) and refuses a log
+that fails, or a text log of an older version, with ConfigError.
 """
 
 from __future__ import annotations
@@ -212,14 +213,20 @@ def _reduce(x: int, mod: np.ndarray) -> np.ndarray:
 
 def _residues(primes: np.ndarray, family: GroupFamily, dtype) -> np.ndarray:
     """Every generator of every group reduced mod each prime, one row each,
-    in dtype (float64 for primes below FLOAT_EXACT, else int64)."""
+    in dtype (float64 for primes below FLOAT_EXACT, else int64).
+
+    Each prime factor q^e of a generator is q mod p, powered by _powmod
+    unless e is exactly 1.
+    """
     pm1, mod = primes - 1, primes.astype(dtype, copy=False)
     gens = [g for group in family.groups for g in group.generators]
     out = np.empty((len(gens), primes.size), dtype=dtype)
     for r, g in zip(out, gens):
         r[:] = 1 if g.sign > 0 else pm1
         for q, e in g.exponents:
-            y = _powmod(_reduce(q, primes).astype(dtype, copy=False), [e % pm1], mod)[0]
+            y = _reduce(q, primes).astype(dtype, copy=False)
+            if e != 1:
+                y = _powmod(y, [e % pm1], mod)[0]
             _mulmod(r, y, mod, out=r)
     return out
 
@@ -285,7 +292,11 @@ def _indices(primes: np.ndarray, residues: np.ndarray, slots) -> np.ndarray:
     sorted once by 2^e, square y for t = 1, 2, ... on the prefix with
     e > t, s counts the powers y^(2^t), t < e, that are not 1, and the
     2-part is 2^e >> s, with no compaction per step. An odd slot finds s
-    by lifting y <- y^q on the few columns with e > 1 that y = 1 leaves open.
+    by lifting y <- y^q on the few columns with e > 1 that y = 1 leaves
+    open; the open columns of every odd slot are pooled, so a pass runs one
+    lift loop, one _powmod per step, whatever its number of slots. One
+    column can lift several q in the same step, so the index takes their
+    factors by np.multiply.at (a fancy-index *= keeps only one of them).
     primes and residues share a dtype, float64 below FLOAT_EXACT or int64,
     and every power of a residue keeps it (_powmod); the exponents and the
     index are int64.
@@ -311,17 +322,22 @@ def _indices(primes: np.ndarray, residues: np.ndarray, slots) -> np.ndarray:
         _mulmod(y[:, :n], y[:, :n], p[:n], out=y[:, :n])
         s[:, :n] += y[:, :n] != 1
     index[:, order] = q_e >> s
+    if len(slots) == 1:
+        return index
+    lifts = []  # (generator, column, y, q, q^(e - 1)) of each odd slot's open pairs
     for (q, q_e), y in zip(slots[1:], ys[1:]):
         index[:, : q.size] *= np.where(y == 1, q_e, 1)
         gen, col = np.nonzero((y != 1) & (q_e > q))
-        y, q, p, f = y[gen, col], q[col], primes[col], q_e[col] // q[col]
-        while gen.size:  # f = q^(e - s) if this lift reaches 1
-            y = _powmod(y, [q], p)[0]
-            hit = y == 1
-            index[gen[hit], col[hit]] *= f[hit]
-            f //= q
-            go = ~hit & (f > 1)
-            gen, col, y, q, p, f = gen[go], col[go], y[go], q[go], p[go], f[go]
+        lifts.append((gen, col, y[gen, col], q[col], q_e[col] // q[col]))
+    gen, col, y, q, f = map(np.concatenate, zip(*lifts))
+    p = primes[col]
+    while gen.size:  # f = q^(e - s) if this lift reaches 1
+        y = _powmod(y, [q], p)[0]
+        hit = y == 1
+        np.multiply.at(index, (gen[hit], col[hit]), f[hit])
+        f //= q
+        go = ~hit & (f > 1)
+        gen, col, y, q, p, f = gen[go], col[go], y[go], q[go], p[go], f[go]
     return index
 
 
@@ -557,20 +573,35 @@ def observations(
 def _tally(family, srange, congruence, log_path):
     """The distinct Psi rows over the admitted primes, with their counts.
 
-    Each block is grouped by one lexsort (np.unique(axis=0) gives the same
-    groups about ten times slower), and the blocks' counts are merged.
+    Each block's rows become one int64 key each, equal exactly when the
+    rows are: column 0, then for each further column c the rank of the key
+    so far among its distinct values times m = max c + 1, plus c. A rank is
+    below the block's 2^14 rows and an index at most 2^31 - 1, so every
+    key is below 2^45. One np.unique(key, return_counts=True), a quicksort,
+    counts the block (return_index or return_inverse would force a stable
+    sort, several times slower), and the distinct keys give back the
+    distinct rows from the last column down: c = key mod m, and the rank
+    key // m picks the key so far. The blocks' counts are merged.
     """
     counts = Counter()
     for primes, psi in _scan(family, srange, log_path):
         if congruence and not congruence.is_trivial():
             psi = psi[congruence.allows(primes)]
-        psi = psi[np.lexsort(psi.T[::-1])]
-        first = np.ones(len(psi), dtype=bool)
-        first[1:] = (psi[1:] != psi[:-1]).any(axis=1)
-        starts = np.flatnonzero(first)
-        sizes = np.diff(starts, append=len(psi)).tolist()
-        counts.update(dict(zip(map(tuple, psi[starts].tolist()), sizes)))
-        del primes, psi  # not held while the scan sieves the next block
+        key, radix = psi[:, 0], []
+        for column in psi.T[1:]:
+            # with counts np.unique sorts; without, numpy 2.4 hashes, 6 times slower
+            distinct = np.unique(key, return_counts=True)[0]
+            m = int(column.max(initial=0)) + 1
+            key = np.searchsorted(distinct, key) * m + column
+            radix.append((distinct, m))
+        key, sizes = np.unique(key, return_counts=True)
+        rows = np.empty((key.size, psi.shape[1]), dtype=psi.dtype)
+        for j, (distinct, m) in reversed(list(enumerate(radix, 1))):
+            rank, rows[:, j] = np.divmod(key, m)
+            key = distinct[rank]
+        rows[:, 0] = key
+        counts.update(dict(zip(map(tuple, rows.tolist()), sizes.tolist())))
+        del primes, psi, key  # not held while the scan sieves the next block
     return sorted(counts.items())
 
 

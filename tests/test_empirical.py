@@ -3,6 +3,7 @@
 import functools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -372,6 +373,34 @@ def test_index_map_is_exact_on_both_sides_of_float_exact(gen_lists, monkeypatch)
             assert tuple(row) == _oracle_psi(p, gen_lists), p
 
 
+# p - 1 = 3^2 5^2 7^2 k with k prime to 105, and neither 2 nor 3 is a cube,
+# fifth or seventh power residue mod p. So 3, 5 and 7 each divide the index
+# of 2^105 and of 3^105 exactly once: each of their columns lifts q = 3, 5
+# and 7 and meets 1 at the first step for all three at once.
+LIFT_PRIMES = [1367101, 2668051, 3020851, 4917151, 6901651, 8621551, 8908201]
+LIFT_FAMILIES = {
+    "2^105": ([str(2**105)],),
+    "-3^105,<2>": ([f"-{3**105}"], ["2"]),
+    "2^105 3^105": ([str(2**105), str(3**105)],),
+    "2^105 3,3^105/2": ([str(2**105), "3"], [f"{3**105}/2"]),
+}
+
+
+@pytest.mark.parametrize("gen_lists", LIFT_FAMILIES.values(), ids=LIFT_FAMILIES)
+def test_index_map_lifts_several_odd_primes_in_one_column(gen_lists):
+    for p in LIFT_PRIMES:
+        assert (p - 1) % (3 * 5 * 7) ** 2 == 0
+        assert math.gcd((p - 1) // (3 * 5 * 7) ** 2, 3 * 5 * 7) == 1
+        assert all(pow(r, (p - 1) // q, p) != 1 for r in (2, 3) for q in (3, 5, 7))
+    # one kernel pass: the lift primes among ordinary ones
+    family = GroupFamily.from_strings(*gen_lists)
+    primes = [p for p in primes_up_to(3000) if p not in family.support] + LIFT_PRIMES
+    batch = np.array(primes, dtype=np.int64)
+    batch = index_tuple(batch, family, trial_factors(batch - 1))
+    for p, row in zip(primes, batch.tolist()):
+        assert tuple(row) == _oracle_psi(p, gen_lists), p
+
+
 def test_index_map_at_65537():
     assert _psi(65537, FAM2) == (2048,)
     assert _psi(65537, GroupFamily.from_strings(["4096"])) == (8192,)
@@ -530,6 +559,40 @@ def test_array_consumers_match_a_per_prime_tally(family, sets, tmp_path, monkeyp
             assert dist.buckets == buckets
     logged = _log_rows(path, len(family.groups) + 1)[1][:, 0].tolist()
     assert logged == [obs.p for obs in observations(family, srange)]
+
+
+def _row_counts(family, srange, congruence):
+    """The Psi rows of the admitted primes with their counts, one prime at a time."""
+    rows = Counter(
+        obs.psi
+        for obs in observations(family, srange)
+        if obs.p % congruence.modulus in congruence.residues
+    )
+    return sorted(rows.items())
+
+
+# 2 has order 31 mod 2^31 - 1, so its index there, 69273666, passes 2^26:
+# near the cap the keys of the last column's ranks pass 2^31
+THREE_GROUPS = GroupFamily.from_strings(["-3/10", "7"], ["5", "-3"], ["2"])
+ALL_P = Congruence.trivial()
+TALLY_RANGES = {
+    "to 40000": (SieveRange.up_to(40000), ALL_P, 1000),
+    "1 mod 100": (SieveRange.up_to(10000), Congruence(100, frozenset({1})), 8),
+    "below the cap": (SieveRange(SIEVE_CAP - 10**5, SIEVE_CAP), ALL_P, 1000),
+}
+
+
+@pytest.mark.parametrize("srange, cong, block", TALLY_RANGES.values(), ids=TALLY_RANGES)
+def test_tally_counts_whole_index_tuples(srange, cong, block, monkeypatch):
+    monkeypatch.setattr(empirical, "BLOCK", block)
+    tally = empirical._tally(THREE_GROUPS, srange, cong, None)
+    assert tally == _row_counts(THREE_GROUPS, srange, cong)
+    assert sum(c for _, c in tally) > 2 * block
+    admitted = [cong.allows(p) for p, _ in empirical._scan(THREE_GROUPS, srange, None)]
+    if not cong.is_trivial():  # whole blocks hold no admitted prime
+        assert sum(not a.any() for a in admitted) > len(admitted) // 2
+    if srange.high == SIEVE_CAP:
+        assert max(row[2] for row, _ in tally) == (SIEVE_CAP - 1) // 31 > 2**26
 
 
 def test_wilson_interval_shape():
